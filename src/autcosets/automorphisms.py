@@ -311,21 +311,25 @@ def automorphism_to_dict(a: Automorphism) -> dict:
 
 
 def _endo_from_dict(data, field: str) -> Endomorphism:
+    # Keys and letters must be real ints (keys may be digit strings):
+    # JSON true/false and floats such as 1.7 are refused, not truncated.
     if not isinstance(data, dict):
         raise ValueError(f"{field} must be an object mapping indices to letter lists")
     images: dict[int, list[Letter]] = {}
     for key, letters in data.items():
-        try:
-            index = int(key)
-        except (TypeError, ValueError):
-            raise ValueError(f"bad generator key {key!r} in {field}") from None
+        if not (type(key) is int or (isinstance(key, str) and key.isascii() and key.isdigit())):
+            raise ValueError(f"bad generator key {key!r} in {field}")
+        index = int(key)
         if not isinstance(letters, (list, tuple)):
             raise ValueError(f"image of x{index} in {field} must be a list of letters")
         word = []
         for item in letters:
             if not isinstance(item, (list, tuple)) or len(item) != 2:
                 raise ValueError(f"bad letter {item!r} in image of x{index}")
-            word.append((int(item[0]), int(item[1])))
+            gen, sign = item
+            if type(gen) is not int or type(sign) is not int:
+                raise ValueError(f"bad letter {item!r} in image of x{index}: need two integers")
+            word.append((gen, sign))
         images[index] = word
     return Endomorphism(images)
 

@@ -10,12 +10,14 @@ on points by evaluating its generator images:
 factor's map first).  Averaging the induced operator over the coordinates
 above m yields an exact rational matrix on K^m — ``markov_matrix`` — which
 is doubly stochastic and turns block-stabilized coset products into matrix
-products.  All arithmetic is integer counting followed by exact division,
-so results are Fractions, never floats.
+products.  All arithmetic is integer counting: a matrix is its integer
+numerators over one exact denominator (a ``RationalMatrix``), with int64
+used only where overflow is proven impossible, so no float ever enters.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
@@ -25,7 +27,7 @@ import numpy as np
 from .automorphisms import Automorphism
 from .errors import SizeLimitError, SupportViolation
 from .groups import FiniteGroup, Subgroup, TupleIndex
-from .ratmat import RationalMatrix
+from .ratmat import RationalMatrix, int_matmul
 from .words import Word
 
 DEFAULT_MAX_POINTS = 10_000_000
@@ -44,6 +46,15 @@ def _check_points(count: int, max_points, what: str) -> None:
     budget = _point_budget(max_points)
     if count > budget:
         raise SizeLimitError(f"{what} enumerates {count} points, over the budget of {budget}")
+
+
+def _check_cells(dim: int, max_points, layer: str) -> None:
+    """Bound the dim x dim output of ``layer`` by the same point budget."""
+    budget = _point_budget(max_points)
+    if dim * dim > budget:
+        raise SizeLimitError(
+            f"{layer} needs a {dim}x{dim} matrix ({dim * dim} cells), over the budget of {budget}"
+        )
 
 
 def eval_word(K: FiniteGroup, w: Word, point) -> int:
@@ -148,6 +159,7 @@ def markov_matrix(
     npts = n ** n_coords
     _check_points(npts, max_points, f"averaging over {K.name}^{n_coords}")
     dim = n ** m
+    _check_cells(dim, max_points, f"markov_matrix on {K.name}^{m}")
     pts = np.arange(npts, dtype=np.int64)
     rows = pts % dim
     cols = np.zeros(npts, dtype=np.int64)
@@ -155,10 +167,7 @@ def markov_matrix(
         col = _bulk_eval(K, g.image(i), n_coords, pts)
         cols += col.astype(np.int64) * (n ** (i - 1))
     counts = np.bincount(rows * dim + cols, minlength=dim * dim).reshape(dim, dim)
-    den = n ** (n_coords - m)
-    return RationalMatrix(
-        [[Fraction(int(c), den) for c in row] for row in counts]
-    )
+    return RationalMatrix.from_numerators(counts, n ** (n_coords - m))
 
 
 def projection_matrix(K: FiniteGroup, m: int, n_coords: int, max_points=None) -> RationalMatrix:
@@ -170,15 +179,10 @@ def projection_matrix(K: FiniteGroup, m: int, n_coords: int, max_points=None) ->
     n = K.order
     npts = n ** n_coords
     _check_points(npts, max_points, f"projection on {K.name}^{n_coords}")
-    dim = n ** m
-    weight = Fraction(1, n ** (n_coords - m))
-    zero = Fraction(0)
-    return RationalMatrix(
-        [
-            tuple(weight if q % dim == p % dim else zero for q in range(npts))
-            for p in range(npts)
-        ]
-    )
+    _check_cells(npts, max_points, f"projection_matrix on {K.name}^{n_coords}")
+    head = np.arange(npts, dtype=np.int64) % n ** m
+    same_head = (head[:, None] == head[None, :]).astype(np.int64)
+    return RationalMatrix.from_numerators(same_head, n ** (n_coords - m))
 
 
 def _conjugation_perm(K: FiniteGroup, u: int, m: int) -> np.ndarray:
@@ -196,6 +200,21 @@ def _conjugation_perm(K: FiniteGroup, u: int, m: int) -> np.ndarray:
     return out
 
 
+def _members(K: FiniteGroup, u) -> tuple[int, ...]:
+    return u.members if isinstance(u, Subgroup) else Subgroup(K, u).members
+
+
+def _orbit_ids(perms: list[np.ndarray], dim: int) -> np.ndarray:
+    """Orbit id of every point, orbits numbered by their smallest point.
+
+    ``perms`` are the point permutations of the non-unit elements of a whole
+    subgroup, so the orbit of p is p together with its images under them."""
+    first = np.arange(dim, dtype=np.int64)
+    for perm in perms:
+        np.minimum(first, perm, out=first)
+    return np.unique(first, return_inverse=True)[1]
+
+
 def conjugation_orbits(K: FiniteGroup, u, m: int, max_points=None):
     """Orbits of the diagonal conjugation action of the subgroup U on the
     points of K^m.
@@ -203,29 +222,13 @@ def conjugation_orbits(K: FiniteGroup, u, m: int, max_points=None):
     Returns (orbit_of, orbits): orbit_of[p] is the orbit id of point p, and
     orbits is the list of orbits (sorted tuples), ordered by smallest member.
     """
-    members = u.members if isinstance(u, Subgroup) else Subgroup(K, u).members
+    members = _members(K, u)
     dim = K.order ** m
     _check_points(dim, max_points, f"orbits on {K.name}^{m}")
     perms = [_conjugation_perm(K, elem, m) for elem in members if elem != K.identity]
-    orbit_of = [-1] * dim
-    orbits: list[tuple[int, ...]] = []
-    for start in range(dim):
-        if orbit_of[start] >= 0:
-            continue
-        oid = len(orbits)
-        orbit_of[start] = oid
-        stack = [start]
-        found = [start]
-        while stack:
-            p = stack.pop()
-            for perm in perms:
-                q = int(perm[p])
-                if orbit_of[q] < 0:
-                    orbit_of[q] = oid
-                    found.append(q)
-                    stack.append(q)
-        orbits.append(tuple(sorted(found)))
-    return orbit_of, orbits
+    orbit_of = _orbit_ids(perms, dim)
+    orbits = [tuple(np.flatnonzero(orbit_of == oid).tolist()) for oid in range(orbit_of.max() + 1)]
+    return orbit_of.tolist(), orbits
 
 
 def compress_to_invariants(K: FiniteGroup, u, m: int, matrix: RationalMatrix, max_points=None) -> RationalMatrix:
@@ -236,35 +239,33 @@ def compress_to_invariants(K: FiniteGroup, u, m: int, matrix: RationalMatrix, ma
     row/column per orbit, C[s][t] = (1/|orbit_s|) * sum of entries over
     orbit_s x orbit_t; the identity compresses to the identity and matrix
     products of commuting matrices are preserved.
+
+    With S the orbit-indicator matrix and L the lcm of the orbit sizes, the
+    numerators are (L/|orbit_s|)-scaled rows of S num S^T over den * L.
     """
-    members = u.members if isinstance(u, Subgroup) else Subgroup(K, u).members
+    members = _members(K, u)
     dim = K.order ** m
     if not (matrix.rows == dim and matrix.cols == dim):
         raise ValueError(f"matrix must be {dim}x{dim} for m={m}, got {matrix.rows}x{matrix.cols}")
     _check_points(dim, max_points, f"compression on {K.name}^{m}")
-    data = matrix.data
-    perms = {elem: _conjugation_perm(K, elem, m) for elem in members if elem != K.identity}
-    for elem, perm in perms.items():
-        lookup = [int(x) for x in perm]
-        for r in range(dim):
-            row = data[r]
-            prow = data[lookup[r]]
-            for c in range(dim):
-                if prow[lookup[c]] != row[c]:
-                    raise ValueError(
-                        f"matrix does not commute with conjugation by element {elem}"
-                    )
-    orbit_of, orbits = conjugation_orbits(K, members, m, max_points=max_points)
-    out = []
-    for source in orbits:
-        scale = Fraction(1, len(source))
-        out.append(
-            tuple(
-                scale * sum(data[p][q] for p in source for q in target)
-                for target in orbits
-            )
-        )
-    return RationalMatrix(out)
+    _check_cells(dim, max_points, f"compress_to_invariants on {K.name}^{m}")
+    num = matrix.num
+    perms = []
+    for elem in members:
+        if elem == K.identity:
+            continue
+        perm = _conjugation_perm(K, elem, m)
+        if not np.array_equal(num[perm][:, perm], num):
+            raise ValueError(f"matrix does not commute with conjugation by element {elem}")
+        perms.append(perm)
+    orbit_of = _orbit_ids(perms, dim)
+    sizes = np.bincount(orbit_of)
+    lcm = math.lcm(*sizes.tolist())
+    indicator = np.zeros((len(sizes), dim), dtype=np.int64)
+    indicator[orbit_of, np.arange(dim)] = 1
+    scaled = indicator * (lcm // sizes)[:, None]
+    compressed = int_matmul(int_matmul(scaled, num), indicator.T)
+    return RationalMatrix.from_numerators(compressed, matrix.den * lcm)
 
 
 @dataclass(frozen=True)

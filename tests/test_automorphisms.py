@@ -199,6 +199,29 @@ def test_json_rejects_malformed(doc):
         automorphism_from_dict(doc)
 
 
+@pytest.mark.parametrize(
+    "images, inverse_images",
+    [
+        # int() would read both letters as x1^-1 and load x1 -> x1^-1
+        ({"1": [[1.7, -1]]}, {"1": [[True, -1]]}),
+        ({"1": [[1, -1]]}, {"1": [[1, -1.0]]}),
+        ({"1": [[True, -1]]}, {"1": [[1, -1]]}),
+        ({"1": [[1, False]]}, {"1": [[1, -1]]}),
+        ({"1": [["1", -1]]}, {"1": [[1, -1]]}),
+        ({"1.0": [[1, -1]]}, {"1": [[1, -1]]}),
+        ({True: [[1, -1]]}, {"1": [[1, -1]]}),
+    ],
+)
+def test_json_accepts_only_real_ints(images, inverse_images):
+    with pytest.raises(ValueError):
+        automorphism_from_dict({"images": images, "inverse_images": inverse_images})
+
+
+def test_json_int_keys_still_load():
+    doc = {"images": {1: [[1, -1]]}, "inverse_images": {"1": [[1, -1]]}}
+    assert automorphism_from_dict(doc) == nielsen_invert(1)
+
+
 def test_equality_and_hash():
     a = nielsen_right_mult(1, 2)
     b = Automorphism({1: [(1, 1), (2, 1)]}, {1: [(1, 1), (2, -1)]})

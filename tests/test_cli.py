@@ -10,7 +10,9 @@ import sys
 
 import pytest
 
+from autcosets.automorphisms import automorphism_to_dict
 from autcosets.cli import main
+from autcosets.cosets import theta
 
 G_JSON = '{"images": {"1": [[1,1],[2,1]]}, "inverse_images": {"1": [[1,1],[2,-1]]}}'
 H_JSON = '{"images": {"2": [[2,1],[1,1]]}, "inverse_images": {"2": [[2,1],[1,-1]]}}'
@@ -182,6 +184,26 @@ def test_domain_errors_exit_1(capsys):
 
     assert main(["rep-matrix", "--group", "c2", "--m", "1", "--g", "/no/such/file.json"]) == 1
     assert capsys.readouterr().err.startswith("error:")
+
+
+def test_non_integer_letters_exit_1(capsys):
+    bad = '{"images": {"1": [[1.7, -1]]}, "inverse_images": {"1": [[true, -1]]}}'
+    assert main(["invert", "--g", bad]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+
+
+def test_output_cells_over_budget_exit_1(capsys):
+    # 2^16 points pass the point budget, but the 2^16 x 2^16 matrix would
+    # need 4.3e9 cells; the budget refuses it before anything is allocated
+    swap = json.dumps(automorphism_to_dict(theta(0, 8)))
+    assert main(["rep-matrix", "--group", "c2", "--m", "16", "--g", swap]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert captured.err.startswith("error: markov_matrix")
+    assert str(2**32) in captured.err and "10000000" in captured.err
 
 
 def test_usage_errors_exit_2():

@@ -1,6 +1,7 @@
 """Representation engine.  Oracles: word evaluation over s3 is replayed with
 honest permutation composition; matrices are recounted with a pure-Python
-point loop; cylinder operations are recomputed by explicit enumeration."""
+point loop; orbit compression is recomputed with Fraction sums over explicit
+orbits; cylinder operations are recomputed by explicit enumeration."""
 
 from __future__ import annotations
 
@@ -212,6 +213,19 @@ def test_size_guardrail():
         markov_matrix(C3, g, 1, max_points=0)
 
 
+def test_output_cells_count_against_the_budget():
+    # 2^16 points fit the default budget; the 2^32-cell matrix does not
+    with pytest.raises(SizeLimitError, match=r"markov_matrix .*4294967296 cells.*10000000"):
+        markov_matrix(C2, theta(0, 8), 16)
+    with pytest.raises(SizeLimitError, match="projection_matrix"):
+        projection_matrix(C2, 0, 3, max_points=63)
+    assert projection_matrix(C2, 0, 3, max_points=64).rows == 8
+    whole = Subgroup.whole(C3)
+    with pytest.raises(SizeLimitError, match="compress_to_invariants"):
+        compress_to_invariants(C3, whole, 2, RationalMatrix.identity(9), max_points=80)
+    assert compress_to_invariants(C3, whole, 2, RationalMatrix.identity(9), max_points=81).rows == 9
+
+
 # --- projection ---------------------------------------------------------
 
 def test_projection_frozen_m0():
@@ -257,6 +271,89 @@ def test_compression_preserves_identity_and_products():
             S3, whole, 1, markov_matrix(S3, h, 1)
         )
         assert big == small
+
+
+def reference_orbits(K, members, m):
+    """Orbits of diagonal conjugation, built point by point from the
+    multiplication table: (orbits ordered by smallest member, point perms)."""
+    ti = TupleIndex(K.order, m)
+    perms = [
+        [
+            ti.encode(tuple(K.mul[K.mul[u][k]][K.inv[u]] for k in ti.decode(p)))
+            for p in range(ti.n_points)
+        ]
+        for u in members
+    ]
+    orbits = sorted({tuple(sorted({perm[p] for perm in perms})) for p in range(ti.n_points)})
+    return orbits, perms
+
+
+def reference_compress(K, members, m, matrix):
+    """Loop version of compress_to_invariants: commutation checked entry by
+    entry, then each orbit-pair block summed in Fractions and divided by the
+    size of the source orbit."""
+    data = matrix.data
+    orbits, perms = reference_orbits(K, members, m)
+    dim = K.order**m
+    for u, perm in zip(members, perms):
+        for r in range(dim):
+            for c in range(dim):
+                if data[perm[r]][perm[c]] != data[r][c]:
+                    raise ValueError(f"matrix does not commute with conjugation by element {u}")
+    return RationalMatrix(
+        [
+            [
+                Fraction(1, len(source)) * sum(data[p][q] for p in source for q in target)
+                for target in orbits
+            ]
+            for source in orbits
+        ]
+    )
+
+
+def cyclic_subgroup(K, x):
+    members = {K.identity}
+    power = x
+    while power not in members:
+        members.add(power)
+        power = K.mul[power][x]
+    return Subgroup(K, members)
+
+
+def subgroups_to_compress(K):
+    cyclic = {cyclic_subgroup(K, x).members for x in range(K.order)}
+    proper = sorted(c for c in cyclic if 1 < len(c) < K.order)
+    return [Subgroup.whole(K), Subgroup.trivial(K)] + [Subgroup(K, c) for c in proper[:3]]
+
+
+@pytest.mark.parametrize("name", ["c3", "s3", "q8", "d8"])
+@pytest.mark.parametrize("m", [1, 2])
+def test_compression_matches_reference(name, m):
+    K = builtin_group(name)
+    support = 3 if K.order > 3 else 4
+    mats = [
+        markov_matrix(K, rand_aut(seed, 6, max_index=support), m) for seed in range(2)
+    ] + [RationalMatrix.identity(K.order**m)]
+    for u in subgroups_to_compress(K):
+        orbit_of, orbits = conjugation_orbits(K, u, m)
+        assert orbits == reference_orbits(K, u.members, m)[0]
+        assert all(p in orbits[orbit_of[p]] for p in range(K.order**m))
+        for mat in mats:
+            got = compress_to_invariants(K, u, m, mat)
+            want = reference_compress(K, u.members, m, mat)
+            assert got == want
+            assert got.to_strings() == want.to_strings()
+
+
+def test_compression_rejects_like_reference():
+    rows = [[Fraction(0)] * 6 for _ in range(6)]
+    rows[1][3] = Fraction(1, 2)
+    mat = RationalMatrix(rows)
+    with pytest.raises(ValueError, match="element 1$") as got:
+        compress_to_invariants(S3, Subgroup.whole(S3), 1, mat)
+    with pytest.raises(ValueError) as want:
+        reference_compress(S3, Subgroup.whole(S3).members, 1, mat)
+    assert str(got.value) == str(want.value)
 
 
 def test_compression_rejects_non_invariant_matrix():
