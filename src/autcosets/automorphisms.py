@@ -3,8 +3,17 @@ group on generators x1, x2, x3, ...
 
 An endomorphism stores images only for the generators it actually moves; all
 other generators are fixed.  An automorphism is an endomorphism bundled with
-a certified inverse — the pair is checked on construction, so invertibility
-never has to be decided after the fact.
+a certified inverse, so invertibility never has to be decided after the fact.
+
+Inverse pairs are verified where data comes in: the public
+``Automorphism(fwd, inv)`` constructor and ``automorphism_from_dict`` (hence
+every JSON load).  Closed operations -- composition, inversion, the identity,
+Nielsen moves, permutations and random products of moves -- build their
+results from pairs that are already verified, so they preserve the invariant
+by construction and go through the private ``_closed_automorphism``, which
+skips both reduction and verification.  In ``cosets``,
+``product_formula_direct`` and the witnesses build their pairs by
+substitution and verify them, as part of the cross-checks they provide.
 
 Composition follows the usual convention for maps: ``compose(a, b)`` sends
 x_i to ``a(b(x_i))``, i.e. ``b`` acts first.
@@ -102,6 +111,15 @@ class Endomorphism:
         return f"Endomorphism({body})"
 
 
+def _reduced_endomorphism(images: dict[int, Word]) -> Endomorphism:
+    """Endomorphism from images that are already reduced words under valid
+    generator keys; drops x_i -> x_i entries as the constructor does, but
+    neither re-checks keys nor re-reduces."""
+    e = Endomorphism.__new__(Endomorphism)
+    e._images = {key: word for key, word in images.items() if word != ((key, 1),)}
+    return e
+
+
 def compose_endomorphisms(a: Endomorphism, b: Endomorphism) -> Endomorphism:
     """Endomorphism sending x_i to a(b(x_i))."""
     images: dict[int, Word] = {}
@@ -110,7 +128,7 @@ def compose_endomorphisms(a: Endomorphism, b: Endomorphism) -> Endomorphism:
     for key, word in a._images.items():
         if key not in b._images:
             images[key] = word
-    return Endomorphism(images)
+    return _reduced_endomorphism(images)
 
 
 def verify_inverse_pair(f: Endomorphism, g: Endomorphism) -> bool:
@@ -128,7 +146,11 @@ def verify_inverse_pair(f: Endomorphism, g: Endomorphism) -> bool:
 
 class Automorphism:
     """Invertible finitely supported map, stored as a verified pair
-    (forward, inverse) of endomorphisms."""
+    (forward, inverse) of endomorphisms.
+
+    The constructor reduces both image maps and raises
+    InverseVerificationError unless they compose to the identity both ways.
+    """
 
     __slots__ = ("fwd", "inv")
 
@@ -152,7 +174,7 @@ class Automorphism:
         return max(self.fwd.support_bound(), self.inv.support_bound())
 
     def inverse(self) -> "Automorphism":
-        return Automorphism(self.inv, self.fwd)
+        return _closed_automorphism(self.inv, self.fwd)
 
     def is_identity(self) -> bool:
         return self.fwd.is_identity()
@@ -179,6 +201,20 @@ class Automorphism:
         return f"Automorphism({self.fwd!r}, {self.inv!r})"
 
 
+def _closed_automorphism(fwd, inv) -> Automorphism:
+    """Automorphism from a pair that is mutually inverse by construction.
+
+    For results of closed operations only: ``fwd`` and ``inv`` are
+    Endomorphisms, or image maps of already reduced words, built from
+    verified pairs.  Skips reduction and inverse-pair verification; input
+    from outside goes through ``Automorphism(fwd, inv)`` instead.
+    """
+    a = Automorphism.__new__(Automorphism)
+    a.fwd = fwd if isinstance(fwd, Endomorphism) else _reduced_endomorphism(fwd)
+    a.inv = inv if isinstance(inv, Endomorphism) else _reduced_endomorphism(inv)
+    return a
+
+
 def compose(a, b):
     """Composite sending x_i to a(b(x_i)) — ``b`` acts first.
 
@@ -186,7 +222,7 @@ def compose(a, b):
     carries the inverse pair along (inverse composes in reverse order).
     """
     if isinstance(a, Automorphism) and isinstance(b, Automorphism):
-        return Automorphism(
+        return _closed_automorphism(
             compose_endomorphisms(a.fwd, b.fwd),
             compose_endomorphisms(b.inv, a.inv),
         )
@@ -207,7 +243,7 @@ def identity_endomorphism() -> Endomorphism:
 
 
 def identity_automorphism() -> Automorphism:
-    return Automorphism(Endomorphism(), Endomorphism())
+    return _closed_automorphism({}, {})
 
 
 def _check_index(i: int) -> None:
@@ -228,7 +264,7 @@ def nielsen_invert(i: int) -> Automorphism:
     """x_i -> x_i^-1, all other generators fixed.  Self-inverse."""
     _check_index(i)
     images = {i: ((i, -1),)}
-    return Automorphism(images, images)
+    return _closed_automorphism(images, images)
 
 
 def nielsen_right_mult(i: int, j: int) -> Automorphism:
@@ -237,7 +273,7 @@ def nielsen_right_mult(i: int, j: int) -> Automorphism:
     _check_index(j)
     if i == j:
         raise ValueError("right multiplication needs two distinct indices")
-    return Automorphism({i: ((i, 1), (j, 1))}, {i: ((i, 1), (j, -1))})
+    return _closed_automorphism({i: ((i, 1), (j, 1))}, {i: ((i, 1), (j, -1))})
 
 
 def permutation_automorphism(mapping: Mapping[int, int]) -> Automorphism:
@@ -261,7 +297,7 @@ def permutation_automorphism(mapping: Mapping[int, int]) -> Automorphism:
         raise ValueError("mapping is not a permutation of its moved generators")
     fwd = {k: generator_word(v) for k, v in moved.items()}
     inv = {v: generator_word(k) for k, v in moved.items()}
-    return Automorphism(fwd, inv)
+    return _closed_automorphism(fwd, inv)
 
 
 def is_in_H(a: Automorphism, m: int) -> bool:

@@ -240,6 +240,9 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except MemoryError:
+        print(f"error: {args.verb}: out of memory", file=sys.stderr)
+        return 1
 
 
 run = main

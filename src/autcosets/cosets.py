@@ -30,6 +30,7 @@ from dataclasses import dataclass, field
 from .automorphisms import (
     Automorphism,
     Endomorphism,
+    _closed_automorphism,
     compose,
     identity_automorphism,
     is_in_H,
@@ -44,11 +45,11 @@ def theta(m: int, j: int) -> Automorphism:
     k = 1..j.  theta(m, 0) is the identity."""
     if m < 0 or j < 0:
         raise ValueError("block parameters must be non-negative")
-    mapping: dict[int, int] = {}
-    for k in range(1, j + 1):
-        mapping[m + k] = m + j + k
-        mapping[m + j + k] = m + k
-    return permutation_automorphism(mapping)
+    images: dict[int, Word] = {}
+    for k in range(m + 1, m + j + 1):
+        images[k] = ((k + j, 1),)
+        images[k + j] = ((k, 1),)
+    return _closed_automorphism(images, images)
 
 
 def block_size(m: int, *autos: Automorphism) -> int:
@@ -139,7 +140,8 @@ def product_formula_direct(m: int, n: int, g: Automorphism, h: Automorphism) -> 
 
     Cross-checks coset_product: for n = block_size(m, g, h) the two agree
     exactly.  The inverse is built from the same pattern with the factors
-    inverted and swapped.
+    inverted and swapped, and the pair goes through the verifying
+    constructor: that check is part of the cross-check.
     """
     if m < 0 or n < 0:
         raise ValueError("block parameters must be non-negative")
@@ -168,6 +170,7 @@ def witness_left(m: int, n: int, r: Automorphism, g: Automorphism, h: Automorphi
         mapping[m + t] = generator_word(m + n + t)
     fwd = {m + n + k: substitute(mapping, r.fwd.image(m + k)) for k in range(1, n + 1)}
     inv = {m + n + k: substitute(mapping, r.inv.image(m + k)) for k in range(1, n + 1)}
+    # built by substitution rather than composition, so the pair is verified
     return Automorphism(fwd, inv)
 
 
@@ -255,7 +258,8 @@ def star_vs_pair_check(m: int, g: Automorphism, h: Automorphism) -> bool:
 def _shift_upper_block(a: Automorphism, m: int, n: int, offset: int) -> Automorphism:
     """Rename generators m+1..m+n to m+offset+1..m+offset+n inside ``a``
     (keys and image letters alike).  This is conjugation by the renaming
-    permutation, so the result is again a verified automorphism."""
+    permutation, so the result is again an automorphism; the renaming is
+    injective for offset >= 0, so reduced images stay reduced."""
     _require_support(m, n, a)
 
     def relabel(i: int) -> int:
@@ -264,10 +268,10 @@ def _shift_upper_block(a: Automorphism, m: int, n: int, offset: int) -> Automorp
     def relabel_endo(e: Endomorphism) -> dict[int, Word]:
         return {
             relabel(k): tuple((relabel(g), s) for g, s in w)
-            for k, w in e.images.items()
+            for k, w in e._images.items()
         }
 
-    return Automorphism(relabel_endo(a.fwd), relabel_endo(a.inv))
+    return _closed_automorphism(relabel_endo(a.fwd), relabel_endo(a.inv))
 
 
 def triple_product_disjoint(

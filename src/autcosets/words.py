@@ -75,6 +75,10 @@ def substitute(images: Mapping[int, Word], w: Word) -> Word:
 
     This is the homomorphism sending x_i to ``images[i]``; the result is
     reduced.  Image words must themselves be reduced.
+
+    Everything is folded onto one output stack: a fixed letter goes straight
+    on, and an inverse letter walks its image backwards with signs flipped
+    inline, so no inverted image word is ever built.
     """
     get = images.get
     stack: list[Letter] = []
@@ -83,18 +87,29 @@ def substitute(images: Mapping[int, Word], w: Word) -> Word:
     for gen, sign in w:
         img = get(gen)
         if img is None:
-            piece: Word = ((gen, sign),)
-        elif sign == 1:
-            piece = img
-        else:
-            piece = tuple((g, -s) for g, s in reversed(img))
-        for letter in piece:
             if stack:
                 top = stack[-1]
-                if top[0] == letter[0] and top[1] == -letter[1]:
+                if top[0] == gen and top[1] == -sign:
                     pop()
                     continue
-            append(letter)
+            append((gen, sign))
+        elif sign == 1:
+            for letter in img:
+                if stack:
+                    top = stack[-1]
+                    if top[0] == letter[0] and top[1] == -letter[1]:
+                        pop()
+                        continue
+                append(letter)
+        else:
+            # pushing (g, -s) cancels a top of (g, s)
+            for g, s in reversed(img):
+                if stack:
+                    top = stack[-1]
+                    if top[0] == g and top[1] == s:
+                        pop()
+                        continue
+                append((g, -s))
     return tuple(stack)
 
 

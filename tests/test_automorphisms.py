@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import autcosets
 from autcosets.automorphisms import (
     Automorphism,
     Endomorphism,
@@ -30,6 +31,14 @@ def rand_aut(seed: int, length: int, m_fix: int = 0, max_index: int = 5) -> Auto
 
 
 aut_st = st.builds(rand_aut, st.integers(0, 10_000), st.integers(0, 10))
+perm_st = st.permutations(range(1, 6)).map(lambda p: dict(zip(range(1, 6), p)))
+
+
+def assert_closed_result(r: Automorphism) -> None:
+    """A closed operation's result, built without verification, is a true
+    inverse pair in the normal form the verifying constructor produces."""
+    assert verify_inverse_pair(r.fwd, r.inv)
+    assert r == Automorphism(r.fwd.images, r.inv.images)
 
 
 def test_endomorphism_normalizes():
@@ -70,6 +79,13 @@ def test_verification_rejects_wrong_inverse():
         Automorphism({1: [(1, 1), (2, 1)]}, {})
     with pytest.raises(InverseVerificationError):
         Automorphism({1: [(1, 1), (2, 1)]}, {1: [(2, -1), (1, 1)]})
+    # trust boundaries: Endomorphism arguments and JSON loads are verified too
+    with pytest.raises(InverseVerificationError):
+        Automorphism(Endomorphism({1: [(1, 1), (2, 1)]}), Endomorphism({1: [(2, -1), (1, 1)]}))
+    with pytest.raises(InverseVerificationError):
+        automorphism_from_dict(
+            {"images": {"1": [[1, 1], [2, 1]]}, "inverse_images": {"1": [[2, -1], [1, 1]]}}
+        )
     # one-sided check is not enough: x1 -> x1 x2 against x1 -> x2^-1 x1
     assert not verify_inverse_pair(
         Endomorphism({1: [(1, 1), (2, 1)]}), Endomorphism({1: [(2, -1), (1, 1)]})
@@ -227,3 +243,27 @@ def test_equality_and_hash():
     b = Automorphism({1: [(1, 1), (2, 1)]}, {1: [(1, 1), (2, -1)]})
     assert a == b and hash(a) == hash(b)
     assert a != nielsen_right_mult(2, 1)
+
+
+@given(aut_st, aut_st, perm_st, st.integers(1, 5), st.integers(1, 5))
+def test_closed_operations_preserve_the_inverse_pair(a, b, perm, i, j):
+    # aut_st draws random_automorphism results, themselves closed
+    results = [
+        a,
+        compose(a, b),
+        compose(a, a.inverse()),
+        a.inverse(),
+        invert(compose(b, a)),
+        identity_automorphism(),
+        permutation_automorphism(perm),
+        nielsen_invert(i),
+    ]
+    if i != j:
+        results += [nielsen_swap(i, j), nielsen_right_mult(i, j)]
+    for r in results:
+        assert_closed_result(r)
+
+
+def test_closed_constructor_is_private():
+    # _closed_automorphism skips verification, so it must stay internal
+    assert not any(name.startswith("_") for name in autcosets.__all__)

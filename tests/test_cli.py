@@ -10,6 +10,7 @@ import sys
 
 import pytest
 
+from autcosets import cli
 from autcosets.automorphisms import automorphism_to_dict
 from autcosets.cli import main
 from autcosets.cosets import theta
@@ -192,6 +193,37 @@ def test_non_integer_letters_exit_1(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+
+
+def test_non_inverse_pair_exit_1(capsys):
+    bad = '{"images": {"1": [[1,1],[2,1]]}, "inverse_images": {"1": [[2,-1],[1,1]]}}'
+    for argv in (
+        ["compose", "--g", bad, "--h", G_JSON],
+        ["coset-product", "--m", "1", "--g", G_JSON, "--h", bad],
+    ):
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+        assert "do not compose to the identity" in captured.err
+
+
+@pytest.mark.parametrize(
+    "verb, target, argv",
+    [
+        ("rep-matrix", "markov_matrix", ["--group", "c2", "--m", "1", "--g", G_JSON]),
+        ("coset-product", "coset_product", ["--m", "1", "--g", G_JSON, "--h", H_JSON]),
+    ],
+)
+def test_memory_error_exit_1(capsys, monkeypatch, verb, target, argv):
+    def out_of_memory(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, target, out_of_memory)
+    assert main([verb, *argv]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {verb}: out of memory\n"
 
 
 def test_output_cells_over_budget_exit_1(capsys):

@@ -10,16 +10,20 @@ from hypothesis import strategies as st
 
 from autcosets.automorphisms import (
     Automorphism,
+    InverseVerificationError,
+    _closed_automorphism,
     compose,
     identity_automorphism,
     invert,
     is_in_H,
     nielsen_swap,
     random_automorphism,
+    verify_inverse_pair,
 )
 from autcosets.cosets import (
     ConjClassRep,
     DoubleCosetRep,
+    _shift_upper_block,
     block_size,
     coset_product,
     product_formula_direct,
@@ -42,6 +46,13 @@ def rand_aut(seed, length, m_fix=0, max_index=4):
 m_st = st.sampled_from((1, 2))
 seed_st = st.integers(0, 10_000)
 len_st = st.integers(0, 10)
+
+
+def assert_closed_result(r: Automorphism) -> None:
+    """A closed operation's result, built without verification, is a true
+    inverse pair in the normal form the verifying constructor produces."""
+    assert verify_inverse_pair(r.fwd, r.inv)
+    assert r == Automorphism(r.fwd.images, r.inv.images)
 
 
 def test_theta_frozen():
@@ -242,3 +253,39 @@ def test_invertible_remark_degenerate_product():
         prod = coset_product(2, g, h)
         assert prod.block == 0
         assert prod.rep == compose(g, h)
+
+
+@given(m_st, st.integers(0, 4), seed_st, len_st, seed_st, len_st, seed_st, len_st)
+@settings(max_examples=40)
+def test_closed_products_preserve_the_inverse_pair(m, j, s1, l1, s2, l2, s3, l3):
+    g, h, f = rand_aut(s1, l1), rand_aut(s2, l2), rand_aut(s3, l3)
+    n = block_size(m, g, h, f)
+    results = [
+        theta(m, j),
+        coset_product(m, g, h).rep,
+        star_product(m, g, h).rep,
+        *tuple_product(m, (g, h), (h, f)).reps,
+        _shift_upper_block(g, m, n, n),
+        _shift_upper_block(h, m, n, 2 * n),
+        triple_product_disjoint(m, g, h, f),
+    ]
+    for r in results:
+        assert_closed_result(r)
+
+
+# a pair that is not mutually inverse, smuggled past the verifying
+# constructor: the boundaries that verify must still catch it
+BROKEN = _closed_automorphism({2: ((2, 1), (3, 1))}, {})
+
+
+def test_direct_formula_verifies_its_pair():
+    with pytest.raises(InverseVerificationError):
+        product_formula_direct(1, 2, BROKEN, identity_automorphism())
+
+
+def test_witnesses_verify_their_pair():
+    e = identity_automorphism()
+    with pytest.raises(InverseVerificationError):
+        witness_left(1, 2, BROKEN, e, e)
+    with pytest.raises(InverseVerificationError):
+        witness_right(1, 2, BROKEN, e, e)

@@ -132,6 +132,43 @@ def test_substitute_frozen():
     assert substitute(images, ((3, 1),)) == ((3, 1),)
     # x1 -> x2, applied to x2^-1 x1 x2 gives x2^-1 x2 x2 = x2
     assert substitute({1: ((2, 1),)}, ((2, -1), (1, 1), (2, 1))) == ((2, 1),)
+    # cancellation across pieces, including inverted images
+    images = {1: ((2, 1), (3, 1)), 2: ((3, -1), (2, -1))}
+    assert substitute(images, ((1, 1), (2, 1))) == ()
+    assert substitute(images, ((2, -1), (1, -1))) == ()
+    # fixed letters cancel against the ends of plain and inverted images
+    images = {1: ((2, 1), (3, 1))}
+    assert substitute(images, ((1, 1), (3, -1))) == ((2, 1),)
+    assert substitute(images, ((1, -1), (2, 1))) == ((3, -1),)
+    assert substitute(images, ((2, -1), (1, 1))) == ((3, 1),)
+
+
+def naive_substitute(images, w):
+    """Expand each letter to its image (inverted image for an inverse
+    letter), then reduce the whole expansion at once."""
+    out = []
+    for gen, sign in w:
+        img = images.get(gen, ((gen, 1),))
+        out.extend(img if sign == 1 else [(g, -s) for g, s in reversed(img)])
+    return naive_reduce(out)
+
+
+# images over a three-letter alphabet cancel across pieces often
+images_st = st.dictionaries(
+    st.integers(1, 5),
+    st.lists(st.tuples(st.integers(1, 3), st.sampled_from((1, -1))), max_size=6).map(reduce),
+    max_size=5,
+)
+inverse_heavy_st = st.lists(
+    st.tuples(st.integers(1, 5), st.sampled_from((-1, -1, -1, 1))), max_size=40
+)
+
+
+@given(images_st, st.one_of(letters_st, inverse_heavy_st))
+def test_substitute_matches_naive_oracle(images, seq):
+    assert substitute(images, seq) == naive_substitute(images, seq)
+    w = reduce(seq)
+    assert substitute(images, w) == naive_substitute(images, w)
 
 
 @given(letters_st, letters_st)
