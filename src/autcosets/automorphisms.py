@@ -27,6 +27,7 @@ from typing import Iterable, Mapping
 from .words import (
     Letter,
     Word,
+    _integer,
     format_word,
     generator_word,
     max_generator,
@@ -48,9 +49,7 @@ class Endomorphism:
         normalized: dict[int, Word] = {}
         if images:
             for key, img in images.items():
-                key = int(key)
-                if key < 1:
-                    raise ValueError(f"generator index must be >= 1, got {key}")
+                key = _check_index(key)
                 word = reduce(img)
                 if word != ((key, 1),):
                     normalized[key] = word
@@ -246,15 +245,17 @@ def identity_automorphism() -> Automorphism:
     return _closed_automorphism({}, {})
 
 
-def _check_index(i: int) -> None:
+def _check_index(i) -> int:
+    if type(i) is not int:
+        i = _integer(i, "generator index")
     if i < 1:
         raise ValueError(f"generator index must be >= 1, got {i}")
+    return i
 
 
 def nielsen_swap(i: int, j: int) -> Automorphism:
     """Transposition x_i <-> x_j (i != j)."""
-    _check_index(i)
-    _check_index(j)
+    i, j = _check_index(i), _check_index(j)
     if i == j:
         raise ValueError("swap needs two distinct indices")
     return permutation_automorphism({i: j, j: i})
@@ -262,15 +263,14 @@ def nielsen_swap(i: int, j: int) -> Automorphism:
 
 def nielsen_invert(i: int) -> Automorphism:
     """x_i -> x_i^-1, all other generators fixed.  Self-inverse."""
-    _check_index(i)
+    i = _check_index(i)
     images = {i: ((i, -1),)}
     return _closed_automorphism(images, images)
 
 
 def nielsen_right_mult(i: int, j: int) -> Automorphism:
     """x_i -> x_i x_j with i != j, all other generators fixed."""
-    _check_index(i)
-    _check_index(j)
+    i, j = _check_index(i), _check_index(j)
     if i == j:
         raise ValueError("right multiplication needs two distinct indices")
     return _closed_automorphism({i: ((i, 1), (j, 1))}, {i: ((i, 1), (j, -1))})
@@ -284,10 +284,7 @@ def permutation_automorphism(mapping: Mapping[int, int]) -> Automorphism:
     """
     moved: dict[int, int] = {}
     for key, val in mapping.items():
-        key = int(key)
-        val = int(val)
-        _check_index(key)
-        _check_index(val)
+        key, val = _check_index(key), _check_index(val)
         if key != val:
             if key in moved:
                 raise ValueError(f"duplicate image for generator {key}")

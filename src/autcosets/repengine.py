@@ -13,22 +13,27 @@ is doubly stochastic and turns block-stabilized coset products into matrix
 products.  All arithmetic is integer counting: a matrix is its integer
 numerators over one exact denominator (a ``RationalMatrix``), with int64
 used only where overflow is proven impossible, so no float ever enters.
+
+Words are evaluated on a broadcast grid with one axis per coordinate
+(``_grid_eval``): an axis the word does not read has length 1, so a matrix
+counts only the points of the coordinates its rows and the images of
+x_1..x_m actually read, and the other coordinates cancel from the exact
+fraction.  ``weak_limit_check`` compares two such matrices.  The point
+budget still counts the n^N points requested, and every output matrix
+counts its cells against the same budget.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from fractions import Fraction
-from typing import Mapping
 
 import numpy as np
 
-from .automorphisms import Automorphism
+from .automorphisms import Automorphism, permutation_automorphism
 from .errors import SizeLimitError, SupportViolation
 from .groups import FiniteGroup, Subgroup, TupleIndex
 from .ratmat import RationalMatrix, int_matmul
-from .words import Word
+from .words import Word, generator_word
 
 DEFAULT_MAX_POINTS = 10_000_000
 
@@ -74,22 +79,42 @@ def eval_word(K: FiniteGroup, w: Word, point) -> int:
     return acc
 
 
-def _bulk_eval(K: FiniteGroup, w: Word, n_coords: int, pts: np.ndarray) -> np.ndarray:
-    """eval_word at every point of K^n_coords at once; ``pts`` is the
-    precomputed arange of point indices."""
+def _coordinate(n: int, i: int) -> np.ndarray:
+    """Coordinate i of every point: arange(n) along axis -i.  A group of
+    order 1 has one point, laid out with no axes (numpy allows at most 64)."""
+    shape = (n,) + (1,) * (i - 1) if n > 1 else ()
+    return np.arange(n, dtype=np.int32).reshape(shape)
+
+
+def _grid_eval(K: FiniteGroup, w: Word, n_coords: int) -> np.ndarray:
+    """eval_word at every point of K^n_coords, on a grid with one axis per
+    coordinate.
+
+    Coordinate i runs along axis n_coords - i, so on the full grid the
+    C-order flat index is the TupleIndex code.  Only the coordinates ``w``
+    reads are materialized: every other axis has length 1 (or is absent
+    below the highest one read), and the result broadcasts to the full grid.
+    """
     n = K.order
     mul = K.mul_np
     inv = K.inv_np
-    acc = np.full(len(pts), K.identity, dtype=np.int32)
+    acc = np.array(K.identity, dtype=np.int32)
     for gen, sign in w:
         if gen > n_coords:
             raise SupportViolation(f"word mentions x{gen} but points have {n_coords} coordinates")
-        stride = n ** (gen - 1)
-        coord = ((pts // stride) % n).astype(np.int32)
-        if sign < 0:
-            coord = inv[coord]
-        acc = mul[acc, coord]
+        coord = _coordinate(n, gen)
+        acc = mul[acc, coord if sign == 1 else inv[coord]]
     return acc
+
+
+def _grid_code(K: FiniteGroup, words, n_coords: int) -> np.ndarray:
+    """TupleIndex code of the tuple of values of ``words`` (the first word
+    gives the least significant digit), on the grid of K^n_coords."""
+    n = K.order
+    code = np.zeros((), dtype=np.int64)
+    for i, w in enumerate(words):
+        code = code + _grid_eval(K, w, n_coords).astype(np.int64) * n ** i
+    return code
 
 
 class ActionMap:
@@ -125,11 +150,8 @@ def action_map(K: FiniteGroup, g: Automorphism, n_coords: int, max_points=None) 
     n = K.order
     npts = n ** n_coords
     _check_points(npts, max_points, f"action on {K.name}^{n_coords}")
-    pts = np.arange(npts, dtype=np.int64)
-    table = np.zeros(npts, dtype=np.int64)
-    for i in range(1, n_coords + 1):
-        col = _bulk_eval(K, g.image(i), n_coords, pts)
-        table += col.astype(np.int64) * (n ** (i - 1))
+    code = _grid_code(K, [g.image(i) for i in range(1, n_coords + 1)], n_coords)
+    table = np.broadcast_to(code, (n,) * n_coords if n > 1 else ()).ravel()
     counts = np.bincount(table, minlength=npts)
     if not np.all(counts == 1):
         raise ValueError("induced point map is not a bijection")
@@ -148,6 +170,10 @@ def markov_matrix(
     TupleIndex codes.  The result is doubly stochastic, equals the identity
     for automorphisms fixing x_1..x_m, and does not change if ``truncation``
     raises N further.
+
+    The budget counts all n^N points, but only the coordinates 1..m and
+    those the images of x_1..x_m read are enumerated: each other coordinate
+    multiplies every count by n, which cancels in the lowest-terms result.
     """
     if m < 0:
         raise ValueError(f"m must be >= 0, got {m}")
@@ -156,18 +182,13 @@ def markov_matrix(
     if n_coords < bound:
         raise SupportViolation(f"truncation {truncation} is below the required bound {bound}")
     n = K.order
-    npts = n ** n_coords
-    _check_points(npts, max_points, f"averaging over {K.name}^{n_coords}")
+    _check_points(n ** n_coords, max_points, f"averaging over {K.name}^{n_coords}")
     dim = n ** m
     _check_cells(dim, max_points, f"markov_matrix on {K.name}^{m}")
-    pts = np.arange(npts, dtype=np.int64)
-    rows = pts % dim
-    cols = np.zeros(npts, dtype=np.int64)
-    for i in range(1, m + 1):
-        col = _bulk_eval(K, g.image(i), n_coords, pts)
-        cols += col.astype(np.int64) * (n ** (i - 1))
-    counts = np.bincount(rows * dim + cols, minlength=dim * dim).reshape(dim, dim)
-    return RationalMatrix.from_numerators(counts, n ** (n_coords - m))
+    rows = _grid_code(K, [generator_word(i) for i in range(1, m + 1)], m)
+    key = rows * dim + _grid_code(K, [g.image(i) for i in range(1, m + 1)], n_coords)
+    counts = np.bincount(key.ravel(), minlength=dim * dim).reshape(dim, dim)
+    return RationalMatrix.from_numerators(counts, key.size // dim)
 
 
 def projection_matrix(K: FiniteGroup, m: int, n_coords: int, max_points=None) -> RationalMatrix:
@@ -268,145 +289,31 @@ def compress_to_invariants(K: FiniteGroup, u, m: int, matrix: RationalMatrix, ma
     return RationalMatrix.from_numerators(compressed, matrix.den * lcm)
 
 
-@dataclass(frozen=True)
-class CylinderFunction:
-    """Function on infinite K-sequences depending only on the first
-    ``level`` coordinates; values are listed in TupleIndex order."""
-
-    level: int
-    values: tuple
-
-    def __post_init__(self):
-        if self.level < 0:
-            raise ValueError(f"level must be >= 0, got {self.level}")
-        object.__setattr__(self, "values", tuple(Fraction(v) for v in self.values))
-
-
-def _check_cylinder(K: FiniteGroup, f: CylinderFunction) -> None:
-    expected = K.order ** f.level
-    if len(f.values) != expected:
-        raise ValueError(f"level-{f.level} cylinder over {K.name} needs {expected} values")
-
-
-def delta_cylinder(K: FiniteGroup, point) -> CylinderFunction:
-    """Indicator of one point of K^len(point), as a cylinder function."""
-    level = len(point)
-    ti = TupleIndex(K.order, level)
-    hot = ti.encode(tuple(point))
-    one = Fraction(1)
-    zero = Fraction(0)
-    return CylinderFunction(level, tuple(one if i == hot else zero for i in range(ti.n_points)))
-
-
-def cylinder_inner_product(K: FiniteGroup, n_coords: int, f: CylinderFunction, fp: CylinderFunction, max_points=None) -> Fraction:
-    """Average of f * fp over K^n_coords under the uniform measure.
-
-    n_coords must cover both levels; the value does not depend on it beyond
-    that, so it is evaluated at the deeper of the two levels."""
-    _check_cylinder(K, f)
-    _check_cylinder(K, fp)
-    depth = max(f.level, fp.level)
-    if n_coords < depth:
-        raise ValueError(f"n_coords {n_coords} below the cylinder level {depth}")
-    n = K.order
-    _check_points(n ** depth, max_points, f"inner product over {K.name}^{depth}")
-    dim_f = n ** f.level
-    dim_fp = n ** fp.level
-    total = Fraction(0)
-    for idx in range(n ** depth):
-        total += f.values[idx % dim_f] * fp.values[idx % dim_fp]
-    return total / n ** depth
-
-
-def project_cylinder(K: FiniteGroup, m: int, f: CylinderFunction) -> CylinderFunction:
-    """Conditional expectation onto the first m coordinates; drops the level
-    to m (no-op when the level is already <= m)."""
-    if m < 0:
-        raise ValueError(f"m must be >= 0, got {m}")
-    _check_cylinder(K, f)
-    if f.level <= m:
-        return f
-    n = K.order
-    dim = n ** m
-    tail = n ** (f.level - m)
-    scale = Fraction(1, tail)
-    values = tuple(
-        scale * sum(f.values[a + t * dim] for t in range(tail)) for a in range(dim)
-    )
-    return CylinderFunction(m, values)
-
-
-def translate_by_permutation(
-    K: FiniteGroup, mapping: Mapping[int, int], f: CylinderFunction, n_coords: int, max_points=None
-) -> CylinderFunction:
-    """Pull a cylinder function back along a coordinate permutation:
-
-        result(k_1..k_N) = f(k_p(1), ..., k_p(level))
-
-    where p is ``mapping`` extended by the identity.  This is the operator
-    induced by the permutation automorphism even when the permutation moves
-    coordinates beyond n_coords, as long as p(c) <= n_coords for every
-    c <= f.level."""
-    _check_cylinder(K, f)
-    moved = {}
-    for key, val in mapping.items():
-        key = int(key)
-        val = int(val)
-        if key < 1 or val < 1:
-            raise ValueError("coordinate permutation indices must be >= 1")
-        if key != val:
-            moved[key] = val
-    if set(moved.values()) != set(moved) or len(set(moved.values())) != len(moved):
-        raise ValueError("mapping is not a permutation of its moved coordinates")
-    sources = [moved.get(c, c) for c in range(1, f.level + 1)]
-    if any(src > n_coords for src in sources):
-        raise SupportViolation(
-            f"permutation needs coordinate {max(sources)} but only {n_coords} are available"
-        )
-    n = K.order
-    npts = n ** n_coords
-    _check_points(npts, max_points, f"translation over {K.name}^{n_coords}")
-    values = []
-    for idx in range(npts):
-        fidx = 0
-        for c in range(f.level - 1, -1, -1):
-            digit = (idx // n ** (sources[c] - 1)) % n
-            fidx = fidx * n + digit
-        values.append(f.values[fidx])
-    return CylinderFunction(n_coords, tuple(values))
-
-
 def weak_limit_check(K: FiniteGroup, m: int, m_cyl: int, j: int, max_points=None) -> bool:
-    """Whether the block swap theta(m, j) already acts on level-(m + m_cyl)
-    cylinder functions exactly like the projection onto the first m
-    coordinates:
+    """Whether the block swap theta(m, j) already acts on functions of the
+    first m + m_cyl coordinates exactly like the projection onto the first m:
 
-        <T(theta(m,j)) f_a, f_b> == <P f_a, P f_b>
+        markov_matrix(theta(m, j), m + m_cyl) == projection_matrix(m, m + m_cyl)
 
-    for all pairs of delta functions of K^(m + m_cyl), with inner products
-    over K^(m + j + m_cyl).  For a nontrivial group this holds exactly when
-    j >= m_cyl — the finite-level shadow of the block swaps converging
-    weakly to the projection."""
+    An entry of each side is n^(m + m_cyl) times the inner product of two
+    delta functions of level m + m_cyl, one of them moved by the swap on the
+    left, both projected on the right.  For a nontrivial group this holds
+    exactly when j >= m_cyl: the finite-level shadow of the block swaps
+    converging weakly to the projection.
+
+    The left side only needs the images of x_1..x_(m + m_cyl), so it swaps
+    just the first min(j, m_cyl) pairs of the two blocks, which agree with
+    theta(m, j) there and fit in m + j + m_cyl coordinates; the point budget
+    bounds n^(m + j + m_cyl), and both sides bound their n^(2(m + m_cyl))
+    output cells.
+    """
     if m < 0 or m_cyl < 0 or j < 0:
         raise ValueError("block parameters must be non-negative")
     n = K.order
     level = m + m_cyl
     n_coords = m + j + m_cyl
     _check_points(n ** n_coords, max_points, f"weak limit over {K.name}^{n_coords}")
-    swap: dict[int, int] = {}
-    for k in range(1, j + 1):
-        swap[m + k] = m + j + k
-        swap[m + j + k] = m + k
-    ti = TupleIndex(n, level)
-    deltas = [delta_cylinder(K, ti.decode(i)) for i in range(ti.n_points)]
-    translated = [
-        translate_by_permutation(K, swap, d, n_coords, max_points=max_points) for d in deltas
-    ]
-    projected = [project_cylinder(K, m, d) for d in deltas]
-    for a in range(len(deltas)):
-        for b in range(len(deltas)):
-            lhs = cylinder_inner_product(K, n_coords, translated[a], deltas[b], max_points=max_points)
-            rhs = cylinder_inner_product(K, n_coords, projected[a], projected[b], max_points=max_points)
-            if lhs != rhs:
-                return False
-    return True
+    pairs = range(m + 1, m + min(j, m_cyl) + 1)
+    swap = permutation_automorphism({**{k: k + j for k in pairs}, **{k + j: k for k in pairs}})
+    lhs = markov_matrix(K, swap, level, truncation=n_coords, max_points=max_points)
+    return lhs == projection_matrix(K, m, level, max_points=max_points)

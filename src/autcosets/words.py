@@ -9,6 +9,7 @@ copying.
 
 from __future__ import annotations
 
+import numbers
 import re
 from typing import Iterable, Mapping
 
@@ -22,16 +23,29 @@ class WordSyntaxError(ValueError):
     """Malformed text form of a word."""
 
 
+def _integer(value, what: str) -> int:
+    """``value`` as a Python int.  ``bool`` and non-integers such as 1.7 are
+    refused, not truncated."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return int(value)
+
+
 def reduce(letters: Iterable[Letter]) -> Word:
     """Freely reduce a letter sequence.
 
-    Idempotent; the empty word is the identity.  Rejects letters with a
-    non-positive index or a sign other than +1/-1.
+    Idempotent; the empty word is the identity.  Rejects letters whose index
+    or sign is not an integer, a non-positive index, or a sign other than
+    +1/-1.
     """
     stack: list[Letter] = []
     append = stack.append
     pop = stack.pop
     for gen, sign in letters:
+        if type(gen) is not int:
+            gen = _integer(gen, "generator index")
+        if type(sign) is not int:
+            sign = _integer(sign, "letter sign")
         if gen < 1:
             raise ValueError(f"generator index must be >= 1, got {gen!r}")
         if sign != 1 and sign != -1:

@@ -56,6 +56,36 @@ def test_endomorphism_rejects_bad_keys():
         Endomorphism({0: [(1, 1)]})
 
 
+@pytest.mark.parametrize("key", [1.7, 1.0, True, "1"])
+def test_constructors_refuse_non_integer_keys(key):
+    # a float key used to be truncated: {1.7: ...} became an image of x1
+    with pytest.raises(ValueError, match=r"^generator index must be an integer, got"):
+        Endomorphism({key: [(2, 1)]})
+    with pytest.raises(ValueError, match="must be an integer"):
+        Automorphism({key: [(1, 1), (2, 1)]}, {1: [(1, 1), (2, -1)]})
+    with pytest.raises(ValueError, match="must be an integer"):
+        Automorphism({1: [(1, 1), (2, 1)]}, {key: [(1, 1), (2, -1)]})
+
+
+@pytest.mark.parametrize("letter", [(2.5, 1), (True, 1), (2, 1.0)])
+def test_constructors_refuse_non_integer_letters(letter):
+    # a float letter index used to load, with support_bound() == 2.5
+    with pytest.raises(ValueError, match="must be an integer"):
+        Endomorphism({1: [letter]})
+    with pytest.raises(ValueError, match="must be an integer"):
+        Automorphism({1: [(1, 1), letter]}, {1: [(1, 1), (2, -1)]})
+
+
+def test_moves_refuse_non_integer_indices():
+    for bad in (1.5, True):
+        with pytest.raises(ValueError, match="must be an integer"):
+            nielsen_invert(bad)
+        with pytest.raises(ValueError, match="must be an integer"):
+            nielsen_right_mult(bad, 3)
+        with pytest.raises(ValueError, match="must be an integer"):
+            permutation_automorphism({bad: 3, 3: 1})
+
+
 def test_compose_frozen_example():
     a = Automorphism({1: [(1, 1), (2, 1)]}, {1: [(1, 1), (2, -1)]})
     b = Automorphism({2: [(2, 1), (1, 1)]}, {2: [(2, 1), (1, -1)]})

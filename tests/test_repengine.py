@@ -1,7 +1,8 @@
 """Representation engine.  Oracles: word evaluation over s3 is replayed with
-honest permutation composition; matrices are recounted with a pure-Python
-point loop; orbit compression is recomputed with Fraction sums over explicit
-orbits; cylinder operations are recomputed by explicit enumeration."""
+honest permutation composition; matrices and point maps are recounted with
+a pure-Python point loop; orbit compression is recomputed with Fraction sums
+over explicit orbits; the weak-limit check is recomputed from cylinder
+functions by explicit enumeration (``cylinder_oracle``)."""
 
 from __future__ import annotations
 
@@ -10,6 +11,11 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+import autcosets
+import autcosets.repengine
 
 from autcosets.automorphisms import (
     compose,
@@ -24,20 +30,23 @@ from autcosets.errors import SizeLimitError, SupportViolation
 from autcosets.groups import Subgroup, TupleIndex, builtin_group
 from autcosets.ratmat import RationalMatrix
 from autcosets.repengine import (
-    CylinderFunction,
     action_map,
     compress_to_invariants,
     conjugation_orbits,
-    cylinder_inner_product,
-    delta_cylinder,
     eval_word,
     markov_matrix,
-    project_cylinder,
     projection_matrix,
-    translate_by_permutation,
     weak_limit_check,
 )
 from autcosets.words import parse_word
+from cylinder_oracle import (
+    CylinderFunction,
+    cylinder_inner_product,
+    cylinder_weak_limit,
+    delta_cylinder,
+    project_cylinder,
+    translate_by_permutation,
+)
 
 C2 = builtin_group("c2")
 C3 = builtin_group("c3")
@@ -195,6 +204,63 @@ def test_markov_doubly_stochastic():
     for seed in range(6):
         g = rand_aut(seed, 8)
         assert markov_matrix(C3, g, 1).is_doubly_stochastic()
+
+
+# --- grid kernel: only the coordinates an image reads are enumerated -----
+
+def skipping_aut():
+    """x1 -> x1 x4, x2 -> x2 x4, x4 -> x4^-1: support 4, and the images of
+    x1 and x2 skip x3."""
+    return compose(nielsen_right_mult(1, 4), compose(nielsen_right_mult(2, 4), nielsen_invert(4)))
+
+
+@pytest.mark.parametrize(
+    "K, m, extra", [(C3, 0, 2), (C2, 1, 3), (C3, 1, 1), (S3, 1, 1), (C2, 2, 3), (S3, 2, 1)]
+)
+def test_markov_matches_brute_force_above_the_support(K, m, extra):
+    g = skipping_aut()
+    assert all(gen != 3 for i in (1, 2) for gen, _ in g.image(i))
+    for aut in (g, rand_aut(40 + m, 6, max_index=4)):
+        truncation = max(aut.support_bound(), m) + extra
+        assert markov_matrix(K, aut, m, truncation=truncation) == brute_markov(K, aut, m, truncation)
+
+
+@pytest.mark.parametrize("K, n_coords", [(C2, 6), (C3, 4), (S3, 4)])
+def test_action_map_matches_eval_word_point_by_point(K, n_coords):
+    ti = TupleIndex(K.order, n_coords)
+    for g in (skipping_aut(), rand_aut(31, 8, max_index=4), identity_automorphism()):
+        table = action_map(K, g, n_coords).table
+        assert len(table) == ti.n_points
+        for idx in range(ti.n_points):
+            point = ti.decode(idx)
+            image = tuple(eval_word(K, g.image(i), point) for i in range(1, n_coords + 1))
+            assert table[idx] == ti.encode(image)
+
+
+@given(
+    st.sampled_from(["c2", "c3", "s3"]),
+    st.integers(0, 2),
+    st.integers(0, 10_000),
+    st.integers(0, 8),
+    st.integers(1, 3),
+)
+def test_markov_truncation_invariance_property(name, m, seed, length, extra):
+    K = builtin_group(name)
+    g = rand_aut(seed, length, max_index=3)
+    base = markov_matrix(K, g, m)
+    assert markov_matrix(K, g, m, truncation=max(g.support_bound(), m) + extra) == base
+
+
+def test_order_one_group_past_the_numpy_axis_limit():
+    # numpy arrays have at most 64 axes; c1 has one point at any truncation
+    C1 = builtin_group("c1")
+    g = rand_aut(3, 8, max_index=5)
+    for m in (0, 1, 3):
+        assert markov_matrix(C1, g, m, truncation=70) == RationalMatrix.identity(1)
+    assert markov_matrix(C1, theta(1, 70), 2) == RationalMatrix.identity(1)  # reads x72
+    assert action_map(C1, g, 70).table.tolist() == [0]
+    assert action_map(C1, theta(1, 70), 141).table.tolist() == [0]
+    assert weak_limit_check(C1, 1, 2, 70)  # reads x72 and x73
 
 
 # --- guardrail ----------------------------------------------------------
@@ -452,6 +518,65 @@ def test_weak_limit_other_groups_and_trivial_cases():
     assert weak_limit_check(C2, 0, 1, 1)
     assert weak_limit_check(C2, 2, 0, 0)  # margin 0: nothing to separate
     assert weak_limit_check(builtin_group("c1"), 1, 2, 0)  # trivial group
+
+
+def weak_limit_grid():
+    """(group, m, m_cyl, j) for m, m_cyl in 0..2 and j in 0..3 over c1, c2,
+    c3 and s3, keeping the cases whose cylinder loop stays small: n^(2 level)
+    pairs times n^(m + j + m_cyl) points at most 2e4."""
+    cases = []
+    for name in ("c1", "c2", "c3", "s3"):
+        n = builtin_group(name).order
+        for m, m_cyl, j in itertools.product(range(3), range(3), range(4)):
+            if n ** (2 * (m + m_cyl)) * n ** (m + j + m_cyl) <= 2e4:
+                cases.append((name, m, m_cyl, j))
+    return cases
+
+
+def test_weak_limit_matches_cylinder_oracle():
+    cases = weak_limit_grid()
+    assert len(cases) == 107
+    mismatches = [
+        case
+        for case in cases
+        if weak_limit_check(builtin_group(case[0]), *case[1:])
+        != cylinder_weak_limit(builtin_group(case[0]), *case[1:])
+    ]
+    assert mismatches == []
+    # the grid holds both answers for every nontrivial group
+    for name in ("c2", "c3", "s3"):
+        answers = {weak_limit_check(builtin_group(name), *case[1:]) for case in cases if case[0] == name}
+        assert answers == {True, False}
+
+
+def test_weak_limit_swaps_only_the_pairs_it_reads():
+    # theta(1, 12) moves x25, but level 2 reads one swapped pair: 2^14 points
+    assert weak_limit_check(C2, 1, 1, 12)
+    for K, m, m_cyl, j in [(C2, 1, 1, 3), (C3, 1, 2, 3), (C3, 0, 1, 2), (S3, 1, 1, 2), (C2, 1, 2, 1)]:
+        level = m + m_cyl
+        whole = markov_matrix(K, theta(m, j), level, truncation=max(m + j + m_cyl, m + 2 * j))
+        assert weak_limit_check(K, m, m_cyl, j) == (whole == projection_matrix(K, m, level))
+
+
+def test_weak_limit_bounds_its_output_cells():
+    # 2^3 points fit a budget of 32, but the two 8x8 matrices do not
+    with pytest.raises(
+        SizeLimitError, match=r"markov_matrix on c2\^3 needs a 8x8 matrix \(64 cells\), over the budget of 32"
+    ):
+        weak_limit_check(C2, 1, 2, 0, max_points=32)
+    assert not weak_limit_check(C2, 1, 2, 0, max_points=64)
+    with pytest.raises(SizeLimitError, match=r"weak limit over c2\^4 enumerates 16 points"):
+        weak_limit_check(C2, 1, 2, 1, max_points=8)
+
+
+def test_cylinder_functions_are_not_library_api():
+    for name in (
+        "CylinderFunction", "delta_cylinder", "translate_by_permutation",
+        "cylinder_inner_product", "project_cylinder",
+    ):
+        assert not hasattr(autcosets, name)
+        assert not hasattr(autcosets.repengine, name)
+        assert name not in autcosets.__all__
 
 
 # --- associativity through the matrices ---------------------------------

@@ -3,6 +3,7 @@ whole sequence after every cancellation."""
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -93,6 +94,18 @@ def test_reduce_rejects_bad_letters():
         reduce([(1, 2)])
     with pytest.raises(ValueError):
         reduce([(1, 0)])
+
+
+@pytest.mark.parametrize("letter", [(2.5, 1), (2.0, 1), (True, 1), ("2", 1), (2, 1.0), (2, True)])
+def test_reduce_refuses_non_integer_letters(letter):
+    with pytest.raises(ValueError, match="must be an integer"):
+        reduce([letter])
+
+
+def test_reduce_takes_numpy_integers_as_python_ints():
+    word = reduce([(np.int64(2), np.int32(-1))])
+    assert word == ((2, -1),)
+    assert all(type(x) is int for x in word[0])
 
 
 def test_parse_frozen_cases():
