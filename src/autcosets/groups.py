@@ -8,6 +8,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from .words import _integer
+
 
 class GroupAxiomError(ValueError):
     """A claimed multiplication table violates the group axioms."""
@@ -18,14 +20,18 @@ class FiniteGroup:
 
     ``mul[a][b]`` is the product a*b.  The table is checked on construction:
     two-sided identity, associativity, and a unique two-sided inverse per
-    element.  ``mul_np``/``inv_np`` expose the same data as read-only numpy
-    arrays for bulk evaluation.
+    element.  Table entries and the unit must be integers (``bool``, floats
+    and strings are refused).  ``mul_np``/``inv_np`` expose the same data as
+    read-only numpy arrays for bulk evaluation.
     """
 
     __slots__ = ("name", "order", "mul", "inv", "identity", "mul_np", "inv_np")
 
     def __init__(self, mul: Sequence[Sequence[int]], identity: int = 0, name: str | None = None):
-        table = tuple(tuple(int(x) for x in row) for row in mul)
+        table = tuple(
+            tuple(x if type(x) is int else _integer(x, "'mul' entry") for x in row) for row in mul
+        )
+        identity = _integer(identity, "'unit'")
         n = len(table)
         if n == 0:
             raise GroupAxiomError("empty multiplication table")
@@ -208,11 +214,10 @@ def group_from_dict(data) -> FiniteGroup:
     mul = data["mul"]
     if not isinstance(mul, list) or not all(isinstance(r, list) for r in mul):
         raise ValueError("'mul' must be a list of rows")
-    if "order" in data and int(data["order"]) != len(mul):
+    if "order" in data and _integer(data["order"], "'order'") != len(mul):
         raise GroupAxiomError("'order' does not match the table size")
-    unit = int(data.get("unit", 0))
     name = data.get("name")
-    return FiniteGroup(mul, unit, name=name if isinstance(name, str) else None)
+    return FiniteGroup(mul, data.get("unit", 0), name=name if isinstance(name, str) else None)
 
 
 def group_to_dict(k: FiniteGroup) -> dict:

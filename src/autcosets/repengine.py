@@ -38,28 +38,26 @@ from .words import Word, generator_word
 DEFAULT_MAX_POINTS = 10_000_000
 
 
-def _point_budget(max_points) -> int:
-    if max_points is None:
-        return DEFAULT_MAX_POINTS
-    budget = int(max_points)
+def _check_budget(max_points, layer: str, n: int, exp: int, cells: bool = False) -> None:
+    """Refuse n^exp points, or with ``cells`` an n^exp x n^exp matrix, over
+    the point budget (DEFAULT_MAX_POINTS unless ``max_points`` is given).
+
+    A power far over the budget is neither built nor printed: the message
+    then writes it as n^exp."""
+    budget = DEFAULT_MAX_POINTS if max_points is None else int(max_points)
     if budget < 1:
         raise ValueError(f"max_points must be >= 1, got {max_points}")
-    return budget
-
-
-def _check_points(count: int, max_points, what: str) -> None:
-    budget = _point_budget(max_points)
-    if count > budget:
-        raise SizeLimitError(f"{what} enumerates {count} points, over the budget of {budget}")
-
-
-def _check_cells(dim: int, max_points, layer: str) -> None:
-    """Bound the dim x dim output of ``layer`` by the same point budget."""
-    budget = _point_budget(max_points)
-    if dim * dim > budget:
+    total = 2 * exp if cells else exp
+    # n^total >= 2^(total * (bit_length(n) - 1)), which then exceeds budget^2
+    huge = total * (n.bit_length() - 1) > 2 * budget.bit_length()
+    if not huge and n ** total <= budget:
+        return
+    side, size = (f"{n}^{exp}", f"{n}^{total}") if huge else (n ** exp, n ** total)
+    if cells:
         raise SizeLimitError(
-            f"{layer} needs a {dim}x{dim} matrix ({dim * dim} cells), over the budget of {budget}"
+            f"{layer} needs a {side}x{side} matrix ({size} cells), over the budget of {budget}"
         )
+    raise SizeLimitError(f"{layer} enumerates {size} points, over the budget of {budget}")
 
 
 def eval_word(K: FiniteGroup, w: Word, point) -> int:
@@ -148,8 +146,8 @@ def action_map(K: FiniteGroup, g: Automorphism, n_coords: int, max_points=None) 
             f"automorphism moves x{g.support_bound()} but points have {n_coords} coordinates"
         )
     n = K.order
+    _check_budget(max_points, f"action on {K.name}^{n_coords}", n, n_coords)
     npts = n ** n_coords
-    _check_points(npts, max_points, f"action on {K.name}^{n_coords}")
     code = _grid_code(K, [g.image(i) for i in range(1, n_coords + 1)], n_coords)
     table = np.broadcast_to(code, (n,) * n_coords if n > 1 else ()).ravel()
     counts = np.bincount(table, minlength=npts)
@@ -182,9 +180,9 @@ def markov_matrix(
     if n_coords < bound:
         raise SupportViolation(f"truncation {truncation} is below the required bound {bound}")
     n = K.order
-    _check_points(n ** n_coords, max_points, f"averaging over {K.name}^{n_coords}")
+    _check_budget(max_points, f"averaging over {K.name}^{n_coords}", n, n_coords)
+    _check_budget(max_points, f"markov_matrix on {K.name}^{m}", n, m, cells=True)
     dim = n ** m
-    _check_cells(dim, max_points, f"markov_matrix on {K.name}^{m}")
     rows = _grid_code(K, [generator_word(i) for i in range(1, m + 1)], m)
     key = rows * dim + _grid_code(K, [g.image(i) for i in range(1, m + 1)], n_coords)
     counts = np.bincount(key.ravel(), minlength=dim * dim).reshape(dim, dim)
@@ -198,9 +196,9 @@ def projection_matrix(K: FiniteGroup, m: int, n_coords: int, max_points=None) ->
     if m < 0 or n_coords < m:
         raise ValueError("need 0 <= m <= n_coords")
     n = K.order
+    _check_budget(max_points, f"projection on {K.name}^{n_coords}", n, n_coords)
+    _check_budget(max_points, f"projection_matrix on {K.name}^{n_coords}", n, n_coords, cells=True)
     npts = n ** n_coords
-    _check_points(npts, max_points, f"projection on {K.name}^{n_coords}")
-    _check_cells(npts, max_points, f"projection_matrix on {K.name}^{n_coords}")
     head = np.arange(npts, dtype=np.int64) % n ** m
     same_head = (head[:, None] == head[None, :]).astype(np.int64)
     return RationalMatrix.from_numerators(same_head, n ** (n_coords - m))
@@ -244,8 +242,8 @@ def conjugation_orbits(K: FiniteGroup, u, m: int, max_points=None):
     orbits is the list of orbits (sorted tuples), ordered by smallest member.
     """
     members = _members(K, u)
+    _check_budget(max_points, f"orbits on {K.name}^{m}", K.order, m)
     dim = K.order ** m
-    _check_points(dim, max_points, f"orbits on {K.name}^{m}")
     perms = [_conjugation_perm(K, elem, m) for elem in members if elem != K.identity]
     orbit_of = _orbit_ids(perms, dim)
     orbits = [tuple(np.flatnonzero(orbit_of == oid).tolist()) for oid in range(orbit_of.max() + 1)]
@@ -265,11 +263,11 @@ def compress_to_invariants(K: FiniteGroup, u, m: int, matrix: RationalMatrix, ma
     numerators are (L/|orbit_s|)-scaled rows of S num S^T over den * L.
     """
     members = _members(K, u)
+    _check_budget(max_points, f"compression on {K.name}^{m}", K.order, m)
+    _check_budget(max_points, f"compress_to_invariants on {K.name}^{m}", K.order, m, cells=True)
     dim = K.order ** m
     if not (matrix.rows == dim and matrix.cols == dim):
         raise ValueError(f"matrix must be {dim}x{dim} for m={m}, got {matrix.rows}x{matrix.cols}")
-    _check_points(dim, max_points, f"compression on {K.name}^{m}")
-    _check_cells(dim, max_points, f"compress_to_invariants on {K.name}^{m}")
     num = matrix.num
     perms = []
     for elem in members:
@@ -312,7 +310,7 @@ def weak_limit_check(K: FiniteGroup, m: int, m_cyl: int, j: int, max_points=None
     n = K.order
     level = m + m_cyl
     n_coords = m + j + m_cyl
-    _check_points(n ** n_coords, max_points, f"weak limit over {K.name}^{n_coords}")
+    _check_budget(max_points, f"weak limit over {K.name}^{n_coords}", n, n_coords)
     pairs = range(m + 1, m + min(j, m_cyl) + 1)
     swap = permutation_automorphism({**{k: k + j for k in pairs}, **{k + j: k for k in pairs}})
     lhs = markov_matrix(K, swap, level, truncation=n_coords, max_points=max_points)

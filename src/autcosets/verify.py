@@ -1,8 +1,15 @@
-"""Seeded self-check suites behind the CLI ``verify`` verb.
+"""The paper's structural laws as predicates, and the seeded self-check
+suites behind the CLI ``verify`` verb.
 
-Each suite runs randomized structural checks with a deterministic seed and
-returns one CheckResult per law checked.  These are quick smoke checks; the
-test suite carries the heavier case counts.
+Each law is one predicate over concrete inputs that is True when its
+identity holds exactly: the two product paths agree, the stabilizer
+witnesses absorb H-factors (and are invertible members of the stabilizer),
+the coset does not depend on the block size, and the product maps to the
+matrix product, also after compression onto conjugation-orbit averages.
+The acceptance tests call the same predicates with their heavier case
+counts.  A suite draws its cases from one ``random.Random(seed)`` and
+returns one CheckResult per law checked; laws that read the same draw are
+checked on one list of cases.
 """
 
 from __future__ import annotations
@@ -12,7 +19,6 @@ from dataclasses import dataclass
 
 from .automorphisms import (
     compose,
-    identity_automorphism,
     is_in_H,
     nielsen_invert,
     nielsen_right_mult,
@@ -43,177 +49,186 @@ class CheckResult:
     detail: str
 
 
-SUITES = ("words", "automorphisms", "cosets", "representation")
+# --- the laws ---------------------------------------------------------------
+
+def _inverts(a) -> bool:
+    """Whether a composed with its stored inverse is the identity."""
+    return compose(a, a.inverse()).is_identity()
+
+
+def direct_formula_agrees(m: int, g, h) -> bool:
+    """coset_product(m, g, h) equals the direct substitution formula at its
+    block size."""
+    prod = coset_product(m, g, h)
+    return product_formula_direct(m, prod.block, g, h) == prod.rep
+
+
+def left_witness_absorbs(m: int, n: int, r, g, h) -> bool:
+    """g.theta(m,n).r.h = r_box.(g.theta(m,n).h), where r_box =
+    witness_left(m, n, r, g, h) is invertible and fixes x_1..x_(m+n)."""
+    th = theta(m, n)
+    r_box = witness_left(m, n, r, g, h)
+    core = compose(g, compose(th, h))
+    return (
+        compose(g, compose(th, compose(r, h))) == compose(r_box, core)
+        and is_in_H(r_box, m + n)
+        and _inverts(r_box)
+    )
+
+
+def right_witness_absorbs(m: int, n: int, q, g, h) -> bool:
+    """g.q.theta(m,n).h = (g.theta(m,n).h).q_tri^-1, where q_tri =
+    witness_right(m, n, q, g, h) is invertible and fixes x_1..x_m."""
+    th = theta(m, n)
+    q_tri = witness_right(m, n, q, g, h)
+    core = compose(g, compose(th, h))
+    return (
+        compose(g, compose(q, compose(th, h))) == compose(core, q_tri.inverse())
+        and is_in_H(q_tri, m)
+        and _inverts(q_tri)
+    )
+
+
+def block_size_stable(m: int, p: int, g, h) -> bool:
+    """Padding the block by p gives a conjugate of the same product:
+    pi.(g.theta(m,n+p).h).s.pi^-1 = g.theta(m,n).h at n = block_size(m, g, h),
+    with (pi, s) = stability_witness(m, n, p, g, h)."""
+    n = block_size(m, g, h)
+    pi, s = stability_witness(m, n, p, g, h)
+    padded = compose(g, compose(theta(m, n + p), h))
+    return compose(pi, compose(padded, compose(s, pi.inverse()))) == compose(
+        g, compose(theta(m, n), h)
+    )
+
+
+def product_matrices(K, m: int, g, h) -> list[RationalMatrix]:
+    """Markov matrices over K^m of coset_product(m, g, h) and of g and h,
+    in that order."""
+    prod = coset_product(m, g, h)
+    return [markov_matrix(K, a, m) for a in (prod.rep, g, h)]
+
+
+def matrix_product_agrees(product: RationalMatrix, g: RationalMatrix, h: RationalMatrix) -> bool:
+    """The product's matrix is the matrix product of its factors' matrices."""
+    return product == g @ h
+
+
+def compressed_product_agrees(K, u, m: int, product, g, h) -> bool:
+    """matrix_product_agrees after compressing the three K^m matrices onto
+    the orbit averages of conjugation by the subgroup u."""
+    return matrix_product_agrees(*(compress_to_invariants(K, u, m, t) for t in (product, g, h)))
+
+
+# --- the suites -------------------------------------------------------------
+
+def _check(name: str, law, cases: list, what: str) -> CheckResult:
+    """Whether ``law`` holds on every case (a tuple of its arguments)."""
+    return CheckResult(name, all(law(*case) for case in cases), f"{len(cases)} {what}")
+
+
+def _rand(rng: random.Random, m_fix: int, max_index: int, max_len: int):
+    return random_automorphism(m_fix, max_index, rng.randint(0, max_len), rng.randrange(1 << 30))
+
+
+def _pair(rng: random.Random, max_len: int):
+    m = rng.choice((1, 2))
+    return m, _rand(rng, 0, m + 2, max_len), _rand(rng, 0, m + 2, max_len)
 
 
 def _random_word(rng: random.Random, max_gen: int, length: int):
     return [(rng.randint(1, max_gen), rng.choice((1, -1))) for _ in range(length)]
 
 
-def _suite_words(seed: int, max_points) -> list[CheckResult]:
-    rng = random.Random(seed)
-    cases = 500
-    idempotent = True
-    inverse_law = True
-    roundtrip = True
-    for _ in range(cases):
-        raw = _random_word(rng, 6, rng.randint(0, 30))
-        w = reduce(raw)
-        idempotent &= reduce(w) == w
-        inverse_law &= concat(w, invert_word(w)) == ()
-        roundtrip &= parse_word(format_word(w)) == w
+def _bijective(K, g, n_coords: int) -> bool:
+    try:
+        action_map(K, g, n_coords)
+    except ValueError:
+        return False
+    return True
+
+
+def _suite_words(rng: random.Random) -> list[CheckResult]:
+    words = [(reduce(_random_word(rng, 6, rng.randint(0, 30))),) for _ in range(500)]
     return [
-        CheckResult("words.reduce_idempotent", idempotent, f"{cases} random words"),
-        CheckResult("words.inverse_cancels", inverse_law, f"{cases} random words"),
-        CheckResult("words.text_roundtrip", roundtrip, f"{cases} random words"),
+        _check("words.reduce_idempotent", lambda w: reduce(w) == w, words, "random words"),
+        _check("words.inverse_cancels", lambda w: concat(w, invert_word(w)) == (), words,
+               "random words"),
+        _check("words.text_roundtrip", lambda w: parse_word(format_word(w)) == w, words,
+               "random words"),
     ]
 
 
-def _suite_automorphisms(seed: int, max_points) -> list[CheckResult]:
-    rng = random.Random(seed)
-    cases = 40
-    assoc = True
-    inv_ok = True
-    for _ in range(cases):
-        a = random_automorphism(0, 4, rng.randint(0, 8), rng.randrange(1 << 30))
-        b = random_automorphism(0, 4, rng.randint(0, 8), rng.randrange(1 << 30))
-        c = random_automorphism(0, 4, rng.randint(0, 8), rng.randrange(1 << 30))
-        assoc &= compose(compose(a, b), c) == compose(a, compose(b, c))
-        inv_ok &= compose(a, a.inverse()).is_identity()
-    gens_ok = all(
-        compose(move, move.inverse()).is_identity()
-        for move in (nielsen_swap(1, 3), nielsen_invert(2), nielsen_right_mult(2, 5))
-    )
-    perm_ok = True
-    for _ in range(cases):
+def _suite_automorphisms(rng: random.Random) -> list[CheckResult]:
+    triples = [tuple(_rand(rng, 0, 4, 8) for _ in range(3)) for _ in range(40)]
+    perms = []
+    for _ in range(40):
         idx = rng.sample(range(1, 8), 4)
         shuffled = idx[:]
         rng.shuffle(shuffled)
-        p = permutation_automorphism(dict(zip(idx, shuffled)))
-        perm_ok &= compose(p, p.inverse()).is_identity()
-    theta_ok = all(is_in_H(theta(m, j), m) for m in range(3) for j in range(4))
+        perms.append((permutation_automorphism(dict(zip(idx, shuffled))),))
+    moves = [(nielsen_swap(1, 3),), (nielsen_invert(2),), (nielsen_right_mult(2, 5),)]
+    base_fixed = all(is_in_H(theta(m, j), m) for m in range(3) for j in range(4))
     return [
-        CheckResult("automorphisms.associative", assoc, f"{cases} random triples"),
-        CheckResult("automorphisms.inverse_verified", inv_ok, f"{cases} random elements"),
-        CheckResult("automorphisms.nielsen_generators", gens_ok, "3 generators"),
-        CheckResult("automorphisms.permutations", perm_ok, f"{cases} random permutations"),
-        CheckResult("automorphisms.block_swap_fixes_base", theta_ok, "m<3, j<4"),
+        _check("automorphisms.associative",
+               lambda a, b, c: compose(compose(a, b), c) == compose(a, compose(b, c)),
+               triples, "random triples"),
+        _check("automorphisms.inverse_verified", lambda a, *_: _inverts(a), triples,
+               "random elements"),
+        _check("automorphisms.nielsen_generators", _inverts, moves, "generators"),
+        _check("automorphisms.permutations", _inverts, perms, "random permutations"),
+        CheckResult("automorphisms.block_swap_fixes_base", base_fixed, "m<3, j<4"),
     ]
 
 
-def _suite_cosets(seed: int, max_points) -> list[CheckResult]:
-    rng = random.Random(seed)
-    out = []
-
-    cross = True
-    for _ in range(25):
-        m = rng.choice((1, 2))
-        g = random_automorphism(0, m + 2, rng.randint(0, 8), rng.randrange(1 << 30))
-        h = random_automorphism(0, m + 2, rng.randint(0, 8), rng.randrange(1 << 30))
-        prod = coset_product(m, g, h)
-        cross &= product_formula_direct(m, prod.block, g, h) == prod.rep
-    out.append(CheckResult("cosets.direct_formula_agrees", cross, "25 random pairs"))
-
-    wit = True
+def _suite_cosets(rng: random.Random) -> list[CheckResult]:
+    direct = [_pair(rng, 8) for _ in range(25)]
+    quadruples = []
     for _ in range(15):
-        m = rng.choice((1, 2))
-        n = rng.randint(1, 3)
-        g = random_automorphism(0, m + n, rng.randint(0, 6), rng.randrange(1 << 30))
-        h = random_automorphism(0, m + n, rng.randint(0, 6), rng.randrange(1 << 30))
-        r = random_automorphism(m, m + n, rng.randint(0, 6), rng.randrange(1 << 30))
-        th = theta(m, n)
-        r_box = witness_left(m, n, r, g, h)
-        wit &= compose(g, compose(th, compose(r, h))) == compose(r_box, compose(g, compose(th, h)))
-        q_tri = witness_right(m, n, r, g, h)
-        wit &= compose(g, compose(r, compose(th, h))) == compose(
-            compose(g, compose(th, h)), q_tri.inverse()
-        )
-    out.append(CheckResult("cosets.witnesses_absorb", wit, "15 random quadruples"))
-
-    stab = True
+        m, n = rng.choice((1, 2)), rng.randint(1, 3)
+        g, h = _rand(rng, 0, m + n, 6), _rand(rng, 0, m + n, 6)
+        quadruples.append((m, n, _rand(rng, m, m + n, 6), g, h))
+    padded = []
     for _ in range(10):
-        m = rng.choice((1, 2))
-        g = random_automorphism(0, m + 2, rng.randint(0, 6), rng.randrange(1 << 30))
-        h = random_automorphism(0, m + 2, rng.randint(0, 6), rng.randrange(1 << 30))
-        n = block_size(m, g, h)
-        p = rng.choice((1, 2))
-        pi, s = stability_witness(m, n, p, g, h)
-        padded = compose(g, compose(theta(m, n + p), h))
-        stab &= compose(pi, compose(padded, compose(s, pi.inverse()))) == compose(
-            g, compose(theta(m, n), h)
-        )
-    out.append(CheckResult("cosets.block_size_stable", stab, "10 random pairs"))
-
-    star = True
-    for _ in range(25):
-        m = rng.choice((1, 2))
-        g = random_automorphism(0, m + 2, rng.randint(0, 8), rng.randrange(1 << 30))
-        h = random_automorphism(0, m + 2, rng.randint(0, 8), rng.randrange(1 << 30))
-        star &= star_vs_pair_check(m, g, h)
-    out.append(CheckResult("cosets.star_matches_pairs", star, "25 random pairs"))
-    return out
+        m, g, h = _pair(rng, 6)
+        padded.append((m, rng.choice((1, 2)), g, h))
+    star = [_pair(rng, 8) for _ in range(25)]
+    return [
+        _check("cosets.direct_formula_agrees", direct_formula_agrees, direct, "random pairs"),
+        _check("cosets.witnesses_absorb",
+               lambda *c: left_witness_absorbs(*c) and right_witness_absorbs(*c),
+               quadruples, "random quadruples"),
+        _check("cosets.block_size_stable", block_size_stable, padded, "random pairs"),
+        _check("cosets.star_matches_pairs", star_vs_pair_check, star, "random pairs"),
+    ]
 
 
-def _suite_representation(seed: int, max_points) -> list[CheckResult]:
-    rng = random.Random(seed)
-    out = []
-
-    hom = True
-    stoch = True
-    for key, m, cases in (("c2", 1, 6), ("c3", 1, 4), ("s3", 1, 3)):
-        K = builtin_group(key)
-        for _ in range(cases):
-            g = random_automorphism(0, m + 2, rng.randint(0, 6), rng.randrange(1 << 30))
-            h = random_automorphism(0, m + 2, rng.randint(0, 6), rng.randrange(1 << 30))
-            prod = coset_product(m, g, h)
-            left = markov_matrix(K, prod.rep, m, max_points=max_points)
-            right = markov_matrix(K, g, m, max_points=max_points) @ markov_matrix(
-                K, h, m, max_points=max_points
-            )
-            hom &= left == right
-            stoch &= left.is_doubly_stochastic()
-    out.append(CheckResult("representation.product_to_matrix_product", hom, "13 pairs, 3 groups"))
-    out.append(CheckResult("representation.doubly_stochastic", stoch, "13 matrices"))
-
-    K = builtin_group("s3")
-    comp = True
-    whole = Subgroup.whole(K)
-    for _ in range(3):
-        g = random_automorphism(0, 3, rng.randint(0, 6), rng.randrange(1 << 30))
-        h = random_automorphism(0, 3, rng.randint(0, 6), rng.randrange(1 << 30))
-        prod = coset_product(1, g, h)
-        left = compress_to_invariants(
-            K, whole, 1, markov_matrix(K, prod.rep, 1, max_points=max_points)
-        )
-        right = compress_to_invariants(
-            K, whole, 1, markov_matrix(K, g, 1, max_points=max_points)
-        ) @ compress_to_invariants(K, whole, 1, markov_matrix(K, h, 1, max_points=max_points))
-        comp &= left == right
-    out.append(CheckResult("representation.compressed_product", comp, "3 pairs over s3"))
-
-    K2 = builtin_group("c2")
-    ident_ok = markov_matrix(K2, theta(1, 2), 1, max_points=max_points) == RationalMatrix.identity(2)
-    out.append(CheckResult("representation.stabilizer_acts_trivially", ident_ok, "block swap over c2"))
-
-    weak = (
-        not weak_limit_check(K2, 1, 1, 0, max_points=max_points)
-        and weak_limit_check(K2, 1, 1, 1, max_points=max_points)
-        and weak_limit_check(K2, 1, 1, 2, max_points=max_points)
-    )
-    out.append(CheckResult("representation.weak_limit_threshold", weak, "c2, margin 1, j<3"))
-
-    bij = True
-    for _ in range(10):
-        g = random_automorphism(0, 4, rng.randint(0, 8), rng.randrange(1 << 30))
-        try:
-            action_map(K2, g, 4, max_points=max_points)
-        except ValueError:
-            bij = False
-    out.append(CheckResult("representation.point_maps_bijective", bij, "10 random maps on c2^4"))
-    return out
+def _suite_representation(rng: random.Random) -> list[CheckResult]:
+    c2, s3 = builtin_group("c2"), builtin_group("s3")
+    products = [
+        product_matrices(K, 1, _rand(rng, 0, 3, 6), _rand(rng, 0, 3, 6))
+        for K, count in ((c2, 6), (builtin_group("c3"), 4), (s3, 3))
+        for _ in range(count)
+    ]
+    over_s3 = [product_matrices(s3, 1, _rand(rng, 0, 3, 6), _rand(rng, 0, 3, 6)) for _ in range(3)]
+    maps = [(c2, _rand(rng, 0, 4, 8), 4) for _ in range(10)]
+    whole = Subgroup.whole(s3)
+    trivial = markov_matrix(c2, theta(1, 2), 1) == RationalMatrix.identity(2)
+    weak = not weak_limit_check(c2, 1, 1, 0) and all(weak_limit_check(c2, 1, 1, j) for j in (1, 2))
+    return [
+        _check("representation.product_to_matrix_product", matrix_product_agrees, products,
+               "pairs, 3 groups"),
+        _check("representation.doubly_stochastic", lambda p, *_: p.is_doubly_stochastic(),
+               products, "matrices"),
+        _check("representation.compressed_product",
+               lambda *mats: compressed_product_agrees(s3, whole, 1, *mats),
+               over_s3, "pairs over s3"),
+        CheckResult("representation.stabilizer_acts_trivially", trivial, "block swap over c2"),
+        CheckResult("representation.weak_limit_threshold", weak, "c2, margin 1, j<3"),
+        _check("representation.point_maps_bijective", _bijective, maps, "random maps on c2^4"),
+    ]
 
 
-_SUITE_FUNCS = {
+SUITES = {
     "words": _suite_words,
     "automorphisms": _suite_automorphisms,
     "cosets": _suite_cosets,
@@ -221,15 +236,10 @@ _SUITE_FUNCS = {
 }
 
 
-def run_suites(name: str = "all", seed: int = 0, max_points=None) -> list[CheckResult]:
-    """Run one named suite (or all of them) and return the check results."""
-    if name == "all":
-        names = SUITES
-    elif name in _SUITE_FUNCS:
-        names = (name,)
-    else:
+def run_suites(name: str = "all", seed: int = 0) -> list[CheckResult]:
+    """Run one named suite (or all of them, each from a fresh
+    ``random.Random(seed)``) and return the check results."""
+    if name != "all" and name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; choose from {', '.join(SUITES)} or all")
-    results: list[CheckResult] = []
-    for suite in names:
-        results.extend(_SUITE_FUNCS[suite](seed, max_points))
-    return results
+    names = SUITES if name == "all" else (name,)
+    return [res for suite in names for res in SUITES[suite](random.Random(seed))]

@@ -12,29 +12,18 @@ import time
 import numpy as np
 
 import conftest
-from autcosets.automorphisms import (
-    compose,
-    invert,
-    is_in_H,
-    random_automorphism,
-)
-from autcosets.cosets import (
-    block_size,
-    coset_product,
-    product_formula_direct,
-    stability_witness,
-    star_vs_pair_check,
-    theta,
-    triple_product_disjoint,
-    witness_left,
-    witness_right,
-)
+from autcosets.automorphisms import compose, random_automorphism
+from autcosets.cosets import block_size, coset_product, star_vs_pair_check, triple_product_disjoint
 from autcosets.groups import Subgroup, builtin_group
-from autcosets.repengine import (
-    action_map,
-    compress_to_invariants,
-    markov_matrix,
-    weak_limit_check,
+from autcosets.repengine import action_map, markov_matrix, weak_limit_check
+from autcosets.verify import (
+    block_size_stable,
+    compressed_product_agrees,
+    direct_formula_agrees,
+    left_witness_absorbs,
+    matrix_product_agrees,
+    product_matrices,
+    right_witness_absorbs,
 )
 from autcosets.words import EMPTY, concat, invert_word, reduce
 
@@ -101,8 +90,7 @@ def test_02_product_paths_agree():
         m = 1 if count < 100 else 2
         g = _rand(rng, 0, m + 3, 12)
         h = _rand(rng, 0, m + 3, 12)
-        prod = coset_product(m, g, h)
-        if prod.rep != product_formula_direct(m, prod.block, g, h):
+        if not direct_formula_agrees(m, g, h):
             failures.append(f"pair {count} (m={m}) disagrees")
     _report(
         "criterion 2 — stabilized product equals direct pattern formula (200 pairs)",
@@ -120,24 +108,10 @@ def test_03_witness_identities():
         r = _rand(rng, m, m + 3, 8)
         q = _rand(rng, m, m + 3, 8)
         n = block_size(m, g, h, r, q)
-        th = theta(m, n)
-        core = compose(g, compose(th, h))
-
-        r_box = witness_left(m, n, r, g, h)
-        if compose(g, compose(th, compose(r, h))) != compose(r_box, core):
-            failures.append(f"left witness identity fails at tuple {count}")
-        if not is_in_H(r_box, m + n):
-            failures.append(f"left witness leaves the stabilizer at tuple {count}")
-        if not compose(r_box, invert(r_box)).is_identity():
-            failures.append(f"left witness not invertible at tuple {count}")
-
-        q_tri = witness_right(m, n, q, g, h)
-        if compose(g, compose(q, compose(th, h))) != compose(core, invert(q_tri)):
-            failures.append(f"right witness identity fails at tuple {count}")
-        if not is_in_H(q_tri, m):
-            failures.append(f"right witness leaves the stabilizer at tuple {count}")
-        if not compose(q_tri, invert(q_tri)).is_identity():
-            failures.append(f"right witness not invertible at tuple {count}")
+        if not left_witness_absorbs(m, n, r, g, h):
+            failures.append(f"left witness fails at tuple {count}")
+        if not right_witness_absorbs(m, n, q, g, h):
+            failures.append(f"right witness fails at tuple {count}")
     _report(
         "criterion 3 — left/right stabilizer witnesses, exact identities (100 tuples)",
         failures,
@@ -151,12 +125,8 @@ def test_04_block_padding_stability():
         m = 1 + count % 2
         g = _rand(rng, 0, m + 2, 10)
         h = _rand(rng, 0, m + 2, 10)
-        n = block_size(m, g, h)
-        target = compose(g, compose(theta(m, n), h))
         for p in (1, 2):
-            pi, s = stability_witness(m, n, p, g, h)
-            padded = compose(g, compose(theta(m, n + p), h))
-            if compose(pi, compose(padded, compose(s, invert(pi)))) != target:
+            if not block_size_stable(m, p, g, h):
                 failures.append(f"pair {count} p={p} conjugation mismatch")
     _report(
         "criterion 4 — block-size stability under padding (100 pairs, p in {1,2})",
@@ -174,19 +144,13 @@ def test_05_matrix_homomorphism_exact():
             for count in range(50):
                 g = _rand(rng, 0, m + 3, 10)
                 h = _rand(rng, 0, m + 3, 10)
-                prod = coset_product(m, g, h)
-                tg = markov_matrix(K, g, m)
-                th = markov_matrix(K, h, m)
-                tp = markov_matrix(K, prod.rep, m)
-                if tp != tg @ th:
+                mats = product_matrices(K, m, g, h)
+                if not matrix_product_agrees(*mats):
                     failures.append(f"{K.name} m={m} pair {count}: matrix product differs")
-                for mat in (tg, th, tp):
+                for mat in mats:
                     if not mat.is_doubly_stochastic():
                         failures.append(f"{K.name} m={m} pair {count}: not doubly stochastic")
-                cg = compress_to_invariants(K, whole, m, tg)
-                ch = compress_to_invariants(K, whole, m, th)
-                cp = compress_to_invariants(K, whole, m, tp)
-                if cp != cg @ ch:
+                if not compressed_product_agrees(K, whole, m, *mats):
                     failures.append(f"{K.name} m={m} pair {count}: compressed product differs")
     elapsed = time.perf_counter() - start
     if elapsed >= 60.0:

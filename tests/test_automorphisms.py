@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import time
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -123,6 +125,21 @@ def test_verification_rejects_wrong_inverse():
     assert verify_inverse_pair(
         Endomorphism({1: [(1, 1), (2, 1)]}), Endomorphism({1: [(1, 1), (2, -1)]})
     )
+
+
+def test_verification_cost_ignores_the_largest_index():
+    # x1 <-> x_(10^9): the check composes the two moved generators only
+    far = 10**9
+    swap = {"1": [[far, 1]], str(far): [[1, 1]]}
+    start = time.perf_counter()
+    a = automorphism_from_dict({"images": swap, "inverse_images": swap})
+    assert time.perf_counter() - start < 0.5
+    assert a.support_bound() == far and compose(a, a).is_identity()
+    # x1 -> x1 x_(10^9) is not inverted by x1 -> x_(10^9)^-1 x1
+    with pytest.raises(InverseVerificationError):
+        automorphism_from_dict(
+            {"images": {"1": [[1, 1], [far, 1]]}, "inverse_images": {"1": [[far, -1], [1, 1]]}}
+        )
 
 
 def test_nielsen_moves_frozen():

@@ -4,14 +4,19 @@ byte-for-byte golden outputs via subprocess; the remaining coverage drives
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import subprocess
 import sys
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from autcosets import cli
-from autcosets.automorphisms import automorphism_to_dict
+from autcosets.automorphisms import automorphism_to_dict, identity_automorphism, nielsen_swap
 from autcosets.cli import main
 from autcosets.cosets import theta
 
@@ -170,6 +175,28 @@ def test_verify_single_suite(capsys):
     assert "passed" in out and "FAIL" not in out
 
 
+def test_verify_reports_a_failing_law(capsys, monkeypatch):
+    monkeypatch.setattr(
+        "autcosets.verify.product_formula_direct", lambda *_: identity_automorphism()
+    )
+    assert main(["verify", "--suite", "cosets"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "FAIL cosets.direct_formula_agrees (25 random pairs)"
+    assert all(line.startswith("ok   cosets.") for line in lines[1:-1])
+    assert lines[-1] == f"passed {len(lines) - 2}/{len(lines) - 1}"
+
+
+def test_verify_has_no_point_budget(capsys, monkeypatch):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--max-points", "5"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    # its inputs are fixed and small, so the environment's budget does not apply
+    monkeypatch.setenv("COSET_MAX_POINTS", "10")
+    assert main(["verify", "--suite", "representation"]) == 0
+    assert "FAIL" not in capsys.readouterr().out
+
+
 # --- error handling -------------------------------------------------------
 
 def test_domain_errors_exit_1(capsys):
@@ -238,6 +265,45 @@ def test_output_cells_over_budget_exit_1(capsys):
     assert str(2**32) in captured.err and "10000000" in captured.err
 
 
+@pytest.mark.parametrize("far", [200, 20000])
+def test_budget_error_names_a_huge_size_without_spelling_it_out(capsys, far):
+    swap = json.dumps(automorphism_to_dict(nielsen_swap(1, far)))
+    assert main(["rep-matrix", "--group", "c2", "--m", "1", "--g", swap]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: averaging over c2^{far} enumerates 2^{far} points, over the budget of 10000000\n"
+    )
+
+
+def test_deeply_nested_json_exit_1(capsys):
+    for argv in (
+        ["invert", "--g", "[" * 100_000],
+        ["rep-matrix", "--group", '{"mul": ' + "[" * 100_000, "--m", "1", "--g", G_JSON],
+    ):
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: JSON input is nested too deeply\n"
+
+
+@pytest.mark.parametrize(
+    "group",
+    [
+        '{"mul": [[0,1],[1,0.9]], "unit": 0.4}',
+        '{"mul": [[0,1],[1,0]], "unit": 0.4}',
+        '{"mul": [[true,false],[false,true]]}',
+        '{"order": "2", "mul": [[0,1],[1,0]]}',
+    ],
+)
+def test_non_integer_group_entries_exit_1(capsys, group):
+    assert main(["rep-matrix", "--group", group, "--m", "1", "--g", G_JSON]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: '") and captured.err.count("\n") == 1
+    assert "must be an integer" in captured.err
+
+
 def test_usage_errors_exit_2():
     with pytest.raises(SystemExit) as exc:
         main(["no-such-verb"])
@@ -263,3 +329,72 @@ def test_point_budget_env_and_flag(capsys, monkeypatch):
 
     monkeypatch.delenv("COSET_MAX_POINTS")
     assert main(["rep-matrix", "--group", "s3", "--m", "1", "--g", G_JSON]) == 0
+
+
+# --- exit-code contract under mutated input ------------------------------
+
+BASE_ARGV = [
+    ["reduce", "x1 x2^-1"],
+    ["compose", "--g", G_JSON, "--h", H_JSON],
+    ["invert", "--g", G_JSON, "--text"],
+    ["coset-product", "--m", "1", "--g", G_JSON, "--h", H_JSON],
+    ["star-product", "--m", "2", "--g", G_JSON, "--h", H_JSON],
+    ["tuple-product", "--m", "1", "--gs", f"[{G_JSON}]", "--hs", f"[{H_JSON}]"],
+    ["rep-matrix", "--group", "s3", "--m", "1", "--g", G_JSON, "--u", "0,1,2"],
+    ["rep-matrix", "--group", '{"mul": [[0,1],[1,0]], "unit": 0}', "--m", "1", "--g", G_JSON],
+    ["verify", "--suite", "words", "--seed", "3"],
+]
+
+json_st = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 10**12) | st.floats(allow_nan=False)
+    | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=2), inner, max_size=3),
+    max_leaves=10,
+)
+images_st = st.dictionaries(
+    st.sampled_from(["1", "2", "0", "x", "3"]), st.lists(st.lists(json_st, max_size=3), max_size=3),
+    max_size=2,
+)
+# a replacement token: an automorphism- or group-shaped or arbitrary JSON document, text or
+# an integer
+token_st = st.one_of(
+    st.builds(lambda f, i: json.dumps({"images": f, "inverse_images": i}), images_st, images_st),
+    st.builds(
+        lambda mul, unit: json.dumps({"mul": mul, "unit": unit}),
+        st.lists(st.lists(json_st, max_size=2), max_size=2),
+        json_st,
+    ),
+    json_st.map(json.dumps),
+    st.text(max_size=10),
+    st.integers(-(10**20), 10**20).map(str),
+)
+# an edit: delete any token (None), or cut a value to a prefix (int) or replace it (str)
+edit_st = st.tuples(st.integers(0, 20), st.none() | st.integers(0, 120) | token_st)
+
+
+@settings(max_examples=40)
+@given(st.sampled_from(BASE_ARGV), st.lists(edit_st, min_size=1, max_size=3))
+def test_exit_code_contract_under_mutation(base, edits):
+    argv = list(base)
+    for pos, edit in edits:
+        values = [i for i, arg in enumerate(argv) if i > 0 and not arg.startswith("--")]
+        if edit is None and argv:
+            del argv[pos % len(argv)]
+        elif values:
+            i = values[pos % len(values)]
+            argv[i] = argv[i][:edit] if isinstance(edit, int) else edit
+    out, err = io.StringIO(), io.StringIO()
+    # any other exception out of main fails the test: from the console
+    # script it would print a traceback
+    with mock.patch.object(sys, "stdin", io.StringIO("")):
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+    err = err.getvalue()
+    assert code in (0, 1, 2), argv
+    assert "Traceback" not in err
+    if code == 1:
+        assert out.getvalue() == "" and err.startswith("error: ") and err.count("\n") == 1, argv

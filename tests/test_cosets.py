@@ -16,6 +16,8 @@ from autcosets.automorphisms import (
     identity_automorphism,
     invert,
     is_in_H,
+    nielsen_invert,
+    nielsen_right_mult,
     nielsen_swap,
     random_automorphism,
     verify_inverse_pair,
@@ -37,6 +39,12 @@ from autcosets.cosets import (
     witness_right,
 )
 from autcosets.errors import SupportViolation
+from autcosets.verify import (
+    block_size_stable,
+    direct_formula_agrees,
+    left_witness_absorbs,
+    right_witness_absorbs,
+)
 
 
 def rand_aut(seed, length, m_fix=0, max_index=4):
@@ -289,3 +297,24 @@ def test_witnesses_verify_their_pair():
         witness_left(1, 2, BROKEN, e, e)
     with pytest.raises(InverseVerificationError):
         witness_right(1, 2, BROKEN, e, e)
+
+
+# --- the coset laws shared by verify and the acceptance gate -------------
+# Each law holds for every valid input, so each is shown to fail by
+# replacing the construction it checks with a wrong one.
+
+G, H, R = nielsen_right_mult(1, 2), nielsen_right_mult(2, 1), nielsen_invert(2)
+LAWS = [
+    (direct_formula_agrees, (1, G, H), "product_formula_direct", identity_automorphism()),
+    (left_witness_absorbs, (1, 1, R, G, H), "witness_left", nielsen_invert(1)),
+    (right_witness_absorbs, (1, 1, R, G, H), "witness_right", nielsen_invert(1)),
+    (block_size_stable, (1, 1, G, H), "stability_witness",
+     (identity_automorphism(), identity_automorphism())),
+]
+
+
+@pytest.mark.parametrize("law, args, target, wrong", LAWS)
+def test_coset_laws_fail_on_a_wrong_construction(monkeypatch, law, args, target, wrong):
+    assert law(*args)
+    monkeypatch.setattr(f"autcosets.verify.{target}", lambda *_: wrong)
+    assert law(*args) is False

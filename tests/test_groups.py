@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import itertools
 
+import numpy as np
 import pytest
 
 from autcosets.groups import (
@@ -133,6 +134,33 @@ def test_group_json_roundtrip():
 def test_group_json_rejects_malformed(doc):
     with pytest.raises(ValueError):
         group_from_dict(doc)
+
+
+@pytest.mark.parametrize(
+    "doc, field",
+    [
+        ({"mul": [[0, 1], [1, 0.9]], "unit": 0.4}, "'mul' entry"),
+        ({"mul": [[0, 1], [1, 0]], "unit": 0.4}, "'unit'"),
+        ({"mul": [[0, 1], [1, 0]], "unit": False}, "'unit'"),
+        ({"mul": [[0, 1], [1, 0]], "unit": "0"}, "'unit'"),
+        ({"mul": [[True, False], [False, True]]}, "'mul' entry"),
+        ({"mul": [[0, "1"], [1, 0]]}, "'mul' entry"),
+        ({"order": "2", "mul": [[0, 1], [1, 0]]}, "'order'"),
+        ({"order": 2.0, "mul": [[0, 1], [1, 0]]}, "'order'"),
+    ],
+)
+def test_group_json_accepts_only_real_ints(doc, field):
+    with pytest.raises(ValueError, match=f"^{field} must be an integer"):
+        group_from_dict(doc)
+
+
+def test_table_entries_must_be_integers():
+    with pytest.raises(ValueError, match="'mul' entry must be an integer"):
+        FiniteGroup([[0, 1], [1, 0.0]])
+    with pytest.raises(ValueError, match="'unit' must be an integer"):
+        FiniteGroup([[0, 1], [1, 0]], identity=True)
+    # numpy integers are integers
+    assert FiniteGroup(np.array([[0, 1], [1, 0]]), identity=np.int64(0)).mul == ((0, 1), (1, 0))
 
 
 def test_subgroup_validation():

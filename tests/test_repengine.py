@@ -38,6 +38,7 @@ from autcosets.repengine import (
     projection_matrix,
     weak_limit_check,
 )
+from autcosets.verify import compressed_product_agrees, matrix_product_agrees, product_matrices
 from autcosets.words import parse_word
 from cylinder_oracle import (
     CylinderFunction,
@@ -592,3 +593,18 @@ def test_triple_product_matches_bracketings_in_matrices():
         trip = triple_product_disjoint(m, g, h, f)
         mats = [markov_matrix(C2, a, m) for a in (left, right, trip)]
         assert mats[0] == mats[1] == mats[2]
+
+
+# --- the matrix laws shared by verify and the acceptance gate ------------
+
+def test_matrix_laws_fail_on_a_wrong_product():
+    whole = Subgroup.whole(S3)
+    g, h = rand_aut(5, 6, max_index=3), rand_aut(6, 6, max_index=3)
+    product, mg, mh = product_matrices(S3, 1, g, h)
+    assert matrix_product_agrees(product, mg, mh)
+    assert compressed_product_agrees(S3, whole, 1, product, mg, mh)
+    # the identity commutes with conjugation but is not mg @ mh
+    wrong = RationalMatrix.identity(S3.order)
+    assert mg @ mh != wrong
+    assert not matrix_product_agrees(wrong, mg, mh)
+    assert not compressed_product_agrees(S3, whole, 1, wrong, mg, mh)
