@@ -15,6 +15,14 @@ skips both reduction and verification.  In ``cosets``,
 ``product_formula_direct`` and the witnesses build their pairs by
 substitution and verify them, as part of the cross-checks they provide.
 
+A composite built by ``compose`` defers its inverse: it keeps its two
+factors and computes the inverse composite the first time ``.inv`` is read.
+Equality, hashing and ``support_bound`` read the forward map only, which is
+sound because the inverse of a verified or closed pair is fixed by its
+forward map, and a map fixing every x_i above B and sending F_B into F_B
+has an inverse that does the same.  Coset products compare and size forward
+maps, so they pay only for the inverses they read.
+
 Composition follows the usual convention for maps: ``compose(a, b)`` sends
 x_i to ``a(b(x_i))``, i.e. ``b`` acts first.
 """
@@ -43,7 +51,7 @@ class InverseVerificationError(ValueError):
 class Endomorphism:
     """Generator-image map.  Generators absent from ``images`` are fixed."""
 
-    __slots__ = ("_images",)
+    __slots__ = ("_images", "_bound")
 
     def __init__(self, images: Mapping[int, Iterable[Letter]] | None = None):
         normalized: dict[int, Word] = {}
@@ -54,6 +62,7 @@ class Endomorphism:
                 if word != ((key, 1),):
                     normalized[key] = word
         self._images = normalized
+        self._bound = None
 
     @property
     def images(self) -> dict[int, Word]:
@@ -72,14 +81,17 @@ class Endomorphism:
 
     def support_bound(self) -> int:
         """Smallest B such that every generator above B is fixed and no image
-        mentions a generator above B."""
-        bound = 0
-        for key, word in self._images.items():
-            if key > bound:
-                bound = key
-            top = max_generator(word)
-            if top > bound:
-                bound = top
+        mentions a generator above B.  Cached: the map is immutable."""
+        bound = self._bound
+        if bound is None:
+            bound = 0
+            for key, word in self._images.items():
+                if key > bound:
+                    bound = key
+                top = max_generator(word)
+                if top > bound:
+                    bound = top
+            self._bound = bound
         return bound
 
     def is_identity(self) -> bool:
@@ -116,6 +128,7 @@ def _reduced_endomorphism(images: dict[int, Word]) -> Endomorphism:
     neither re-checks keys nor re-reduces."""
     e = Endomorphism.__new__(Endomorphism)
     e._images = {key: word for key, word in images.items() if word != ((key, 1),)}
+    e._bound = None
     return e
 
 
@@ -144,9 +157,11 @@ class Automorphism:
 
     The constructor reduces both image maps and raises
     InverseVerificationError unless they compose to the identity both ways.
+    A composite built by ``compose`` stores its factors in place of its
+    inverse until ``inv`` is first read.
     """
 
-    __slots__ = ("fwd", "inv")
+    __slots__ = ("fwd", "_inv")
 
     def __init__(self, fwd, inv):
         fwd = fwd if isinstance(fwd, Endomorphism) else Endomorphism(fwd)
@@ -156,7 +171,15 @@ class Automorphism:
                 "forward and inverse endomorphisms do not compose to the identity"
             )
         self.fwd = fwd
-        self.inv = inv
+        self._inv = inv
+
+    @property
+    def inv(self) -> Endomorphism:
+        """The inverse endomorphism, computed on first read for a composite."""
+        inv = self._inv
+        if type(inv) is tuple:
+            inv = _force_inverse(self)
+        return inv
 
     def image(self, index: int) -> Word:
         return self.fwd.image(index)
@@ -165,7 +188,8 @@ class Automorphism:
         return self.fwd.apply(w)
 
     def support_bound(self) -> int:
-        return max(self.fwd.support_bound(), self.inv.support_bound())
+        # the inverse of a true pair has the same bound (module docstring)
+        return self.fwd.support_bound()
 
     def inverse(self) -> "Automorphism":
         return _closed_automorphism(self.inv, self.fwd)
@@ -184,9 +208,8 @@ class Automorphism:
     def __eq__(self, other):
         if not isinstance(other, Automorphism):
             return NotImplemented
-        # the inverse is determined by the forward map, but compare both to
-        # catch construction bugs early
-        return self.fwd == other.fwd and self.inv == other.inv
+        # the inverse of a verified or closed pair is fixed by its forward map
+        return self.fwd == other.fwd
 
     def __hash__(self):
         return hash(self.fwd)
@@ -205,21 +228,52 @@ def _closed_automorphism(fwd, inv) -> Automorphism:
     """
     a = Automorphism.__new__(Automorphism)
     a.fwd = fwd if isinstance(fwd, Endomorphism) else _reduced_endomorphism(fwd)
-    a.inv = inv if isinstance(inv, Endomorphism) else _reduced_endomorphism(inv)
+    a._inv = inv if isinstance(inv, Endomorphism) else _reduced_endomorphism(inv)
     return a
+
+
+def _force_inverse(root: Automorphism) -> Endomorphism:
+    """Compute the deferred inverse of ``root``.
+
+    ``compose(a, b)`` defers its inverse as the factor pair ``(b, a)``,
+    standing for ``b.inv . a.inv``.  Pending composites are forced from an
+    explicit stack, factors before the composites that read them, so a deep
+    fold cannot exhaust the recursion limit, and a factor shared by several
+    composites is forced once.  Each forced pair is replaced by its
+    Endomorphism, which drops the references to the factors.
+    """
+    stack = [root]
+    while stack:
+        node = stack[-1]
+        pending = node._inv
+        if type(pending) is not tuple:
+            stack.pop()  # a shared factor, forced since it was pushed
+            continue
+        first, second = pending
+        first_inv, second_inv = first._inv, second._inv
+        if type(first_inv) is tuple or type(second_inv) is tuple:
+            if type(first_inv) is tuple:
+                stack.append(first)
+            if type(second_inv) is tuple:
+                stack.append(second)
+            continue
+        node._inv = compose_endomorphisms(first_inv, second_inv)
+        stack.pop()
+    return root._inv
 
 
 def compose(a, b):
     """Composite sending x_i to a(b(x_i)) — ``b`` acts first.
 
-    Accepts two Endomorphisms or two Automorphisms; the automorphism case
-    carries the inverse pair along (inverse composes in reverse order).
+    Accepts two Endomorphisms or two Automorphisms.  The automorphism case
+    composes the forward maps now and defers the inverse, ``b.inv . a.inv``,
+    until it is first read.
     """
     if isinstance(a, Automorphism) and isinstance(b, Automorphism):
-        return _closed_automorphism(
-            compose_endomorphisms(a.fwd, b.fwd),
-            compose_endomorphisms(b.inv, a.inv),
-        )
+        c = Automorphism.__new__(Automorphism)
+        c.fwd = compose_endomorphisms(a.fwd, b.fwd)
+        c._inv = (b, a)
+        return c
     if isinstance(a, Endomorphism) and isinstance(b, Endomorphism):
         return compose_endomorphisms(a, b)
     raise TypeError("compose expects two Endomorphisms or two Automorphisms")
@@ -303,7 +357,10 @@ def is_in_H(a: Automorphism, m: int) -> bool:
 
 def random_automorphism(m_fix: int, max_index: int, length: int, seed: int) -> Automorphism:
     """Composition of ``length`` random Nielsen moves touching only the
-    generators m_fix+1 .. max_index.  Deterministic in ``seed``."""
+    generators m_fix+1 .. max_index.  Deterministic in ``seed``.
+
+    Both halves are composed as the moves are drawn, so the result carries
+    no chain of deferred inverses."""
     if m_fix < 0:
         raise ValueError(f"m_fix must be >= 0, got {m_fix}")
     if length < 0:
@@ -313,7 +370,7 @@ def random_automorphism(m_fix: int, max_index: int, length: int, seed: int) -> A
         raise ValueError("max_index leaves no generators free to move")
     rng = random.Random(seed)
     indices = list(range(lo, max_index + 1))
-    result = identity_automorphism()
+    fwd = inv = Endomorphism()
     for _ in range(length):
         if len(indices) == 1:
             kind = "invert"
@@ -324,8 +381,9 @@ def random_automorphism(m_fix: int, max_index: int, length: int, seed: int) -> A
         else:
             i, j = rng.sample(indices, 2)
             move = nielsen_swap(i, j) if kind == "swap" else nielsen_right_mult(i, j)
-        result = compose(move, result)
-    return result
+        fwd = compose_endomorphisms(move.fwd, fwd)
+        inv = compose_endomorphisms(inv, move.inv)
+    return _closed_automorphism(fwd, inv)
 
 
 def _endo_to_dict(e: Endomorphism) -> dict:

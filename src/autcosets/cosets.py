@@ -36,8 +36,12 @@ from .automorphisms import (
     is_in_H,
     permutation_automorphism,
 )
-from .errors import SupportViolation
+from .errors import SizeLimitError, SupportViolation
 from .words import Word, generator_word, substitute
+
+# theta(m, N) has 2N images and every product representative moves all of
+# them, so a product's size grows with N, not with the size of its input.
+MAX_BLOCK_SIZE = 10_000
 
 
 def theta(m: int, j: int) -> Automorphism:
@@ -53,7 +57,10 @@ def theta(m: int, j: int) -> Automorphism:
 
 
 def block_size(m: int, *autos: Automorphism) -> int:
-    """Smallest N >= 0 such that every argument is supported on 1..m+N."""
+    """Smallest N >= 0 such that every argument is supported on 1..m+N.
+
+    Raises SizeLimitError for N over MAX_BLOCK_SIZE, before any block swap
+    is built."""
     if m < 0:
         raise ValueError(f"m must be >= 0, got {m}")
     top = m
@@ -61,7 +68,13 @@ def block_size(m: int, *autos: Automorphism) -> int:
         bound = a.support_bound()
         if bound > top:
             top = bound
-    return top - m
+    n = top - m
+    if n > MAX_BLOCK_SIZE:
+        raise SizeLimitError(
+            f"block size of the coset product: N = {n} generators per block, "
+            f"over the limit of {MAX_BLOCK_SIZE}"
+        )
+    return n
 
 
 def _require_support(m: int, n: int, *autos: Automorphism) -> None:

@@ -1,4 +1,7 @@
-"""Exception types shared across modules."""
+"""Exception types and the size budget shared across modules."""
+
+# points, or matrix / table cells, one request may build
+DEFAULT_MAX_POINTS = 10_000_000
 
 
 class SupportViolation(ValueError):
@@ -6,4 +9,5 @@ class SupportViolation(ValueError):
 
 
 class SizeLimitError(ValueError):
-    """A brute-force enumeration would exceed the configured point budget."""
+    """A request would build more than its budget allows: points or cells
+    over the point budget, or a block size over its limit."""

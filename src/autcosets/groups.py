@@ -8,6 +8,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from .errors import DEFAULT_MAX_POINTS, SizeLimitError
 from .words import _integer
 
 
@@ -54,11 +55,15 @@ class FiniteGroup:
             if len(hits) != 1 or arr[hits[0], a] != identity:
                 raise GroupAxiomError(f"element {a} lacks a unique two-sided inverse")
             inv.append(int(hits[0]))
+        self._fill(table, arr, tuple(inv), identity, name)
+
+    def _fill(self, table: tuple, arr: np.ndarray, inv: tuple, identity: int, name) -> None:
+        """Set the attributes from a table known to satisfy the axioms."""
         self.mul = table
-        self.inv = tuple(inv)
+        self.inv = inv
         self.identity = int(identity)
-        self.order = n
-        self.name = name or f"group{n}"
+        self.order = len(table)
+        self.name = name or f"group{self.order}"
         arr.setflags(write=False)
         inv_np = np.array(inv, dtype=np.int32)
         inv_np.setflags(write=False)
@@ -186,16 +191,36 @@ def _quaternion8() -> FiniteGroup:
     return FiniteGroup(mul, 0, name="q8")
 
 
+def _cyclic(n: int) -> FiniteGroup:
+    """Cyclic group of order n, built by arithmetic.
+
+    Addition mod n is a group law by construction, so the table skips the
+    axiom check the way closed automorphisms skip verification.  Its n^2
+    cells count against the point budget."""
+    if n < 1:
+        raise ValueError(f"cyclic order must be >= 1, got {n}")
+    if n * n > DEFAULT_MAX_POINTS:
+        raise SizeLimitError(
+            f"builtin group c{n} needs a {n}x{n} multiplication table, "
+            f"over the budget of {DEFAULT_MAX_POINTS} cells"
+        )
+    elems = tuple(range(n))
+    # rows share the element objects of ``elems``: row a is a + b mod n
+    table = tuple(elems[a:] + elems[:a] for a in range(n))
+    ar = np.arange(n, dtype=np.int32)
+    arr = (ar[:, None] + ar) % np.int32(n)
+    g = FiniteGroup.__new__(FiniteGroup)
+    inv = elems[:1] + elems[:0:-1]  # -a mod n: 0, n-1, ..., 1
+    g._fill(table, arr, inv, 0, f"c{n}")
+    return g
+
+
 def builtin_group(name: str) -> FiniteGroup:
     """Named groups: ``c<n>`` cyclic of order n, ``s3`` symmetric on three
     points, ``d8`` dihedral of order 8, ``q8`` quaternion."""
     key = name.strip().lower()
     if len(key) > 1 and key[0] == "c" and key[1:].isdigit():
-        n = int(key[1:])
-        if n < 1:
-            raise ValueError(f"cyclic order must be >= 1, got {n}")
-        mul = [[(a + b) % n for b in range(n)] for a in range(n)]
-        return FiniteGroup(mul, 0, name=f"c{n}")
+        return _cyclic(int(key[1:]))
     if key == "s3":
         return _symmetric3()
     if key == "d8":

@@ -30,12 +30,10 @@ import math
 import numpy as np
 
 from .automorphisms import Automorphism, permutation_automorphism
-from .errors import SizeLimitError, SupportViolation
+from .errors import DEFAULT_MAX_POINTS, SizeLimitError, SupportViolation
 from .groups import FiniteGroup, Subgroup, TupleIndex
 from .ratmat import RationalMatrix, int_matmul
 from .words import Word, generator_word
-
-DEFAULT_MAX_POINTS = 10_000_000
 
 
 def _check_budget(max_points, layer: str, n: int, exp: int, cells: bool = False) -> None:

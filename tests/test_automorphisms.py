@@ -16,6 +16,7 @@ from autcosets.automorphisms import (
     automorphism_from_dict,
     automorphism_to_dict,
     compose,
+    compose_endomorphisms,
     identity_automorphism,
     invert,
     is_in_H,
@@ -314,3 +315,95 @@ def test_closed_operations_preserve_the_inverse_pair(a, b, perm, i, j):
 def test_closed_constructor_is_private():
     # _closed_automorphism skips verification, so it must stay internal
     assert not any(name.startswith("_") for name in autcosets.__all__)
+
+
+# --- deferred inverses of composites ---------------------------------------
+# compose defers the inverse half; reading .inv computes it.  Each fold step
+# applies a Nielsen move on either side, composes with a random product or
+# with the running composite itself (a shared factor), and may force the
+# inverse early, so forcing meets both pending and already forced factors.
+
+MOVES = [nielsen_swap(1, 2), nielsen_invert(2), nielsen_right_mult(3, 1), nielsen_swap(3, 4)]
+step_st = st.tuples(
+    st.sampled_from(["move_left", "move_right", "random", "self"]),
+    st.integers(0, 10_000),
+    st.booleans(),
+)
+
+
+def fold(steps):
+    """The lazy composite of ``steps`` with its eagerly built inverse."""
+    acc = identity_automorphism()
+    inv = acc.inv
+    doublings = 0
+    for kind, seed, force in steps:
+        if kind == "self" and doublings < 2:
+            doublings += 1
+            a, b = acc, acc
+        elif kind == "random":
+            a, b = acc, rand_aut(seed, 4)
+        else:
+            move = MOVES[seed % len(MOVES)]
+            a, b = (move, acc) if kind == "move_left" else (acc, move)
+        # the eager inverse of a factor: acc's is tracked, the others' are eager
+        a_inv, b_inv = (inv if x is acc else x.inv for x in (a, b))
+        acc = compose(a, b)
+        inv = compose_endomorphisms(b_inv, a_inv)
+        if force:
+            assert acc.inv == inv
+    return acc, inv
+
+
+@given(st.lists(step_st, max_size=12))
+def test_deferred_inverse_equals_the_eager_one(steps):
+    acc, inv = fold(steps)
+    assert acc.inv == inv
+    assert verify_inverse_pair(acc.fwd, acc.inv)
+    assert_closed_result(acc)
+
+
+@given(aut_st, aut_st)
+def test_deferred_inverse_of_one_composite(a, b):
+    c = compose(a, b)
+    assert c.inv == compose_endomorphisms(b.inv, a.inv)
+    assert c.inv is c.inv  # forced once, then kept
+
+
+@given(st.lists(step_st, max_size=10), st.integers(1, 5), st.integers(6, 10**12))
+def test_support_bound_is_read_from_the_forward_map(steps, low, high):
+    acc, _ = fold(steps)
+    # a JSON-loaded pair whose top generator is far above the others
+    doc = automorphism_to_dict(compose(acc, nielsen_swap(low, high)))
+    for a in (acc, automorphism_from_dict(doc)):
+        assert a.support_bound() == a.fwd.support_bound()
+        assert a.support_bound() == max(a.fwd.support_bound(), a.inv.support_bound())
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_deep_fold_forces_without_recursion(side):
+    moves = [nielsen_swap(1, 2), nielsen_invert(2), nielsen_swap(2, 3), nielsen_invert(3)]
+    acc = identity_automorphism()
+    fwd = inv = acc.fwd
+    for k in range(5_000):
+        move = moves[k % len(moves)]
+        if side == "left":
+            acc = compose(acc, move)
+            fwd, inv = compose_endomorphisms(fwd, move.fwd), compose_endomorphisms(move.inv, inv)
+        else:
+            acc = compose(move, acc)
+            fwd, inv = compose_endomorphisms(move.fwd, fwd), compose_endomorphisms(inv, move.inv)
+    assert acc.fwd == fwd
+    assert acc.inv == inv
+    assert verify_inverse_pair(acc.fwd, acc.inv)
+
+
+@given(aut_st, aut_st, aut_st)
+def test_equal_automorphisms_hash_equal(a, b, c):
+    ab = compose(a, b)
+    others = [
+        compose(compose(a, c), compose(c.inverse(), b)),
+        Automorphism(ab.fwd.images, ab.inv.images),
+        invert(compose(invert(b), invert(a))),
+    ]
+    for other in others:
+        assert other == ab and hash(other) == hash(ab)

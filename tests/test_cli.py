@@ -9,6 +9,7 @@ import io
 import json
 import subprocess
 import sys
+import time
 from unittest import mock
 
 import pytest
@@ -22,6 +23,8 @@ from autcosets.cosets import theta
 
 G_JSON = '{"images": {"1": [[1,1],[2,1]]}, "inverse_images": {"1": [[1,1],[2,-1]]}}'
 H_JSON = '{"images": {"2": [[2,1],[1,1]]}, "inverse_images": {"2": [[2,1],[1,-1]]}}'
+# a swap of x1 and x_(10^9): loads at once, but its block size is 10^9 - m
+FAR_JSON = json.dumps(automorphism_to_dict(nielsen_swap(1, 10**9)))
 
 GOLDEN_COSET = (
     b'{"m":1,"N":1,"rep":{"images":{"1":[[1,1],[2,1]],"2":[[3,1],[1,1],[2,1]],'
@@ -304,6 +307,70 @@ def test_non_integer_group_entries_exit_1(capsys, group):
     assert "must be an integer" in captured.err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["coset-product", "--m", "1", "--g", FAR_JSON, "--h", H_JSON],
+        ["star-product", "--m", "1", "--g", G_JSON, "--h", FAR_JSON],
+        ["tuple-product", "--m", "1", "--gs", f"[{G_JSON}]", "--hs", f"[{FAR_JSON}]"],
+    ],
+)
+def test_unbounded_block_size_exit_1(capsys, argv):
+    start = time.perf_counter()
+    assert main(argv) == 1
+    assert time.perf_counter() - start < 0.5
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: block size of the coset product: N = 999999999 generators per block, "
+        "over the limit of 10000\n"
+    )
+
+
+def test_large_builtin_group_exit_1(capsys):
+    assert main(["rep-matrix", "--group", "c4000", "--m", "1", "--g", G_JSON]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: builtin group c4000 needs a 4000x4000 multiplication table, "
+        "over the budget of 10000000 cells\n"
+    )
+
+
+def test_cached_parser_prints_what_a_fresh_parser_prints(monkeypatch):
+    # one process, many verbs: a usage error, then valid calls, then verify
+    calls = [
+        ["reduce", "x1 x2 x2^-1"],
+        ["coset-product", "--m", "1", "--g", G_JSON],
+        ["coset-product", "--m", "1", "--g", G_JSON, "--h", H_JSON],
+        ["compose", "--g", G_JSON, "--h", H_JSON, "--text"],
+        ["invert", "--g", G_JSON],
+        ["rep-matrix", "--group", "c2", "--m", "1", "--g", G_JSON, "--u", "0,1"],
+        ["reduce", "x0"],
+        ["tuple-product", "--m", "1", "--gs", f"[{G_JSON}]", "--hs", f"[{H_JSON}]", "--text"],
+        ["verify", "--suite", "words", "--seed", "2"],
+        ["reduce", "x1", "--text"],
+    ]
+
+    def transcript():
+        lines = []
+        for argv in calls:
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                try:
+                    code = main(argv)
+                except SystemExit as exc:
+                    code = exc.code
+            lines.append((code, out.getvalue(), err.getvalue()))
+        return lines
+
+    cached = transcript()
+    assert [code for code, _, _ in cached] == [0, 2, 0, 0, 0, 0, 1, 0, 0, 0]
+    assert cli._parser() is cli._parser()
+    monkeypatch.setattr(cli, "_parser", cli.build_parser)
+    assert cached == transcript()
+
+
 def test_usage_errors_exit_2():
     with pytest.raises(SystemExit) as exc:
         main(["no-such-verb"])
@@ -343,6 +410,8 @@ BASE_ARGV = [
     ["rep-matrix", "--group", "s3", "--m", "1", "--g", G_JSON, "--u", "0,1,2"],
     ["rep-matrix", "--group", '{"mul": [[0,1],[1,0]], "unit": 0}', "--m", "1", "--g", G_JSON],
     ["verify", "--suite", "words", "--seed", "3"],
+    ["coset-product", "--m", "1", "--g", FAR_JSON, "--h", H_JSON],
+    ["rep-matrix", "--group", "c4000", "--m", "1", "--g", G_JSON],
 ]
 
 json_st = st.recursive(
@@ -356,9 +425,15 @@ images_st = st.dictionaries(
     st.sampled_from(["1", "2", "0", "x", "3"]), st.lists(st.lists(json_st, max_size=3), max_size=3),
     max_size=2,
 )
-# a replacement token: an automorphism- or group-shaped or arbitrary JSON document, text or
-# an integer
+# a replacement token: an automorphism- or group-shaped or arbitrary JSON document, a swap
+# with a huge generator index, a large builtin group, text or an integer
 token_st = st.one_of(
+    st.builds(
+        lambda i, j: json.dumps(automorphism_to_dict(nielsen_swap(i, j))),
+        st.integers(1, 3),
+        st.integers(10**4, 10**12),
+    ),
+    st.sampled_from(["c4000", "c10000000000"]),
     st.builds(lambda f, i: json.dumps({"images": f, "inverse_images": i}), images_st, images_st),
     st.builds(
         lambda mul, unit: json.dumps({"mul": mul, "unit": unit}),

@@ -23,6 +23,7 @@ from autcosets.automorphisms import (
     verify_inverse_pair,
 )
 from autcosets.cosets import (
+    MAX_BLOCK_SIZE,
     ConjClassRep,
     DoubleCosetRep,
     _shift_upper_block,
@@ -38,7 +39,7 @@ from autcosets.cosets import (
     witness_left,
     witness_right,
 )
-from autcosets.errors import SupportViolation
+from autcosets.errors import SizeLimitError, SupportViolation
 from autcosets.verify import (
     block_size_stable,
     direct_formula_agrees,
@@ -93,6 +94,32 @@ def test_block_size():
     assert block_size(7, g) == 0  # support inside the base block
     with pytest.raises(ValueError):
         block_size(-1, e)
+
+
+def test_block_size_over_the_limit_is_refused_before_theta(monkeypatch):
+    m = 1
+    at_limit = nielsen_swap(1, m + MAX_BLOCK_SIZE)
+    assert block_size(m, at_limit) == MAX_BLOCK_SIZE
+    far = nielsen_swap(1, 10**9)
+    e = identity_automorphism()
+
+    def no_theta(*args):
+        raise AssertionError("theta built for an over-limit block")
+
+    monkeypatch.setattr("autcosets.cosets.theta", no_theta)
+    products = [
+        lambda: coset_product(m, far, e),
+        lambda: star_product(m, e, far),
+        lambda: tuple_product(m, (e, far), (e, e)),
+        lambda: triple_product_disjoint(m, e, e, far),
+    ]
+    for product in products:
+        with pytest.raises(SizeLimitError) as exc:
+            product()
+        assert str(exc.value) == (
+            f"block size of the coset product: N = {10**9 - m} generators per block, "
+            f"over the limit of {MAX_BLOCK_SIZE}"
+        )
 
 
 def test_rep_equality_ignores_block_field():

@@ -4,10 +4,12 @@ builtin groups against their known structure."""
 from __future__ import annotations
 
 import itertools
+import time
 
 import numpy as np
 import pytest
 
+from autcosets.errors import DEFAULT_MAX_POINTS, SizeLimitError
 from autcosets.groups import (
     FiniteGroup,
     GroupAxiomError,
@@ -87,6 +89,33 @@ def test_builtin_rejects_unknown():
         builtin_group("e7")
     with pytest.raises(ValueError):
         builtin_group("c0")
+
+
+@pytest.mark.parametrize("n", range(1, 31))
+def test_cyclic_builtins_equal_the_checked_table(n):
+    # c<n> is built by arithmetic without the axiom check
+    k = builtin_group(f"c{n}")
+    checked = FiniteGroup([[(a + b) % n for b in range(n)] for a in range(n)], 0, name=f"c{n}")
+    assert k == checked
+    assert (k.name, k.order, k.identity, k.inv) == (
+        checked.name, checked.order, checked.identity, checked.inv
+    )
+    for arr, ref in ((k.mul_np, checked.mul_np), (k.inv_np, checked.inv_np)):
+        assert arr.dtype == ref.dtype and np.array_equal(arr, ref) and not arr.flags.writeable
+
+
+def test_cyclic_builtins_are_cheap_and_bounded():
+    start = time.perf_counter()
+    assert builtin_group("c800").order == 800
+    assert time.perf_counter() - start < 0.1
+    side = int(DEFAULT_MAX_POINTS**0.5)  # 3162: 3162^2 cells fit the budget
+    for n in (side + 1, 10**30):
+        with pytest.raises(SizeLimitError) as exc:
+            builtin_group(f"c{n}")
+        assert str(exc.value) == (
+            f"builtin group c{n} needs a {n}x{n} multiplication table, "
+            f"over the budget of {DEFAULT_MAX_POINTS} cells"
+        )
 
 
 def test_table_validation_rejects_broken_tables():
