@@ -44,11 +44,23 @@ from .words import Word, generator_word, substitute
 MAX_BLOCK_SIZE = 10_000
 
 
+def _check_block_size(layer: str, name: str, size: int) -> None:
+    """Refuse a block of ``size`` generators over MAX_BLOCK_SIZE, naming the
+    layer that asked for it."""
+    if size > MAX_BLOCK_SIZE:
+        raise SizeLimitError(
+            f"{layer}: {name} = {size} generators per block, over the limit of {MAX_BLOCK_SIZE}"
+        )
+
+
 def theta(m: int, j: int) -> Automorphism:
     """Involution fixing x_1..x_m and swapping x_{m+k} <-> x_{m+j+k} for
-    k = 1..j.  theta(m, 0) is the identity."""
+    k = 1..j.  theta(m, 0) is the identity.
+
+    Raises SizeLimitError for j over MAX_BLOCK_SIZE."""
     if m < 0 or j < 0:
         raise ValueError("block parameters must be non-negative")
+    _check_block_size("block swap theta", "j", j)
     images: dict[int, Word] = {}
     for k in range(m + 1, m + j + 1):
         images[k] = ((k + j, 1),)
@@ -69,11 +81,7 @@ def block_size(m: int, *autos: Automorphism) -> int:
         if bound > top:
             top = bound
     n = top - m
-    if n > MAX_BLOCK_SIZE:
-        raise SizeLimitError(
-            f"block size of the coset product: N = {n} generators per block, "
-            f"over the limit of {MAX_BLOCK_SIZE}"
-        )
+    _check_block_size("block size of the coset product", "N", n)
     return n
 
 
@@ -211,9 +219,11 @@ def stability_witness(
 
     s swaps x_{m+n+t} <-> x_{m+2n+p+t} for t = 1..p; pi renames
     x_{m+n+t} -> x_{m+2n+t} (t <= p) and x_{m+n+p+k} -> x_{m+n+k} (k <= n).
-    For p = 0 both are the identity."""
+    For p = 0 both are the identity.  Raises SizeLimitError for n + p over
+    MAX_BLOCK_SIZE."""
     if p < 0:
         raise ValueError(f"p must be >= 0, got {p}")
+    _check_block_size("stability witness", "n + p", n + p)
     _require_support(m, n, g, h)
     swap: dict[int, int] = {}
     for t in range(1, p + 1):

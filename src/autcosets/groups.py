@@ -16,24 +16,64 @@ class GroupAxiomError(ValueError):
     """A claimed multiplication table violates the group axioms."""
 
 
+def _check_table_cells(label: str, n: int) -> None:
+    """Refuse an n x n multiplication table over the point budget."""
+    if n * n > DEFAULT_MAX_POINTS:
+        raise SizeLimitError(
+            f"{label} needs a {n}x{n} multiplication table, "
+            f"over the budget of {DEFAULT_MAX_POINTS} cells"
+        )
+
+
+def _check_associative(arr: np.ndarray, identity: int) -> None:
+    """Light's associativity test (Clifford & Preston 1961, section 1.2) on a
+    table with a two-sided identity and two-sided inverses.
+
+    The elements a with (xa)y = x(ay) for all x, y are closed under products,
+    so it suffices to test generators.  Each generator is the smallest element
+    not yet reached, and what is reached is closed under right multiplication
+    by the generators.  In a group that is a subgroup, which each new
+    generator at least doubles: needing more than log2(n) generators proves
+    the table is not associative.  O(n^2 log n) in all."""
+    n = len(arr)
+    reached = np.zeros(n, dtype=bool)
+    reached[identity] = True
+    gens: list[int] = []
+    while not reached.all():
+        a = int(np.argmin(reached))
+        # arr[arr[:, a]][x, y] = (xa)y,  arr[:, arr[a]][x, y] = x(ay)
+        if len(gens) == (n.bit_length() - 1) or not np.array_equal(arr[arr[:, a]], arr[:, arr[a]]):
+            raise GroupAxiomError("multiplication table is not associative")
+        gens.append(a)
+        frontier = np.flatnonzero(reached)
+        while frontier.size:
+            hit = np.zeros(n, dtype=bool)
+            hit[arr[np.ix_(frontier, gens)]] = True
+            frontier = np.flatnonzero(hit & ~reached)
+            reached[frontier] = True
+
+
 class FiniteGroup:
     """Group on elements 0..order-1 defined by a full multiplication table.
 
     ``mul[a][b]`` is the product a*b.  The table is checked on construction:
-    two-sided identity, associativity, and a unique two-sided inverse per
-    element.  Table entries and the unit must be integers (``bool``, floats
-    and strings are refused).  ``mul_np``/``inv_np`` expose the same data as
-    read-only numpy arrays for bulk evaluation.
+    its n^2 cells against the point budget, then a two-sided identity, a
+    unique two-sided inverse per element, and associativity by Light's test.
+    Table entries and the unit must be integers (``bool``, floats and strings
+    are refused).  ``mul_np``/``inv_np`` expose the same data as read-only
+    numpy arrays for bulk evaluation.
     """
 
     __slots__ = ("name", "order", "mul", "inv", "identity", "mul_np", "inv_np")
 
     def __init__(self, mul: Sequence[Sequence[int]], identity: int = 0, name: str | None = None):
+        mul = tuple(mul)
+        n = len(mul)
+        _check_table_cells(f"group of order {n}", n)
         table = tuple(
             tuple(x if type(x) is int else _integer(x, "'mul' entry") for x in row) for row in mul
         )
         identity = _integer(identity, "'unit'")
-        n = len(table)
         if n == 0:
             raise GroupAxiomError("empty multiplication table")
         for row in table:
@@ -45,17 +85,14 @@ class FiniteGroup:
         rng = np.arange(n, dtype=np.int32)
         if not (np.array_equal(arr[identity], rng) and np.array_equal(arr[:, identity], rng)):
             raise GroupAxiomError("designated unit is not a two-sided identity")
-        for a in range(n):
-            # arr[arr[a]][b, c] = (a*b)*c,  arr[a, arr][b, c] = a*(b*c)
-            if not np.array_equal(arr[arr[a]], arr[a][arr]):
-                raise GroupAxiomError("multiplication table is not associative")
-        inv = []
-        for a in range(n):
-            hits = np.nonzero(arr[a] == identity)[0]
-            if len(hits) != 1 or arr[hits[0], a] != identity:
-                raise GroupAxiomError(f"element {a} lacks a unique two-sided inverse")
-            inv.append(int(hits[0]))
-        self._fill(table, arr, tuple(inv), identity, name)
+        is_unit = arr == identity
+        inv = is_unit.argmax(axis=1)
+        bad = (is_unit.sum(axis=1) != 1) | (arr[inv, rng] != identity)
+        if bad.any():
+            a = int(np.flatnonzero(bad)[0])
+            raise GroupAxiomError(f"element {a} lacks a unique two-sided inverse")
+        _check_associative(arr, identity)
+        self._fill(table, arr, tuple(inv.tolist()), identity, name)
 
     def _fill(self, table: tuple, arr: np.ndarray, inv: tuple, identity: int, name) -> None:
         """Set the attributes from a table known to satisfy the axioms."""
@@ -199,11 +236,7 @@ def _cyclic(n: int) -> FiniteGroup:
     cells count against the point budget."""
     if n < 1:
         raise ValueError(f"cyclic order must be >= 1, got {n}")
-    if n * n > DEFAULT_MAX_POINTS:
-        raise SizeLimitError(
-            f"builtin group c{n} needs a {n}x{n} multiplication table, "
-            f"over the budget of {DEFAULT_MAX_POINTS} cells"
-        )
+    _check_table_cells(f"builtin group c{n}", n)
     elems = tuple(range(n))
     # rows share the element objects of ``elems``: row a is a + b mod n
     table = tuple(elems[a:] + elems[:a] for a in range(n))

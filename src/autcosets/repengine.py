@@ -25,8 +25,6 @@ counts its cells against the same budget.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from .automorphisms import Automorphism, permutation_automorphism
@@ -103,14 +101,24 @@ def _grid_eval(K: FiniteGroup, w: Word, n_coords: int) -> np.ndarray:
     return acc
 
 
+def _digit_sum(n: int, digits) -> np.ndarray:
+    """TupleIndex code of grids of digits in 0..n-1, least significant first."""
+    code = np.zeros((), dtype=np.int64)
+    for i, digit in enumerate(digits):
+        code = code + digit.astype(np.int64) * n ** i
+    return code
+
+
 def _grid_code(K: FiniteGroup, words, n_coords: int) -> np.ndarray:
     """TupleIndex code of the tuple of values of ``words`` (the first word
     gives the least significant digit), on the grid of K^n_coords."""
-    n = K.order
-    code = np.zeros((), dtype=np.int64)
-    for i, w in enumerate(words):
-        code = code + _grid_eval(K, w, n_coords).astype(np.int64) * n ** i
-    return code
+    return _digit_sum(K.order, (_grid_eval(K, w, n_coords) for w in words))
+
+
+def _full_table(code: np.ndarray, n: int, n_coords: int) -> np.ndarray:
+    """A grid on K^n_coords broadcast to every point, flat in TupleIndex order."""
+    shape = (n,) * n_coords if n > 1 else ()
+    return (code if code.shape == shape else np.broadcast_to(code, shape)).ravel()
 
 
 class ActionMap:
@@ -145,10 +153,9 @@ def action_map(K: FiniteGroup, g: Automorphism, n_coords: int, max_points=None) 
         )
     n = K.order
     _check_budget(max_points, f"action on {K.name}^{n_coords}", n, n_coords)
-    npts = n ** n_coords
     code = _grid_code(K, [g.image(i) for i in range(1, n_coords + 1)], n_coords)
-    table = np.broadcast_to(code, (n,) * n_coords if n > 1 else ()).ravel()
-    counts = np.bincount(table, minlength=npts)
+    table = _full_table(code, n, n_coords)
+    counts = np.bincount(table, minlength=n ** n_coords)
     if not np.all(counts == 1):
         raise ValueError("induced point map is not a bijection")
     table.setflags(write=False)
@@ -205,31 +212,27 @@ def projection_matrix(K: FiniteGroup, m: int, n_coords: int, max_points=None) ->
 def _conjugation_perm(K: FiniteGroup, u: int, m: int) -> np.ndarray:
     """Point permutation of K^m sending each coordinate k to u k u^-1."""
     n = K.order
-    dim = n ** m
-    pts = np.arange(dim, dtype=np.int64)
-    out = np.zeros(dim, dtype=np.int64)
-    mul = K.mul_np
-    iu = K.inv[u]
-    for c in range(m):
-        digit = ((pts // n ** c) % n).astype(np.int32)
-        conj = mul[mul[u, digit], iu]
-        out += conj.astype(np.int64) * (n ** c)
-    return out
+    conj = K.mul_np[K.mul_np[u], K.inv[u]]
+    return _full_table(_digit_sum(n, (conj[_coordinate(n, i)] for i in range(1, m + 1))), n, m)
 
 
 def _members(K: FiniteGroup, u) -> tuple[int, ...]:
+    if isinstance(u, Subgroup) and u.parent != K:
+        raise ValueError(f"subgroup of {u.parent.name} does not act on {K.name}")
     return u.members if isinstance(u, Subgroup) else Subgroup(K, u).members
 
 
-def _orbit_ids(perms: list[np.ndarray], dim: int) -> np.ndarray:
-    """Orbit id of every point, orbits numbered by their smallest point.
+def _orbit_ids(perms: list[np.ndarray], dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """Orbit id of every point, orbits numbered by their smallest point, and
+    those smallest points.
 
     ``perms`` are the point permutations of the non-unit elements of a whole
     subgroup, so the orbit of p is p together with its images under them."""
     first = np.arange(dim, dtype=np.int64)
     for perm in perms:
         np.minimum(first, perm, out=first)
-    return np.unique(first, return_inverse=True)[1]
+    reps, orbit_of = np.unique(first, return_inverse=True)
+    return orbit_of, reps
 
 
 def conjugation_orbits(K: FiniteGroup, u, m: int, max_points=None):
@@ -243,9 +246,10 @@ def conjugation_orbits(K: FiniteGroup, u, m: int, max_points=None):
     _check_budget(max_points, f"orbits on {K.name}^{m}", K.order, m)
     dim = K.order ** m
     perms = [_conjugation_perm(K, elem, m) for elem in members if elem != K.identity]
-    orbit_of = _orbit_ids(perms, dim)
-    orbits = [tuple(np.flatnonzero(orbit_of == oid).tolist()) for oid in range(orbit_of.max() + 1)]
-    return orbit_of.tolist(), orbits
+    orbit_of = _orbit_ids(perms, dim)[0]
+    # a stable sort keeps each orbit's points ascending
+    by_orbit = np.split(np.argsort(orbit_of, kind="stable"), np.cumsum(np.bincount(orbit_of))[:-1])
+    return orbit_of.tolist(), [tuple(points.tolist()) for points in by_orbit]
 
 
 def compress_to_invariants(K: FiniteGroup, u, m: int, matrix: RationalMatrix, max_points=None) -> RationalMatrix:
@@ -257,8 +261,8 @@ def compress_to_invariants(K: FiniteGroup, u, m: int, matrix: RationalMatrix, ma
     orbit_s x orbit_t; the identity compresses to the identity and matrix
     products of commuting matrices are preserved.
 
-    With S the orbit-indicator matrix and L the lcm of the orbit sizes, the
-    numerators are (L/|orbit_s|)-scaled rows of S num S^T over den * L.
+    Commuting means M[u.a][u.b] = M[a][b], so every row of orbit_s has the same
+    sum over orbit_t: C[s][t] is that sum in the row of orbit_s's smallest point.
     """
     members = _members(K, u)
     _check_budget(max_points, f"compression on {K.name}^{m}", K.order, m)
@@ -275,14 +279,9 @@ def compress_to_invariants(K: FiniteGroup, u, m: int, matrix: RationalMatrix, ma
         if not np.array_equal(num[perm][:, perm], num):
             raise ValueError(f"matrix does not commute with conjugation by element {elem}")
         perms.append(perm)
-    orbit_of = _orbit_ids(perms, dim)
-    sizes = np.bincount(orbit_of)
-    lcm = math.lcm(*sizes.tolist())
-    indicator = np.zeros((len(sizes), dim), dtype=np.int64)
-    indicator[orbit_of, np.arange(dim)] = 1
-    scaled = indicator * (lcm // sizes)[:, None]
-    compressed = int_matmul(int_matmul(scaled, num), indicator.T)
-    return RationalMatrix.from_numerators(compressed, matrix.den * lcm)
+    orbit_of, reps = _orbit_ids(perms, dim)
+    indicator = np.eye(len(reps), dtype=np.int64)[orbit_of]
+    return RationalMatrix.from_numerators(int_matmul(num[reps], indicator), matrix.den)
 
 
 def weak_limit_check(K: FiniteGroup, m: int, m_cyl: int, j: int, max_points=None) -> bool:

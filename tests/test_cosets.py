@@ -4,6 +4,8 @@ equalities."""
 
 from __future__ import annotations
 
+import time
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -120,6 +122,30 @@ def test_block_size_over_the_limit_is_refused_before_theta(monkeypatch):
             f"block size of the coset product: N = {10**9 - m} generators per block, "
             f"over the limit of {MAX_BLOCK_SIZE}"
         )
+
+
+def test_theta_and_stability_witness_are_bounded_like_block_size():
+    e = identity_automorphism()
+    refusals = [
+        (lambda: theta(0, 10**9), "block swap theta: j = 1000000000"),
+        (lambda: stability_witness(1, 1, 10**9, e, e), "stability witness: n + p = 1000000001"),
+        (lambda: theta(2, MAX_BLOCK_SIZE + 1), f"block swap theta: j = {MAX_BLOCK_SIZE + 1}"),
+        (
+            lambda: stability_witness(0, 1, MAX_BLOCK_SIZE, e, e),
+            f"stability witness: n + p = {MAX_BLOCK_SIZE + 1}",
+        ),
+    ]
+    for build, head in refusals:
+        start = time.perf_counter()
+        with pytest.raises(SizeLimitError) as exc:
+            build()
+        assert time.perf_counter() - start < 0.1
+        assert str(exc.value) == (
+            f"{head} generators per block, over the limit of {MAX_BLOCK_SIZE}"
+        )
+    assert len(theta(0, MAX_BLOCK_SIZE).fwd.images) == 2 * MAX_BLOCK_SIZE
+    pi, s = stability_witness(0, 1, MAX_BLOCK_SIZE - 1, e, e)
+    assert is_in_H(pi, 0) and is_in_H(s, 0)
 
 
 def test_rep_equality_ignores_block_field():

@@ -8,6 +8,8 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from autcosets.errors import DEFAULT_MAX_POINTS, SizeLimitError
 from autcosets.groups import (
@@ -133,6 +135,91 @@ def test_table_validation_rejects_broken_tables():
         FiniteGroup([[0, 5], [1, 0]])
     with pytest.raises(GroupAxiomError):
         FiniteGroup([])
+
+
+SMALL_GROUPS = {
+    1: [[[0]]],
+    2: [[[0, 1], [1, 0]]],
+    3: [[[(a + b) % 3 for b in range(3)] for a in range(3)]],
+    4: [
+        [[(a + b) % 4 for b in range(4)] for a in range(4)],
+        [[a ^ b for b in range(4)] for a in range(4)],
+    ],
+    5: [[[(a + b) % 5 for b in range(5)] for a in range(5)]],
+    6: [
+        [[(a + b) % 6 for b in range(6)] for a in range(6)],
+        [list(row) for row in builtin_group("s3").mul],
+    ],
+}
+
+
+@st.composite
+def small_tables(draw):
+    """(table, unit) of order <= 6: a relabelled group, possibly with a few
+    cells overwritten, or rows that are permutations around a unit (these
+    always have an identity and often inverses, so they reach the
+    associativity test)."""
+    n = draw(st.integers(1, 6))
+    if draw(st.booleans()):
+        base = draw(st.sampled_from(SMALL_GROUPS[n]))
+        label = draw(st.permutations(range(n)))
+        table = [[0] * n for _ in range(n)]
+        for a in range(n):
+            for b in range(n):
+                table[label[a]][label[b]] = label[base[a][b]]
+        for _ in range(draw(st.integers(0, 2))):
+            a, b, v = (draw(st.integers(0, n - 1)) for _ in range(3))
+            table[a][b] = v
+        return table, label[0]
+    unit = draw(st.integers(0, n - 1))
+    table = []
+    for a in range(n):
+        if a == unit:
+            table.append(list(range(n)))
+            continue
+        rest = iter(draw(st.permutations([x for x in range(n) if x != a])))
+        table.append([a if b == unit else next(rest) for b in range(n)])
+    return table, unit
+
+
+@given(small_tables())
+def test_table_check_agrees_with_brute_force(case):
+    table, unit = case
+    try:
+        FiniteGroup(table, unit)
+    except GroupAxiomError:
+        accepted = False
+    else:
+        accepted = True
+    assert accepted == brute_check_axioms(table, unit)
+
+
+def test_non_associative_loop_with_inverses_is_rejected():
+    # a Latin square with identity 0 in which every element is its own
+    # inverse, yet (1*1)*2 = 2 while 1*(1*2) = 4
+    loop = [[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 4, 0, 1, 3], [3, 2, 4, 0, 1], [4, 3, 1, 2, 0]]
+    assert not brute_check_axioms(loop, 0)
+    with pytest.raises(GroupAxiomError, match="not associative"):
+        FiniteGroup(loop, 0)
+
+
+def test_json_tables_are_checked_fast_and_bounded():
+    n = 600
+    doc = {"order": n, "mul": [[(a + b) % n for b in range(n)] for a in range(n)], "unit": 0}
+    start = time.perf_counter()
+    assert group_from_dict(doc) == builtin_group(f"c{n}")
+    assert time.perf_counter() - start < 0.5
+    assert group_from_dict({"mul": [[a ^ b for b in range(512)] for a in range(512)]}).order == 512
+    side = int(DEFAULT_MAX_POINTS**0.5) + 1
+    row = list(range(side))
+    start = time.perf_counter()
+    with pytest.raises(SizeLimitError) as exc:
+        group_from_dict({"mul": [row] * side})
+    assert time.perf_counter() - start < 0.1
+    assert str(exc.value) == (
+        f"group of order {side} needs a {side}x{side} multiplication table, "
+        f"over the budget of {DEFAULT_MAX_POINTS} cells"
+    )
 
 
 def test_conjugate():

@@ -7,11 +7,12 @@ functions by explicit enumeration (``cylinder_oracle``)."""
 from __future__ import annotations
 
 import itertools
+import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import autcosets
@@ -430,6 +431,54 @@ def test_compression_rejects_non_invariant_matrix():
         compress_to_invariants(S3, Subgroup.whole(S3), 1, RationalMatrix(rows))
     with pytest.raises(ValueError):
         compress_to_invariants(S3, Subgroup.whole(S3), 1, RationalMatrix.identity(5))
+
+
+@pytest.mark.parametrize("name", ["c3", "s3", "q8", "d8"])
+@given(
+    st.integers(0, 2),
+    st.integers(0, 4),
+    st.sampled_from([3, 2**62]),
+    st.integers(1, 10**20),
+    st.integers(0, 2**32),
+)
+@settings(max_examples=20)
+def test_compression_of_invariant_integer_matrices_matches_reference(name, m, which, scale, den, seed):
+    """A sum of P_u R P_u^T over U is U-invariant; with entries near 2^62 the
+    sums leave int64 and the products run on Python ints."""
+    K = builtin_group(name)
+    subgroups = subgroups_to_compress(K)
+    u = subgroups[which % len(subgroups)]
+    dim = K.order**m
+    rng = random.Random(seed)
+    r = np.array([[rng.randint(-scale, scale) for _ in range(dim)] for _ in range(dim)], dtype=object)
+    perms = reference_orbits(K, u.members, m)[1]
+    invariant = sum(r[np.ix_(perm, perm)] for perm in perms)
+    mat = RationalMatrix.from_numerators(invariant, den)
+    got = compress_to_invariants(K, u, m, mat)
+    assert got == reference_compress(K, u.members, m, mat)
+    assert got.rows == len(conjugation_orbits(K, u, m)[1])
+
+
+def test_orbits_and_compression_at_a_single_point():
+    C1 = builtin_group("c1")
+    assert conjugation_orbits(C1, [0], 3) == ([0], [(0,)])
+    assert conjugation_orbits(S3, Subgroup.whole(S3), 0) == ([0], [(0,)])
+    one = RationalMatrix.from_numerators([[-7]], 3)
+    assert compress_to_invariants(S3, Subgroup.whole(S3), 0, one) == one
+    assert compress_to_invariants(C1, Subgroup.whole(C1), 3, one) == one
+
+
+def test_subgroup_of_another_group_is_refused():
+    whole_s3 = Subgroup.whole(S3)
+    with pytest.raises(ValueError, match="subgroup of s3 does not act on c3"):
+        compress_to_invariants(C3, whole_s3, 1, RationalMatrix.identity(3))
+    with pytest.raises(ValueError, match="subgroup of s3 does not act on c3"):
+        conjugation_orbits(C3, whole_s3, 1)
+    # an equal table built a second time is the same group
+    again = builtin_group("s3")
+    assert again is not S3
+    assert conjugation_orbits(again, whole_s3, 1) == conjugation_orbits(S3, whole_s3, 1)
+    assert compress_to_invariants(again, whole_s3, 1, RationalMatrix.identity(6)).rows == 3
 
 
 # --- cylinder functions -------------------------------------------------
