@@ -75,10 +75,6 @@ class Endomorphism:
             raise ValueError(f"generator index must be >= 1, got {index}")
         return self._images.get(index, ((index, 1),))
 
-    def apply(self, w: Word) -> Word:
-        """Apply to a reduced word; returns a reduced word."""
-        return substitute(self._images, w)
-
     def support_bound(self) -> int:
         """Smallest B such that every generator above B is fixed and no image
         mentions a generator above B.  Cached: the map is immutable."""
@@ -97,9 +93,6 @@ class Endomorphism:
     def is_identity(self) -> bool:
         return not self._images
 
-    def moved_generators(self) -> tuple[int, ...]:
-        return tuple(sorted(self._images))
-
     def __eq__(self, other):
         if not isinstance(other, Endomorphism):
             return NotImplemented
@@ -107,11 +100,6 @@ class Endomorphism:
 
     def __hash__(self):
         return hash(frozenset(self._images.items()))
-
-    def __mul__(self, other):
-        if not isinstance(other, Endomorphism):
-            return NotImplemented
-        return compose_endomorphisms(self, other)
 
     def __repr__(self):
         if not self._images:
@@ -184,9 +172,6 @@ class Automorphism:
     def image(self, index: int) -> Word:
         return self.fwd.image(index)
 
-    def apply(self, w: Word) -> Word:
-        return self.fwd.apply(w)
-
     def support_bound(self) -> int:
         # the inverse of a true pair has the same bound (module docstring)
         return self.fwd.support_bound()
@@ -196,14 +181,6 @@ class Automorphism:
 
     def is_identity(self) -> bool:
         return self.fwd.is_identity()
-
-    def __invert__(self):
-        return self.inverse()
-
-    def __mul__(self, other):
-        if not isinstance(other, Automorphism):
-            return NotImplemented
-        return compose(self, other)
 
     def __eq__(self, other):
         if not isinstance(other, Automorphism):
@@ -284,10 +261,6 @@ def invert(a: Automorphism) -> Automorphism:
     if not isinstance(a, Automorphism):
         raise TypeError("invert expects an Automorphism")
     return a.inverse()
-
-
-def identity_endomorphism() -> Endomorphism:
-    return Endomorphism()
 
 
 def identity_automorphism() -> Automorphism:

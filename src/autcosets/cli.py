@@ -97,20 +97,19 @@ def _cmd_reduce(args) -> int:
     return _emit(format_word(word))
 
 
-def _cmd_compose(args) -> int:
-    result = compose(_load_automorphism(args.g), _load_automorphism(args.h))
+def _emit_automorphism(args, result) -> int:
     if args.text:
         print(_auto_text(result))
         return 0
     return _emit(automorphism_to_dict(result))
+
+
+def _cmd_compose(args) -> int:
+    return _emit_automorphism(args, compose(_load_automorphism(args.g), _load_automorphism(args.h)))
 
 
 def _cmd_invert(args) -> int:
-    result = invert(_load_automorphism(args.g))
-    if args.text:
-        print(_auto_text(result))
-        return 0
-    return _emit(automorphism_to_dict(result))
+    return _emit_automorphism(args, invert(_load_automorphism(args.g)))
 
 
 def _cmd_coset_product(args) -> int:
@@ -256,8 +255,6 @@ def main(argv=None) -> int:
         print(f"error: {args.verb}: out of memory", file=sys.stderr)
         return 1
 
-
-run = main
 
 if __name__ == "__main__":
     sys.exit(main())

@@ -21,6 +21,12 @@ Block layout used throughout, for given m and N:
     y block: m+1..m+N
     z block: m+N+1..m+2N
     u block: m+2N+1..m+3N  (triple products only)
+
+Every block swap is built by ``_block_swap(base, size, offset)``:
+``theta(m, N)`` swaps y and z, ``stability_witness`` swaps the padding
+with the block above it, the triple product renames an upper block by
+conjugating with a swap, and ``repengine.weak_limit_check`` swaps the pairs
+of theta it reads.
 """
 
 from __future__ import annotations
@@ -53,6 +59,21 @@ def _check_block_size(layer: str, name: str, size: int) -> None:
         )
 
 
+def _block_swap(base: int, size: int, offset: int) -> Automorphism:
+    """Involution swapping x_{base+k} <-> x_{base+offset+k} for k = 1..size,
+    every other generator fixed.  The one constructor of block swaps.
+
+    The two blocks must not overlap (offset >= size): an overlapping pair of
+    images would not be an automorphism."""
+    if offset < size:
+        raise ValueError(f"blocks of {size} generators at offset {offset} overlap")
+    images: dict[int, Word] = {}
+    for k in range(base + 1, base + size + 1):
+        images[k] = ((k + offset, 1),)
+        images[k + offset] = ((k, 1),)
+    return _closed_automorphism(images, images)
+
+
 def theta(m: int, j: int) -> Automorphism:
     """Involution fixing x_1..x_m and swapping x_{m+k} <-> x_{m+j+k} for
     k = 1..j.  theta(m, 0) is the identity.
@@ -61,11 +82,7 @@ def theta(m: int, j: int) -> Automorphism:
     if m < 0 or j < 0:
         raise ValueError("block parameters must be non-negative")
     _check_block_size("block swap theta", "j", j)
-    images: dict[int, Word] = {}
-    for k in range(m + 1, m + j + 1):
-        images[k] = ((k + j, 1),)
-        images[k + j] = ((k, 1),)
-    return _closed_automorphism(images, images)
+    return _block_swap(m, j, j)
 
 
 def block_size(m: int, *autos: Automorphism) -> int:
@@ -135,17 +152,23 @@ def coset_product(m: int, g: Automorphism, h: Automorphism) -> DoubleCosetRep:
     return DoubleCosetRep(m, rep, n)
 
 
-def _pattern_images(m: int, n: int, outer: Endomorphism, inner: Endomorphism) -> dict[int, Word]:
-    """Generator images of the two-factor disjoint-block pattern.
-
-    The inner factor's images on the x and y blocks are rewritten by the
-    substitution sending x_j to the outer factor's x_j-image and renaming
-    the y block to the z block; the z block then receives the outer
-    factor's y-images verbatim.
-    """
+def _block_mapping(m: int, n: int, outer) -> dict[int, Word]:
+    """Substitution sending x_j (j <= m) to outer's x_j-image and renaming
+    the y block to the z block."""
     mapping: dict[int, Word] = {i: outer.image(i) for i in range(1, m + 1)}
     for t in range(1, n + 1):
         mapping[m + t] = generator_word(m + n + t)
+    return mapping
+
+
+def _pattern_images(m: int, n: int, outer: Endomorphism, inner: Endomorphism) -> dict[int, Word]:
+    """Generator images of the two-factor disjoint-block pattern.
+
+    The inner factor's images on the x and y blocks are rewritten by
+    ``_block_mapping``; the z block then receives the outer factor's
+    y-images verbatim.
+    """
+    mapping = _block_mapping(m, n, outer)
     images: dict[int, Word] = {}
     for i in range(1, m + 1):
         images[i] = substitute(mapping, inner.image(i))
@@ -186,9 +209,7 @@ def witness_left(m: int, n: int, r: Automorphism, g: Automorphism, h: Automorphi
     if not is_in_H(r, m):
         raise SupportViolation("witness factor must fix x_1..x_m")
     _require_support(m, n, r, g, h)
-    mapping: dict[int, Word] = {i: g.image(i) for i in range(1, m + 1)}
-    for t in range(1, n + 1):
-        mapping[m + t] = generator_word(m + n + t)
+    mapping = _block_mapping(m, n, g)
     fwd = {m + n + k: substitute(mapping, r.fwd.image(m + k)) for k in range(1, n + 1)}
     inv = {m + n + k: substitute(mapping, r.inv.image(m + k)) for k in range(1, n + 1)}
     # built by substitution rather than composition, so the pair is verified
@@ -203,10 +224,8 @@ def witness_right(m: int, n: int, q: Automorphism, g: Automorphism, h: Automorph
 
     Obtained from witness_left by passing to inverses: q_tri is the left
     witness of q^-1 against the pair (h^-1, g^-1), so it depends only on q
-    and h."""
-    if not is_in_H(q, m):
-        raise SupportViolation("witness factor must fix x_1..x_m")
-    _require_support(m, n, q, g, h)
+    and h.  The left witness checks q^-1, h^-1 and g^-1, which fix x_1..x_m
+    and fit in 1..m+n exactly when q, h and g do."""
     return witness_left(m, n, q.inverse(), h.inverse(), g.inverse())
 
 
@@ -225,11 +244,7 @@ def stability_witness(
         raise ValueError(f"p must be >= 0, got {p}")
     _check_block_size("stability witness", "n + p", n + p)
     _require_support(m, n, g, h)
-    swap: dict[int, int] = {}
-    for t in range(1, p + 1):
-        swap[m + n + t] = m + 2 * n + p + t
-        swap[m + 2 * n + p + t] = m + n + t
-    s = permutation_automorphism(swap)
+    s = _block_swap(m + n, p, n + p)
     rename: dict[int, int] = {}
     for t in range(1, p + 1):
         rename[m + n + t] = m + 2 * n + t
@@ -280,21 +295,11 @@ def star_vs_pair_check(m: int, g: Automorphism, h: Automorphism) -> bool:
 
 def _shift_upper_block(a: Automorphism, m: int, n: int, offset: int) -> Automorphism:
     """Rename generators m+1..m+n to m+offset+1..m+offset+n inside ``a``
-    (keys and image letters alike).  This is conjugation by the renaming
-    permutation, so the result is again an automorphism; the renaming is
-    injective for offset >= 0, so reduced images stay reduced."""
+    (keys and image letters alike), by conjugating with the block swap of
+    the two blocks; ``a`` must be supported on 1..m+n and offset >= n."""
     _require_support(m, n, a)
-
-    def relabel(i: int) -> int:
-        return i + offset if i > m else i
-
-    def relabel_endo(e: Endomorphism) -> dict[int, Word]:
-        return {
-            relabel(k): tuple((relabel(g), s) for g, s in w)
-            for k, w in e._images.items()
-        }
-
-    return _closed_automorphism(relabel_endo(a.fwd), relabel_endo(a.inv))
+    pi = _block_swap(m, n, offset)
+    return compose(pi, compose(a, pi))
 
 
 def triple_product_disjoint(

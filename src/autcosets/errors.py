@@ -2,6 +2,9 @@
 
 # points, or matrix / table cells, one request may build
 DEFAULT_MAX_POINTS = 10_000_000
+# coordinates one request may lay out: bounds groups of order 1, whose n^N
+# points never exceed the point budget
+MAX_COORDINATES = 10_000
 
 
 class SupportViolation(ValueError):
@@ -10,4 +13,5 @@ class SupportViolation(ValueError):
 
 class SizeLimitError(ValueError):
     """A request would build more than its budget allows: points or cells
-    over the point budget, or a block size over its limit."""
+    over the point budget, or a block size or coordinate count over its
+    limit."""

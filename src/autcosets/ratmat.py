@@ -129,20 +129,12 @@ class RationalMatrix:
     def transpose(self) -> "RationalMatrix":
         return RationalMatrix._exact(self.num.T, self.den)
 
-    def is_square(self) -> bool:
-        return self.rows == self.cols
-
     def __matmul__(self, other):
         if not isinstance(other, RationalMatrix):
             return NotImplemented
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch: {self.rows}x{self.cols} @ {other.rows}x{other.cols}")
         return RationalMatrix._exact(int_matmul(self.num, other.num), self.den * other.den)
-
-    def __mul__(self, other):
-        if isinstance(other, RationalMatrix):
-            return self.__matmul__(other)
-        return NotImplemented
 
     def __eq__(self, other):
         if not isinstance(other, RationalMatrix):
@@ -154,7 +146,7 @@ class RationalMatrix:
 
     def is_doubly_stochastic(self) -> bool:
         """Square, entrywise non-negative, every row and column summing to 1."""
-        if not self.is_square():
+        if self.rows != self.cols:
             return False
         num = self.num
         if (num < 0).any():

@@ -27,8 +27,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .automorphisms import Automorphism, permutation_automorphism
-from .errors import DEFAULT_MAX_POINTS, SizeLimitError, SupportViolation
+from .automorphisms import Automorphism
+from .cosets import _block_swap
+from .errors import DEFAULT_MAX_POINTS, MAX_COORDINATES, SizeLimitError, SupportViolation
 from .groups import FiniteGroup, Subgroup, TupleIndex
 from .ratmat import RationalMatrix, int_matmul
 from .words import Word, generator_word
@@ -36,7 +37,8 @@ from .words import Word, generator_word
 
 def _check_budget(max_points, layer: str, n: int, exp: int, cells: bool = False) -> None:
     """Refuse n^exp points, or with ``cells`` an n^exp x n^exp matrix, over
-    the point budget (DEFAULT_MAX_POINTS unless ``max_points`` is given).
+    the point budget (DEFAULT_MAX_POINTS unless ``max_points`` is given),
+    and then exp over MAX_COORDINATES.
 
     A power far over the budget is neither built nor printed: the message
     then writes it as n^exp."""
@@ -47,6 +49,11 @@ def _check_budget(max_points, layer: str, n: int, exp: int, cells: bool = False)
     # n^total >= 2^(total * (bit_length(n) - 1)), which then exceeds budget^2
     huge = total * (n.bit_length() - 1) > 2 * budget.bit_length()
     if not huge and n ** total <= budget:
+        # under a budget below 2^MAX_COORDINATES, only order 1 gets here
+        if exp > MAX_COORDINATES:
+            raise SizeLimitError(
+                f"{layer} lays out {exp} coordinates, over the limit of {MAX_COORDINATES}"
+            )
         return
     side, size = (f"{n}^{exp}", f"{n}^{total}") if huge else (n ** exp, n ** total)
     if cells:
@@ -54,23 +61,6 @@ def _check_budget(max_points, layer: str, n: int, exp: int, cells: bool = False)
             f"{layer} needs a {side}x{side} matrix ({size} cells), over the budget of {budget}"
         )
     raise SizeLimitError(f"{layer} enumerates {size} points, over the budget of {budget}")
-
-
-def eval_word(K: FiniteGroup, w: Word, point) -> int:
-    """Value of a word at a tuple of group elements (coordinate i feeds x_i).
-
-    Letters multiply left to right; inverse letters use the group inverse.
-    """
-    acc = K.identity
-    mul = K.mul
-    inv = K.inv
-    size = len(point)
-    for gen, sign in w:
-        if gen > size:
-            raise SupportViolation(f"word mentions x{gen} but the point has {size} coordinates")
-        k = point[gen - 1]
-        acc = mul[acc][k if sign == 1 else inv[k]]
-    return acc
 
 
 def _coordinate(n: int, i: int) -> np.ndarray:
@@ -81,8 +71,8 @@ def _coordinate(n: int, i: int) -> np.ndarray:
 
 
 def _grid_eval(K: FiniteGroup, w: Word, n_coords: int) -> np.ndarray:
-    """eval_word at every point of K^n_coords, on a grid with one axis per
-    coordinate.
+    """Value of ``w`` at every point of K^n_coords (letters multiply left to
+    right, coordinate i feeds x_i), on a grid with one axis per coordinate.
 
     Coordinate i runs along axis n_coords - i, so on the full grid the
     C-order flat index is the TupleIndex code.  Only the coordinates ``w``
@@ -308,7 +298,6 @@ def weak_limit_check(K: FiniteGroup, m: int, m_cyl: int, j: int, max_points=None
     level = m + m_cyl
     n_coords = m + j + m_cyl
     _check_budget(max_points, f"weak limit over {K.name}^{n_coords}", n, n_coords)
-    pairs = range(m + 1, m + min(j, m_cyl) + 1)
-    swap = permutation_automorphism({**{k: k + j for k in pairs}, **{k + j: k for k in pairs}})
+    swap = _block_swap(m, min(j, m_cyl), j)
     lhs = markov_matrix(K, swap, level, truncation=n_coords, max_points=max_points)
     return lhs == projection_matrix(K, m, level, max_points=max_points)

@@ -9,6 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import autcosets
+from autcosets import cli
 from autcosets.automorphisms import (
     Automorphism,
     Endomorphism,
@@ -27,6 +28,7 @@ from autcosets.automorphisms import (
     random_automorphism,
     verify_inverse_pair,
 )
+from autcosets.ratmat import RationalMatrix
 
 
 def rand_aut(seed: int, length: int, m_fix: int = 0, max_index: int = 5) -> Automorphism:
@@ -407,3 +409,17 @@ def test_equal_automorphisms_hash_equal(a, b, c):
     ]
     for other in others:
         assert other == ab and hash(other) == hash(ab)
+
+
+def test_second_names_are_gone():
+    for owner, names in [
+        (Endomorphism, ("apply", "moved_generators", "__mul__")),
+        (Automorphism, ("apply", "__mul__", "__invert__")),
+        (autcosets, ("identity_endomorphism",)),
+        (autcosets.automorphisms, ("identity_endomorphism",)),
+        (RationalMatrix, ("__mul__", "is_square")),
+        (cli, ("run",)),
+    ]:
+        for name in names:
+            assert not hasattr(owner, name), name
+    assert "identity_endomorphism" not in autcosets.__all__

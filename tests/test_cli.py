@@ -26,6 +26,8 @@ H_JSON = '{"images": {"2": [[2,1],[1,1]]}, "inverse_images": {"2": [[2,1],[1,-1]
 # a swap of x1 and x_(10^9): loads at once, but its block size is 10^9 - m
 FAR_JSON = json.dumps(automorphism_to_dict(nielsen_swap(1, 10**9)))
 
+IDENTITY_JSON = '{"images":{},"inverse_images":{}}'
+
 GOLDEN_COSET = (
     b'{"m":1,"N":1,"rep":{"images":{"1":[[1,1],[2,1]],"2":[[3,1],[1,1],[2,1]],'
     b'"3":[[2,1]]},"inverse_images":{"1":[[1,1],[3,-1]],"2":[[3,1]],'
@@ -323,6 +325,18 @@ def test_unbounded_block_size_exit_1(capsys, argv):
     assert captured.out == ""
     assert captured.err == (
         "error: block size of the coset product: N = 999999999 generators per block, "
+        "over the limit of 10000\n"
+    )
+
+
+def test_order_one_group_past_the_coordinate_limit_exit_1(capsys):
+    start = time.perf_counter()
+    assert main(["rep-matrix", "--group", "c1", "--m", "1000000000", "--g", IDENTITY_JSON]) == 1
+    assert time.perf_counter() - start < 0.5
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: averaging over c1^1000000000 lays out 1000000000 coordinates, "
         "over the limit of 10000\n"
     )
 

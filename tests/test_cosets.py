@@ -21,6 +21,7 @@ from autcosets.automorphisms import (
     nielsen_invert,
     nielsen_right_mult,
     nielsen_swap,
+    permutation_automorphism,
     random_automorphism,
     verify_inverse_pair,
 )
@@ -28,6 +29,7 @@ from autcosets.cosets import (
     MAX_BLOCK_SIZE,
     ConjClassRep,
     DoubleCosetRep,
+    _block_swap,
     _shift_upper_block,
     block_size,
     coset_product,
@@ -42,6 +44,8 @@ from autcosets.cosets import (
     witness_right,
 )
 from autcosets.errors import SizeLimitError, SupportViolation
+from autcosets.groups import builtin_group
+from autcosets.repengine import markov_matrix, projection_matrix, weak_limit_check
 from autcosets.verify import (
     block_size_stable,
     direct_formula_agrees,
@@ -229,6 +233,17 @@ def test_witness_rejects_bad_inputs():
         witness_right(1, 1, moved, e, e)
 
 
+def test_witness_right_rejects_factors_out_of_support():
+    e = identity_automorphism()
+    r = nielsen_invert(2)
+    big = rand_aut(3, 6, m_fix=1, max_index=4)  # support beyond m+n=2
+    assert big.support_bound() > 2
+    with pytest.raises(SupportViolation):
+        witness_right(1, 1, r, big, e)
+    with pytest.raises(SupportViolation):
+        witness_right(1, 1, r, e, big)
+
+
 @given(m_st, st.integers(0, 2), seed_st, len_st, seed_st, len_st)
 @settings(max_examples=40)
 def test_stability_witness_conjugation_identity(m, p, s1, l1, s2, l2):
@@ -371,3 +386,91 @@ def test_coset_laws_fail_on_a_wrong_construction(monkeypatch, law, args, target,
     assert law(*args)
     monkeypatch.setattr(f"autcosets.verify.{target}", lambda *_: wrong)
     assert law(*args) is False
+
+
+# --- block swaps against hand-built oracles -------------------------------
+# Independent references: each builds its images by hand, not through
+# ``_block_swap``.
+
+def oracle_theta(m, j):
+    images = {}
+    for k in range(m + 1, m + j + 1):
+        images[k] = ((k + j, 1),)
+        images[k + j] = ((k, 1),)
+    return Automorphism(images, images)
+
+
+def oracle_stability_swap(m, n, p):
+    swap = {}
+    for t in range(1, p + 1):
+        swap[m + n + t] = m + 2 * n + p + t
+        swap[m + 2 * n + p + t] = m + n + t
+    return permutation_automorphism(swap)
+
+
+def oracle_weak_limit_swap(m, m_cyl, j):
+    pairs = range(m + 1, m + min(j, m_cyl) + 1)
+    return permutation_automorphism({**{k: k + j for k in pairs}, **{k + j: k for k in pairs}})
+
+
+def oracle_shift_upper_block(a, m, n, offset):
+    """Rename m+1..m+n to m+offset+1..m+offset+n in keys and letters alike."""
+
+    def relabel(i):
+        return i + offset if i > m else i
+
+    def relabel_images(e):
+        return {relabel(k): tuple((relabel(g), s) for g, s in w) for k, w in e.images.items()}
+
+    return Automorphism(relabel_images(a.fwd), relabel_images(a.inv))
+
+
+def assert_same_images(got, want):
+    assert got.fwd.images == want.fwd.images
+    assert got.inv.images == want.inv.images
+
+
+@given(st.integers(0, 3), st.integers(0, 5), st.integers(0, 3), seed_st, len_st)
+def test_block_swaps_match_hand_built_oracles(m, n, p, seed, length):
+    assert_same_images(theta(m, n), oracle_theta(m, n))
+
+    a = rand_aut(seed, length, max_index=m + n) if m + n else identity_automorphism()
+    pi, s = stability_witness(m, n, p, a, a)
+    assert_same_images(s, oracle_stability_swap(m, n, p))
+    for offset in (n, 2 * n):
+        shifted = _shift_upper_block(a, m, n, offset)
+        assert_same_images(shifted, oracle_shift_upper_block(a, m, n, offset))
+
+
+@given(st.integers(0, 3), st.integers(0, 3), st.integers(0, 5))
+@settings(max_examples=30)
+def test_weak_limit_swap_matches_hand_built_oracle(m, m_cyl, j):
+    K = builtin_group("c2")
+    seen = []
+
+    def recording_markov(group, g, *args, **kwargs):
+        seen.append(g)
+        return markov_matrix(group, g, *args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr("autcosets.repengine.markov_matrix", recording_markov)
+        holds = weak_limit_check(K, m, m_cyl, j)
+    want = oracle_weak_limit_swap(m, m_cyl, j)
+    [swap] = seen
+    assert_same_images(swap, want)
+    level = m + m_cyl
+    lhs = markov_matrix(K, want, level, truncation=m + j + m_cyl)
+    assert holds == (lhs == projection_matrix(K, m, level))
+
+
+def test_block_swap_refuses_overlapping_blocks():
+    for base, size, offset in [(0, 1, 0), (2, 3, 2), (1, 5, 4)]:
+        with pytest.raises(ValueError, match="overlap"):
+            _block_swap(base, size, offset)
+    assert _block_swap(1, 3, 3) == theta(1, 3)
+
+
+@given(st.integers(0, 5), st.integers(0, 5))
+def test_block_swap_of_size_zero_is_the_identity(base, offset):
+    swap = _block_swap(base, 0, offset)
+    assert swap.is_identity() and swap.inv.is_identity()

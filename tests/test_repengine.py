@@ -27,14 +27,13 @@ from autcosets.automorphisms import (
     random_automorphism,
 )
 from autcosets.cosets import block_size, coset_product, theta, triple_product_disjoint
-from autcosets.errors import SizeLimitError, SupportViolation
+from autcosets.errors import MAX_COORDINATES, SizeLimitError, SupportViolation
 from autcosets.groups import Subgroup, TupleIndex, builtin_group
 from autcosets.ratmat import RationalMatrix
 from autcosets.repengine import (
     action_map,
     compress_to_invariants,
     conjugation_orbits,
-    eval_word,
     markov_matrix,
     projection_matrix,
     weak_limit_check,
@@ -49,6 +48,7 @@ from cylinder_oracle import (
     project_cylinder,
     translate_by_permutation,
 )
+from eval_oracle import eval_word
 
 C2 = builtin_group("c2")
 C3 = builtin_group("c3")
@@ -266,6 +266,27 @@ def test_order_one_group_past_the_numpy_axis_limit():
 
 
 # --- guardrail ----------------------------------------------------------
+
+def test_order_one_group_is_bounded_by_its_coordinates():
+    # c1 has one point at any size, so the point budget cannot bound it
+    C1 = builtin_group("c1")
+    e = identity_automorphism()
+    refusals = [
+        (lambda: markov_matrix(C1, e, MAX_COORDINATES + 1), "averaging over c1^10001"),
+        (lambda: markov_matrix(C1, e, 0, truncation=MAX_COORDINATES + 1), "averaging over c1^10001"),
+        (lambda: action_map(C1, e, MAX_COORDINATES + 1), "action on c1^10001"),
+        (lambda: weak_limit_check(C1, 0, 5000, 5001), "weak limit over c1^10001"),
+    ]
+    for build, layer in refusals:
+        with pytest.raises(SizeLimitError) as exc:
+            build()
+        assert str(exc.value) == f"{layer} lays out 10001 coordinates, over the limit of 10000"
+    one = RationalMatrix.identity(1)
+    assert markov_matrix(C1, e, MAX_COORDINATES) == one
+    assert markov_matrix(C1, e, 0, truncation=MAX_COORDINATES) == one
+    assert action_map(C1, e, MAX_COORDINATES).table.tolist() == [0]
+    assert weak_limit_check(C1, 0, 5000, 5000)
+
 
 def test_size_guardrail():
     g = rand_aut(17, 6)
@@ -622,7 +643,7 @@ def test_weak_limit_bounds_its_output_cells():
 def test_cylinder_functions_are_not_library_api():
     for name in (
         "CylinderFunction", "delta_cylinder", "translate_by_permutation",
-        "cylinder_inner_product", "project_cylinder",
+        "cylinder_inner_product", "project_cylinder", "eval_word",
     ):
         assert not hasattr(autcosets, name)
         assert not hasattr(autcosets.repengine, name)
