@@ -7,13 +7,20 @@ a certified inverse, so invertibility never has to be decided after the fact.
 
 Inverse pairs are verified where data comes in: the public
 ``Automorphism(fwd, inv)`` constructor and ``automorphism_from_dict`` (hence
-every JSON load).  Closed operations -- composition, inversion, the identity,
-Nielsen moves, permutations and random products of moves -- build their
-results from pairs that are already verified, so they preserve the invariant
-by construction and go through the private ``_closed_automorphism``, which
-skips both reduction and verification.  In ``cosets``,
-``product_formula_direct`` and the witnesses build their pairs by
-substitution and verify them, as part of the cross-checks they provide.
+every JSON load), which validate keys and reduce every image first.  Closed
+operations -- composition, inversion, the identity, Nielsen moves,
+permutations and random products of moves -- build their results from pairs
+that are already verified, so they preserve the invariant by construction
+and go through the private ``_closed_automorphism``, which skips both
+reduction and verification.  In ``cosets``, ``product_formula_direct`` and
+the witnesses build their pairs by substitution and verify them, as part of
+the cross-checks they provide; their words are reduced already, so they go
+through the private ``_verified_automorphism``, which verifies without
+re-reducing.
+
+Verification computes one composite, f . g, and stops at its first wrong
+image: free groups of finite rank are Hopfian, so f . g = id forces
+g . f = id (the proof is in ``verify_inverse_pair``).
 
 A composite built by ``compose`` defers its inverse: it keeps its two
 factors and computes the inverse composite the first time ``.inv`` is read.
@@ -122,21 +129,45 @@ def _reduced_endomorphism(images: dict[int, Word]) -> Endomorphism:
 
 def compose_endomorphisms(a: Endomorphism, b: Endomorphism) -> Endomorphism:
     """Endomorphism sending x_i to a(b(x_i))."""
+    a_images = a._images
+    b_images = b._images
     images: dict[int, Word] = {}
-    for key, word in b._images.items():
-        images[key] = substitute(a._images, word)
-    for key, word in a._images.items():
-        if key not in b._images:
+    for key, word in b_images.items():
+        word = substitute(a_images, word)
+        if word != ((key, 1),):
             images[key] = word
-    return _reduced_endomorphism(images)
+    for key, word in a_images.items():
+        if key not in b_images:
+            images[key] = word
+    e = Endomorphism.__new__(Endomorphism)
+    e._images = images
+    e._bound = None
+    return e
 
 
 def verify_inverse_pair(f: Endomorphism, g: Endomorphism) -> bool:
     """True iff f(g(x_i)) = x_i = g(f(x_i)) for every i.
 
-    Both composites are computed on the generators f or g moves, so the cost
-    does not grow with the largest index they mention."""
-    return compose_endomorphisms(f, g).is_identity() and compose_endomorphisms(g, f).is_identity()
+    Only f . g is checked, one generator g moves at a time, stopping at the
+    first mismatch; g . f is never computed.  This decides the two-sided
+    predicate because finitely generated free groups are Hopfian.  Let B be
+    the larger support bound of f and g.  Both maps fix every x_i above B
+    and send F_B = <x_1, ..., x_B> into F_B.  If f . g = id on F_B, then f
+    maps F_B onto F_B; a surjective endomorphism of a Hopfian group is
+    injective, so f is bijective on F_B and g is its inverse there, whence
+    g . f = id on F_B; above B both maps are the identity.
+
+    On a generator g does not move, f . g agrees with f, so f must not move
+    it either.  Both loops run over moved generators only, so the cost does
+    not grow with the largest index the maps mention."""
+    f_images = f._images
+    g_images = g._images
+    if not f_images.keys() <= g_images.keys():
+        return False
+    for key, word in g_images.items():
+        if substitute(f_images, word) != ((key, 1),):
+            return False
+    return True
 
 
 class Automorphism:
@@ -207,6 +238,18 @@ def _closed_automorphism(fwd, inv) -> Automorphism:
     a.fwd = fwd if isinstance(fwd, Endomorphism) else _reduced_endomorphism(fwd)
     a._inv = inv if isinstance(inv, Endomorphism) else _reduced_endomorphism(inv)
     return a
+
+
+def _verified_automorphism(fwd: dict[int, Word], inv: dict[int, Word]) -> Automorphism:
+    """Automorphism from image maps the library built itself, verified.
+
+    For pairs built by substitution: ``fwd`` and ``inv`` map valid generator
+    keys to words that ``substitute`` or ``Endomorphism.image`` returned,
+    hence already reduced, so keys are not re-checked and words are not
+    re-reduced.  The pair is verified as the public constructor verifies
+    it, and a wrong pair raises the same InverseVerificationError.
+    """
+    return Automorphism(_reduced_endomorphism(fwd), _reduced_endomorphism(inv))
 
 
 def _force_inverse(root: Automorphism) -> Endomorphism:
@@ -372,6 +415,7 @@ def automorphism_to_dict(a: Automorphism) -> dict:
 def _endo_from_dict(data, field: str) -> Endomorphism:
     # Keys and letters must be real ints (keys may be digit strings):
     # JSON true/false and floats such as 1.7 are refused, not truncated.
+    # Two keys naming one generator ("1" and "01") are refused, not merged.
     if not isinstance(data, dict):
         raise ValueError(f"{field} must be an object mapping indices to letter lists")
     images: dict[int, list[Letter]] = {}
@@ -379,6 +423,8 @@ def _endo_from_dict(data, field: str) -> Endomorphism:
         if not (type(key) is int or (isinstance(key, str) and key.isascii() and key.isdigit())):
             raise ValueError(f"bad generator key {key!r} in {field}")
         index = int(key)
+        if index in images:
+            raise ValueError(f"generator key {key!r} in {field} names x{index} a second time")
         if not isinstance(letters, (list, tuple)):
             raise ValueError(f"image of x{index} in {field} must be a list of letters")
         word = []

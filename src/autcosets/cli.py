@@ -47,9 +47,22 @@ def _read_payload(spec: str) -> str:
         return fh.read()
 
 
+def _unique_keys(pairs: list) -> dict:
+    """JSON object hook refusing an object that repeats a key, which
+    ``json`` would otherwise resolve silently to the last value."""
+    obj = dict(pairs)
+    if len(obj) != len(pairs):
+        seen = set()
+        for key, _ in pairs:
+            if key in seen:
+                raise ValueError(f"JSON object repeats the key {key!r}")
+            seen.add(key)
+    return obj
+
+
 def _load_json(spec: str):
     try:
-        return json.loads(_read_payload(spec))
+        return json.loads(_read_payload(spec), object_pairs_hook=_unique_keys)
     except RecursionError:
         raise ValueError("JSON input is nested too deeply") from None
 

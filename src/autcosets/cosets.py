@@ -37,6 +37,7 @@ from .automorphisms import (
     Automorphism,
     Endomorphism,
     _closed_automorphism,
+    _verified_automorphism,
     compose,
     identity_automorphism,
     is_in_H,
@@ -184,15 +185,15 @@ def product_formula_direct(m: int, n: int, g: Automorphism, h: Automorphism) -> 
 
     Cross-checks coset_product: for n = block_size(m, g, h) the two agree
     exactly.  The inverse is built from the same pattern with the factors
-    inverted and swapped, and the pair goes through the verifying
-    constructor: that check is part of the cross-check.
+    inverted and swapped, and the pair is verified: that check is part of
+    the cross-check.
     """
     if m < 0 or n < 0:
         raise ValueError("block parameters must be non-negative")
     _require_support(m, n, g, h)
     fwd = _pattern_images(m, n, g.fwd, h.fwd)
     inv = _pattern_images(m, n, h.inv, g.inv)
-    return Automorphism(fwd, inv)
+    return _verified_automorphism(fwd, inv)
 
 
 def witness_left(m: int, n: int, r: Automorphism, g: Automorphism, h: Automorphism) -> Automorphism:
@@ -213,7 +214,7 @@ def witness_left(m: int, n: int, r: Automorphism, g: Automorphism, h: Automorphi
     fwd = {m + n + k: substitute(mapping, r.fwd.image(m + k)) for k in range(1, n + 1)}
     inv = {m + n + k: substitute(mapping, r.inv.image(m + k)) for k in range(1, n + 1)}
     # built by substitution rather than composition, so the pair is verified
-    return Automorphism(fwd, inv)
+    return _verified_automorphism(fwd, inv)
 
 
 def witness_right(m: int, n: int, q: Automorphism, g: Automorphism, h: Automorphism) -> Automorphism:
@@ -224,9 +225,11 @@ def witness_right(m: int, n: int, q: Automorphism, g: Automorphism, h: Automorph
 
     Obtained from witness_left by passing to inverses: q_tri is the left
     witness of q^-1 against the pair (h^-1, g^-1), so it depends only on q
-    and h.  The left witness checks q^-1, h^-1 and g^-1, which fix x_1..x_m
-    and fit in 1..m+n exactly when q, h and g do."""
-    return witness_left(m, n, q.inverse(), h.inverse(), g.inverse())
+    and h.  The left witness checks that q^-1 fixes x_1..x_m and that its
+    three arguments fit in 1..m+n; an inverse has the support bound of its
+    map, and the last argument enters only that check, so g is passed in
+    place of g^-1 and a composite g's deferred inverse is not forced."""
+    return witness_left(m, n, q.inverse(), h.inverse(), g)
 
 
 def stability_witness(

@@ -288,6 +288,24 @@ def test_json_int_keys_still_load():
     assert automorphism_from_dict(doc) == nielsen_invert(1)
 
 
+@pytest.mark.parametrize(
+    "images",
+    [
+        # "01" used to overwrite "1", and the pair loaded as the identity
+        {"1": [[1, -1]], "01": [[1, 1]]},
+        {1: [[1, -1]], "1": [[1, -1]]},
+        {"2": [[2, -1]], "002": [[2, -1]]},
+    ],
+)
+def test_json_refuses_two_keys_for_one_generator(images):
+    for doc in (
+        {"images": images, "inverse_images": {}},
+        {"images": {}, "inverse_images": images},
+    ):
+        with pytest.raises(ValueError, match="a second time"):
+            automorphism_from_dict(doc)
+
+
 def test_equality_and_hash():
     a = nielsen_right_mult(1, 2)
     b = Automorphism({1: [(1, 1), (2, 1)]}, {1: [(1, 1), (2, -1)]})

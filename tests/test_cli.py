@@ -227,6 +227,24 @@ def test_non_integer_letters_exit_1(capsys):
     assert captured.err.startswith("error:") and captured.err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "g, message",
+    [
+        ('{"images": {"1": [[1,-1]], "01": [[1,1]]}, "inverse_images": {}}', "a second time"),
+        ('{"images": {"1": [[1,-1]], "1": [[1,1]]}, "inverse_images": {}}', "repeats the key '1'"),
+        ('{"images": {}, "inverse_images": {}, "images": {}}', "repeats the key 'images'"),
+    ],
+)
+def test_repeated_json_keys_exit_1(capsys, g, message):
+    assert main(["compose", "--g", g, "--h", IDENTITY_JSON]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+    assert message in captured.err
+    assert main(["tuple-product", "--m", "1", "--gs", f"[{g}]", "--hs", f"[{IDENTITY_JSON}]"]) == 1
+    assert message in capsys.readouterr().err
+
+
 def test_non_inverse_pair_exit_1(capsys):
     bad = '{"images": {"1": [[1,1],[2,1]]}, "inverse_images": {"1": [[2,-1],[1,1]]}}'
     for argv in (
