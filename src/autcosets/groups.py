@@ -64,7 +64,7 @@ class FiniteGroup:
     numpy arrays for bulk evaluation.
     """
 
-    __slots__ = ("name", "order", "mul", "inv", "identity", "mul_np", "inv_np")
+    __slots__ = ("name", "order", "mul", "inv", "identity", "mul_np", "inv_np", "_hash", "__weakref__")
 
     def __init__(self, mul: Sequence[Sequence[int]], identity: int = 0, name: str | None = None):
         mul = tuple(mul)
@@ -106,6 +106,8 @@ class FiniteGroup:
         inv_np.setflags(write=False)
         self.mul_np = arr
         self.inv_np = inv_np
+        # hashed once: groups key the orbit cache, and the table is n^2 cells
+        self._hash = hash((table, self.identity))
 
     def conjugate(self, u: int, k: int) -> int:
         """u * k * u^-1."""
@@ -117,7 +119,7 @@ class FiniteGroup:
         return self.mul == other.mul and self.identity == other.identity
 
     def __hash__(self):
-        return hash((self.mul, self.identity))
+        return self._hash
 
     def __repr__(self):
         return f"FiniteGroup({self.name!r}, order={self.order})"

@@ -49,6 +49,22 @@ def int_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return a.astype(object) @ b.astype(object)
 
 
+class _FractionStrings(dict):
+    """str(Fraction(p, den)) for numerators p, formatted on first lookup."""
+
+    __slots__ = ("den",)
+
+    def __init__(self, den: int):
+        super().__init__()
+        self.den = den
+
+    def __missing__(self, p: int) -> str:
+        g = math.gcd(p, self.den)
+        text = str(p // g) if g == self.den else f"{p // g}/{self.den // g}"
+        self[p] = text
+        return text
+
+
 class RationalMatrix:
     """Immutable matrix of exact rationals supporting exact product and
     equality.  Entries may be given as Fraction, int, or "p/q" strings;
@@ -156,13 +172,12 @@ class RationalMatrix:
         return bool((num.sum(axis=1) == self.den).all() and (num.sum(axis=0) == self.den).all())
 
     def to_strings(self) -> list[list[str]]:
-        """Entries in lowest terms as 'p/q' (or 'p') strings, row by row."""
-        num = self.num if self.den <= INT64_MAX else self.num.astype(object)
-        g = np.gcd(num, self.den)
-        return [
-            [str(p) if q == 1 else f"{p}/{q}" for p, q in zip(prow, qrow)]
-            for prow, qrow in zip((num // g).tolist(), (self.den // g).tolist())
-        ]
+        """Entries in lowest terms as 'p/q' (or 'p') strings, row by row.
+
+        Every entry shares the denominator, so each distinct numerator is
+        formatted once and looked up for the cells that repeat it."""
+        table = _FractionStrings(self.den)
+        return [list(map(table.__getitem__, row)) for row in self.num.tolist()]
 
     @classmethod
     def from_strings(cls, rows: Iterable[Iterable[str]]) -> "RationalMatrix":

@@ -21,9 +21,19 @@ x_1..x_m actually read, and the other coordinates cancel from the exact
 fraction.  ``weak_limit_check`` compares two such matrices.  The point
 budget still counts the n^N points requested, and every output matrix
 counts its cells against the same budget.
+
+``compress_to_invariants`` averages a matrix over the orbits of a subgroup
+U acting on K^m by conjugation.  What it needs of U (the point permutations
+of a generating set, the orbit representatives, the points grouped by
+orbit) is built once per (K, U, m) by ``_orbit_structure`` and kept in a
+cache of fixed size that holds K by a weak reference; commutation is
+checked on the generators, and columns are summed by orbit.
 """
 
 from __future__ import annotations
+
+import functools
+import weakref
 
 import numpy as np
 
@@ -31,8 +41,8 @@ from .automorphisms import Automorphism
 from .cosets import _block_swap
 from .errors import DEFAULT_MAX_POINTS, MAX_COORDINATES, SizeLimitError, SupportViolation
 from .groups import FiniteGroup, Subgroup, TupleIndex
-from .ratmat import RationalMatrix, int_matmul
-from .words import Word, generator_word
+from .ratmat import INT64_MAX, RationalMatrix, _absmax
+from .words import Word
 
 
 def _check_budget(max_points, layer: str, n: int, exp: int, cells: bool = False) -> None:
@@ -178,7 +188,8 @@ def markov_matrix(
     _check_budget(max_points, f"averaging over {K.name}^{n_coords}", n, n_coords)
     _check_budget(max_points, f"markov_matrix on {K.name}^{m}", n, m, cells=True)
     dim = n ** m
-    rows = _grid_code(K, [generator_word(i) for i in range(1, m + 1)], m)
+    # the row of a point is the code of its first m coordinates
+    rows = np.arange(dim, dtype=np.int64).reshape((n,) * m if n > 1 else ())
     key = rows * dim + _grid_code(K, [g.image(i) for i in range(1, m + 1)], n_coords)
     counts = np.bincount(key.ravel(), minlength=dim * dim).reshape(dim, dim)
     return RationalMatrix.from_numerators(counts, key.size // dim)
@@ -212,17 +223,60 @@ def _members(K: FiniteGroup, u) -> tuple[int, ...]:
     return u.members if isinstance(u, Subgroup) else Subgroup(K, u).members
 
 
-def _orbit_ids(perms: list[np.ndarray], dim: int) -> tuple[np.ndarray, np.ndarray]:
-    """Orbit id of every point, orbits numbered by their smallest point, and
-    those smallest points.
+def _generators(K: FiniteGroup, members: tuple[int, ...]) -> tuple[int, ...]:
+    """A generating set of the subgroup ``members``, ascending: each
+    generator is the smallest member not yet generated, so each at least
+    doubles what is generated and there are at most log2|U| of them."""
+    reached = {K.identity}
+    gens: list[int] = []
+    for elem in members:
+        if elem in reached:
+            continue
+        gens.append(elem)
+        frontier = list(reached)
+        while frontier:
+            new = {K.mul[a][b] for a in frontier for b in gens} - reached
+            reached |= new
+            frontier = list(new)
+    return tuple(gens)
 
-    ``perms`` are the point permutations of the non-unit elements of a whole
-    subgroup, so the orbit of p is p together with its images under them."""
+
+@functools.lru_cache(maxsize=16)
+def _orbit_structure(group: weakref.ref, members: tuple[int, ...], m: int):
+    """Conjugation orbits of the subgroup ``members`` on K^m, built once per
+    (K, U, m): (gens, perms, reps, order, starts), the arrays read-only.
+
+    ``gens`` is the generating set of ``_generators`` and ``perms`` their
+    point permutations, ``reps`` the smallest point of each orbit
+    (ascending), ``order`` the points grouped by orbit in the order of
+    ``reps`` (ascending within an orbit), and ``starts`` the offset of each
+    orbit in ``order``.  An entry holds O(log|U| * n^m) integers, and the
+    cache keeps a fixed number of them.  K is keyed by a weak reference,
+    which compares and hashes as K while K lives, so the cache never keeps
+    a group's n^2 table alive."""
+    K = group()
+    dim = K.order ** m
+    gens = _generators(K, members)
+    perms = tuple(_conjugation_perm(K, elem, m) for elem in gens)
+    # the smallest point of each orbit, by pulling the minimum along the
+    # generators until it settles: U is finite, so forward images reach the orbit
     first = np.arange(dim, dtype=np.int64)
-    for perm in perms:
-        np.minimum(first, perm, out=first)
-    reps, orbit_of = np.unique(first, return_inverse=True)
-    return orbit_of, reps
+    while True:
+        pulled = first
+        for perm in perms:
+            pulled = np.minimum(pulled, pulled[perm])
+        if np.array_equal(pulled, first):
+            break
+        first = pulled
+    is_rep = first == np.arange(dim)
+    reps = np.flatnonzero(is_rep)
+    orbit_of = (np.cumsum(is_rep) - 1)[first]
+    # a stable sort keeps each orbit's points ascending
+    order = np.argsort(orbit_of, kind="stable")
+    starts = np.concatenate(([0], np.cumsum(np.bincount(orbit_of))[:-1]))
+    for arr in perms + (reps, order, starts):
+        arr.setflags(write=False)
+    return gens, perms, reps, order, starts
 
 
 def conjugation_orbits(K: FiniteGroup, u, m: int, max_points=None):
@@ -234,25 +288,34 @@ def conjugation_orbits(K: FiniteGroup, u, m: int, max_points=None):
     """
     members = _members(K, u)
     _check_budget(max_points, f"orbits on {K.name}^{m}", K.order, m)
-    dim = K.order ** m
-    perms = [_conjugation_perm(K, elem, m) for elem in members if elem != K.identity]
-    orbit_of = _orbit_ids(perms, dim)[0]
-    # a stable sort keeps each orbit's points ascending
-    by_orbit = np.split(np.argsort(orbit_of, kind="stable"), np.cumsum(np.bincount(orbit_of))[:-1])
-    return orbit_of.tolist(), [tuple(points.tolist()) for points in by_orbit]
+    # built but not cached: n^m may reach the point budget here, so an entry
+    # could outweigh what compression ever caches
+    *_, reps, order, starts = _orbit_structure.__wrapped__(weakref.ref(K), members, m)
+    orbit_of = np.empty(len(order), dtype=np.int64)
+    orbit_of[order] = np.repeat(np.arange(len(reps)), np.diff(starts, append=len(order)))
+    return orbit_of.tolist(), [tuple(points.tolist()) for points in np.split(order, starts[1:])]
 
 
 def compress_to_invariants(K: FiniteGroup, u, m: int, matrix: RationalMatrix, max_points=None) -> RationalMatrix:
     """Compress a K^m operator matrix onto U-conjugation orbit averages.
 
     Requires the matrix to commute with the conjugation permutation of every
-    element of U (ValueError otherwise).  The compressed matrix has one
-    row/column per orbit, C[s][t] = (1/|orbit_s|) * sum of entries over
-    orbit_s x orbit_t; the identity compresses to the identity and matrix
-    products of commuting matrices are preserved.
+    element of U (ValueError naming the first member that fails otherwise).
+    The compressed matrix has one row/column per orbit, C[s][t] =
+    (1/|orbit_s|) * sum of entries over orbit_s x orbit_t; the identity
+    compresses to the identity and matrix products of commuting matrices are
+    preserved.
+
+    Commutation is checked on a generating set of U only: commuting with P_a
+    and P_b implies commuting with P_ab, and every member of a finite U is a
+    product of generators.  The first generator that fails is the first
+    member that fails: the members that commute form a subgroup, which holds
+    every member below the first failing one, so the greedy generators below
+    it generate no failing member, and it is the next generator.
 
     Commuting means M[u.a][u.b] = M[a][b], so every row of orbit_s has the same
-    sum over orbit_t: C[s][t] is that sum in the row of orbit_s's smallest point.
+    sum over orbit_t: C[s][t] is that sum in the row of orbit_s's smallest
+    point, taken by ``np.add.reduceat`` over the columns grouped by orbit.
     """
     members = _members(K, u)
     _check_budget(max_points, f"compression on {K.name}^{m}", K.order, m)
@@ -261,17 +324,15 @@ def compress_to_invariants(K: FiniteGroup, u, m: int, matrix: RationalMatrix, ma
     if not (matrix.rows == dim and matrix.cols == dim):
         raise ValueError(f"matrix must be {dim}x{dim} for m={m}, got {matrix.rows}x{matrix.cols}")
     num = matrix.num
-    perms = []
-    for elem in members:
-        if elem == K.identity:
-            continue
-        perm = _conjugation_perm(K, elem, m)
-        if not np.array_equal(num[perm][:, perm], num):
+    gens, perms, reps, order, starts = _orbit_structure(weakref.ref(K), members, m)
+    for elem, perm in zip(gens, perms):
+        if not np.array_equal(num[perm[:, None], perm], num):
             raise ValueError(f"matrix does not commute with conjugation by element {elem}")
-        perms.append(perm)
-    orbit_of, reps = _orbit_ids(perms, dim)
-    indicator = np.eye(len(reps), dtype=np.int64)[orbit_of]
-    return RationalMatrix.from_numerators(int_matmul(num[reps], indicator), matrix.den)
+    block = num[reps[:, None], order]
+    # a sum of at most dim entries stays in int64 when max|x| * dim does
+    if block.dtype != object and _absmax(block) * dim > INT64_MAX:
+        block = block.astype(object)
+    return RationalMatrix.from_numerators(np.add.reduceat(block, starts, axis=1), matrix.den)
 
 
 def weak_limit_check(K: FiniteGroup, m: int, m_cyl: int, j: int, max_points=None) -> bool:

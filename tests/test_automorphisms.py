@@ -121,7 +121,7 @@ def test_verification_rejects_wrong_inverse():
         automorphism_from_dict(
             {"images": {"1": [[1, 1], [2, 1]]}, "inverse_images": {"1": [[2, -1], [1, 1]]}}
         )
-    # one-sided check is not enough: x1 -> x1 x2 against x1 -> x2^-1 x1
+    # x1 -> x1 x2 against x1 -> x2^-1 x1 already fails f∘g: f(g(x1)) = x2^-1 x1 x2
     assert not verify_inverse_pair(
         Endomorphism({1: [(1, 1), (2, 1)]}), Endomorphism({1: [(2, -1), (1, 1)]})
     )

@@ -1,10 +1,12 @@
-"""Command-line interface.  The three documented invocations are pinned as
+"""Command-line interface.  The three documented invocations, and two
+compressed ``rep-matrix --u`` outputs by their SHA-256, are pinned as
 byte-for-byte golden outputs via subprocess; the remaining coverage drives
 ``main`` in-process for speed."""
 
 from __future__ import annotations
 
 import contextlib
+import hashlib
 import io
 import json
 import subprocess
@@ -89,6 +91,28 @@ def test_stdin_input(pair_files):
     )
     assert proc.returncode == 0
     assert proc.stdout == GOLDEN_MATRIX
+
+
+# an automorphism moving x1..x3 with support 4, so m = 3 averages over x4
+S3_M3_JSON = (
+    '{"images":{"1":[[1,1],[2,1]],"2":[[2,-1],[3,1],[4,1]],"3":[[3,1],[4,1]]},'
+    '"inverse_images":{"1":[[1,1],[2,1],[3,-1]],"2":[[3,1],[2,-1]],"3":[[3,1],[4,-1]]}}'
+)
+
+
+@pytest.mark.parametrize(
+    "members, sha256",
+    [
+        ("0,1,2,3,4,5", "4a5f6543548a73c8e0872ed9a9d4ed4a98a9098cee365960e105656e7f02fd66"),
+        ("0,3,4", "56014e27cee0e914be88ceda9af5ed3a2308ad4f1a3ddb97c29d7508c268615d"),
+    ],
+)
+def test_golden_compressed_rep_matrix(members, sha256):
+    """216x216 matrices over s3 compressed onto the conjugation orbits of
+    the whole group and of its rotations."""
+    proc = run_cli("rep-matrix", "--group", "s3", "--m", "3", "--g", S3_M3_JSON, "--u", members)
+    assert proc.returncode == 0
+    assert hashlib.sha256(proc.stdout).hexdigest() == sha256
 
 
 # --- in-process coverage --------------------------------------------------

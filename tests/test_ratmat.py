@@ -105,6 +105,41 @@ def test_string_roundtrip():
     assert RationalMatrix.from_strings(strings) == a
 
 
+def assert_strings_match_fractions(num, den):
+    mat = RationalMatrix.from_numerators(num, den)
+    want = [[str(Fraction(int(p), den)) for p in row] for row in num]
+    assert mat.to_strings() == want
+    return mat
+
+
+@given(
+    st.integers(1, 6),
+    st.integers(1, 6),
+    st.integers(1, 2**40),
+    st.integers(0, 2**32),
+)
+def test_to_strings_matches_fraction_oracle(rows, cols, den, seed):
+    """Negative, zero and repeated numerators, each cell formatted as
+    str(Fraction(p, den)) would."""
+    rng = np.random.default_rng(seed)
+    num = rng.integers(-(2**62), 2**62, size=(rows, cols))
+    num[rng.random((rows, cols)) < 0.3] = 0
+    num[rng.random((rows, cols)) < 0.3] = den
+    assert_strings_match_fractions(num, den)
+    assert_strings_match_fractions(rng.integers(-3, 4, size=(rows, cols)), den)
+
+
+def test_to_strings_of_one_cell_and_beyond_int64():
+    for p, den in [(0, 7), (-6, 4), (5, 1), (-(2**63), 3)]:
+        assert_strings_match_fractions(np.array([[p]], dtype=object), den)
+    den = 2**65 + 1
+    num = np.array(
+        [[1, -(2**70), 0, 3 * den], [2**64 + 3, -1, -(2**70), 2**63]], dtype=object
+    )
+    mat = assert_strings_match_fractions(num, den)
+    assert mat.den > 2**63 and mat.num.dtype == object
+
+
 # --- integer numerators over one denominator ------------------------------
 
 big_fraction_st = st.builds(

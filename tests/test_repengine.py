@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import weakref
 from fractions import Fraction
 
 import numpy as np
@@ -500,6 +501,127 @@ def test_subgroup_of_another_group_is_refused():
     assert again is not S3
     assert conjugation_orbits(again, whole_s3, 1) == conjugation_orbits(S3, whole_s3, 1)
     assert compress_to_invariants(again, whole_s3, 1, RationalMatrix.identity(6)).rows == 3
+
+
+def invariant_matrix(K, u, m, rng, scale):
+    """A sum of P_u R P_u^T over U for a random integer R: U-invariant."""
+    dim = K.order**m
+    r = np.array([[rng.randint(-scale, scale) for _ in range(dim)] for _ in range(dim)], dtype=object)
+    return sum(r[np.ix_(perm, perm)] for perm in reference_orbits(K, u.members, m)[1])
+
+
+@pytest.mark.parametrize("name", ["c3", "s3", "q8", "d8"])
+@given(st.integers(0, 2), st.integers(0, 2), st.integers(0, 2**32), st.integers(-3, 3))
+@settings(max_examples=15, deadline=None)
+def test_compression_of_perturbed_matrices_matches_reference(name, m, which, seed, delta):
+    """Commutation is checked on generators only: a matrix that fails for
+    some member must still be refused, naming the member the full scan of
+    the reference names first."""
+    K = builtin_group(name)
+    # element 3 has order 3 in s3 and 4 in q8 and d8, and is not central
+    cyclic = cyclic_subgroup(K, 1 if name == "c3" else 3)
+    u = [Subgroup.whole(K), Subgroup.trivial(K), cyclic][which]
+    rng = random.Random(seed)
+    num = invariant_matrix(K, u, m, rng, 5)
+    dim = K.order**m
+    num[rng.randrange(dim), rng.randrange(dim)] += delta
+    mat = RationalMatrix.from_numerators(num, 3)
+    try:
+        want = reference_compress(K, u.members, m, mat)
+    except ValueError as err:
+        with pytest.raises(ValueError) as got:
+            compress_to_invariants(K, u, m, mat)
+        assert str(got.value) == str(err)
+    else:
+        assert compress_to_invariants(K, u, m, mat) == want
+
+
+@pytest.mark.parametrize("name", ["s3", "q8", "d8"])
+def test_every_single_cell_perturbation_is_refused_like_reference(name):
+    """Some cells break commutation with a later generator only (in s3,
+    a cell on the centralizer of element 1 fails first at element 2)."""
+    K = builtin_group(name)
+    dim = K.order
+    for u in (Subgroup.whole(K), cyclic_subgroup(K, 3)):
+        for cell in range(dim * dim):
+            num = np.eye(dim, dtype=np.int64)
+            num.flat[cell] += 1
+            mat = RationalMatrix.from_numerators(num)
+            try:
+                want = reference_compress(K, u.members, 1, mat)
+            except ValueError as err:
+                with pytest.raises(ValueError) as got:
+                    compress_to_invariants(K, u, 1, mat)
+                assert str(got.value) == str(err)
+            else:
+                assert compress_to_invariants(K, u, 1, mat) == want
+
+
+def count_conjugation_perms(monkeypatch):
+    built = []
+    real = autcosets.repengine._conjugation_perm
+
+    def counting(K, u, m):
+        built.append(u)
+        return real(K, u, m)
+
+    monkeypatch.setattr(autcosets.repengine, "_conjugation_perm", counting)
+    return built
+
+
+def test_orbit_structure_is_built_once_per_group_subgroup_and_m(monkeypatch):
+    Q8 = builtin_group("q8")
+    whole = Subgroup.whole(Q8)
+    mat = markov_matrix(Q8, rand_aut(5, 6, max_index=3), 2)
+    autcosets.repengine._orbit_structure.cache_clear()
+    built = count_conjugation_perms(monkeypatch)
+    first = compress_to_invariants(Q8, whole, 2, mat)
+    # generators only: at most log2|U| permutations, never one per member
+    assert 0 < len(built) <= 3
+    del built[:]
+    assert compress_to_invariants(Q8, whole, 2, mat) == first
+    assert compress_to_invariants(builtin_group("q8"), Subgroup.whole(Q8), 2, mat) == first
+    assert built == []
+    compress_to_invariants(Q8, whole, 1, markov_matrix(Q8, rand_aut(5, 6, max_index=3), 1))
+    assert built != []
+
+
+def test_cached_orbit_structure_is_read_only_and_linear_in_the_points():
+    D8 = builtin_group("d8")
+    compress_to_invariants(D8, Subgroup.whole(D8), 2, RationalMatrix.identity(64))
+    gens, perms, reps, order, starts = autcosets.repengine._orbit_structure(
+        weakref.ref(D8), Subgroup.whole(D8).members, 2
+    )
+    assert len(gens) == len(perms) <= 3
+    for arr in perms + (reps, order, starts):
+        assert arr.size <= 64
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0] = 1
+    assert autcosets.repengine._orbit_structure.cache_info().maxsize is not None
+
+
+def test_orbit_cache_keeps_no_group_alive():
+    K = builtin_group("c7")
+    alive = weakref.ref(K)
+    compress_to_invariants(K, Subgroup.whole(K), 2, RationalMatrix.identity(49))
+    del K
+    assert alive() is None
+
+
+def test_equal_groups_built_apart_compress_alike():
+    from autcosets.groups import group_from_dict, group_to_dict
+
+    again = group_from_dict(group_to_dict(S3))
+    assert again is not S3 and again == S3 and hash(again) == hash(S3)
+    g = rand_aut(11, 6, max_index=3)
+    for m in (1, 2):
+        mat = markov_matrix(S3, g, m)
+        for members in ([0, 1, 2, 3, 4, 5], [0, 3, 4]):
+            want = compress_to_invariants(S3, Subgroup(S3, members), m, mat)
+            got = compress_to_invariants(again, Subgroup(again, members), m, mat)
+            assert got == want
+            assert got.to_strings() == want.to_strings()
 
 
 # --- cylinder functions -------------------------------------------------
