@@ -4,7 +4,7 @@ mixed-radix indexing of the points of K^d."""
 from __future__ import annotations
 
 import itertools
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -25,63 +25,94 @@ def _check_table_cells(label: str, n: int) -> None:
         )
 
 
+def _integer_table(rows: tuple) -> np.ndarray | None:
+    """``rows`` as one integer array, or None if they are ragged or hold an
+    integer beyond 64 bits.  The first entry in row-major order that is not
+    an integer (a bool, float, string, ...) is refused by name."""
+    try:
+        arr = np.array(rows)
+    except ValueError:  # ragged rows
+        arr = None
+    if arr is None or arr.ndim != 2 or arr.dtype.kind not in "iu":
+        # integer types numpy does not know come back as ints
+        rows = [[_integer(x, "'mul' entry") for x in row] for row in rows]
+        try:
+            arr = np.array(rows)
+        except ValueError:
+            return None
+        return arr if arr.dtype.kind in "iu" else None
+    # numpy reads a bool among ints as 0 or 1, so only those cells can hold one
+    for r, c in np.argwhere((arr == 0) | (arr == 1)).tolist():
+        _integer(rows[r][c], "'mul' entry")
+    return arr
+
+
+def _greedy_generators(mul: np.ndarray, identity: int, members) -> Iterator[int]:
+    """Generators, ascending, of the subgroup ``members`` (given ascending)
+    of the table ``mul``: each is the smallest member not yet reached from
+    the unit by right multiplication with the ones before it.  Each is
+    yielded before it is used, so a caller may test it first.  In a group
+    each at least doubles what is reached, so there are at most
+    log2|members| of them.  Only one column of ``mul`` per generator is
+    read, so a large table stays in numpy."""
+    reached = {identity}
+    columns: list[list[int]] = []  # the column of a maps x to x*a
+    for a in members:
+        if a in reached:
+            continue
+        yield a
+        columns.append(mul[:, a].tolist())
+        frontier = list(reached)
+        while frontier:
+            new = {col[x] for x in frontier for col in columns} - reached
+            reached |= new
+            frontier = list(new)
+
+
 def _check_associative(arr: np.ndarray, identity: int) -> None:
     """Light's associativity test (Clifford & Preston 1961, section 1.2) on a
     table with a two-sided identity and two-sided inverses.
 
     The elements a with (xa)y = x(ay) for all x, y are closed under products,
-    so it suffices to test generators.  Each generator is the smallest element
-    not yet reached, and what is reached is closed under right multiplication
-    by the generators.  In a group that is a subgroup, which each new
-    generator at least doubles: needing more than log2(n) generators proves
-    the table is not associative.  O(n^2 log n) in all."""
+    so it suffices to test the greedy generators: what they reach is built
+    from them by products.  In a group that is a subgroup, so needing more
+    than log2(n) generators proves the table is not associative.
+    O(n^2 log n) in all."""
     n = len(arr)
-    reached = np.zeros(n, dtype=bool)
-    reached[identity] = True
-    gens: list[int] = []
-    while not reached.all():
-        a = int(np.argmin(reached))
+    for count, a in enumerate(_greedy_generators(arr, identity, range(n))):
         # arr[arr[:, a]][x, y] = (xa)y,  arr[:, arr[a]][x, y] = x(ay)
-        if len(gens) == (n.bit_length() - 1) or not np.array_equal(arr[arr[:, a]], arr[:, arr[a]]):
+        if count == n.bit_length() - 1 or not np.array_equal(arr[arr[:, a]], arr[:, arr[a]]):
             raise GroupAxiomError("multiplication table is not associative")
-        gens.append(a)
-        frontier = np.flatnonzero(reached)
-        while frontier.size:
-            hit = np.zeros(n, dtype=bool)
-            hit[arr[np.ix_(frontier, gens)]] = True
-            frontier = np.flatnonzero(hit & ~reached)
-            reached[frontier] = True
 
 
 class FiniteGroup:
     """Group on elements 0..order-1 defined by a full multiplication table.
 
-    ``mul[a][b]`` is the product a*b.  The table is checked on construction:
-    its n^2 cells against the point budget, then a two-sided identity, a
-    unique two-sided inverse per element, and associativity by Light's test.
-    Table entries and the unit must be integers (``bool``, floats and strings
-    are refused).  ``mul_np``/``inv_np`` expose the same data as read-only
-    numpy arrays for bulk evaluation.
+    The table is checked on construction: its n^2 cells against the point
+    budget, then a two-sided identity, a unique two-sided inverse per
+    element, and associativity by Light's test.  Table entries and the unit
+    must be integers (``bool``, floats and strings are refused).  The table
+    is stored once, as the read-only int32 arrays ``mul_np`` (``mul_np[a, b]``
+    is the product a*b) and ``inv_np``; ``mul`` and ``inv`` build tuples of
+    the same data on demand.
     """
 
-    __slots__ = ("name", "order", "mul", "inv", "identity", "mul_np", "inv_np", "_hash", "__weakref__")
+    __slots__ = ("name", "order", "identity", "mul_np", "inv_np", "_hash", "__weakref__")
 
     def __init__(self, mul: Sequence[Sequence[int]], identity: int = 0, name: str | None = None):
         mul = tuple(mul)
         n = len(mul)
         _check_table_cells(f"group of order {n}", n)
-        table = tuple(
-            tuple(x if type(x) is int else _integer(x, "'mul' entry") for x in row) for row in mul
-        )
+        arr = _integer_table(mul)
         identity = _integer(identity, "'unit'")
         if n == 0:
             raise GroupAxiomError("empty multiplication table")
-        for row in table:
-            if len(row) != n or any(x < 0 or x >= n for x in row):
-                raise GroupAxiomError("multiplication table must be square over 0..n-1")
+        # range-checked before the cast, so no entry wraps around in int32
+        if arr is None or arr.shape != (n, n) or arr.min() < 0 or arr.max() >= n:
+            raise GroupAxiomError("multiplication table must be square over 0..n-1")
         if not 0 <= identity < n:
             raise GroupAxiomError(f"unit {identity} out of range")
-        arr = np.array(table, dtype=np.int32)
+        arr = arr.astype(np.int32)
         rng = np.arange(n, dtype=np.int32)
         if not (np.array_equal(arr[identity], rng) and np.array_equal(arr[:, identity], rng)):
             raise GroupAxiomError("designated unit is not a two-sided identity")
@@ -92,31 +123,38 @@ class FiniteGroup:
             a = int(np.flatnonzero(bad)[0])
             raise GroupAxiomError(f"element {a} lacks a unique two-sided inverse")
         _check_associative(arr, identity)
-        self._fill(table, arr, tuple(inv.tolist()), identity, name)
+        self._fill(arr, inv.astype(np.int32), identity, name)
 
-    def _fill(self, table: tuple, arr: np.ndarray, inv: tuple, identity: int, name) -> None:
-        """Set the attributes from a table known to satisfy the axioms."""
-        self.mul = table
-        self.inv = inv
-        self.identity = int(identity)
-        self.order = len(table)
-        self.name = name or f"group{self.order}"
+    def _fill(self, arr: np.ndarray, inv: np.ndarray, identity: int, name) -> None:
+        """Set the attributes from an int32 table known to satisfy the axioms."""
         arr.setflags(write=False)
-        inv_np = np.array(inv, dtype=np.int32)
-        inv_np.setflags(write=False)
+        inv.setflags(write=False)
         self.mul_np = arr
-        self.inv_np = inv_np
+        self.inv_np = inv
+        self.identity = int(identity)
+        self.order = len(arr)
+        self.name = name or f"group{self.order}"
         # hashed once: groups key the orbit cache, and the table is n^2 cells
-        self._hash = hash((table, self.identity))
+        self._hash = hash(arr.tobytes())
+
+    @property
+    def mul(self) -> tuple[tuple[int, ...], ...]:
+        """The table as a tuple of row tuples, built on each read."""
+        return tuple(map(tuple, self.mul_np.tolist()))
+
+    @property
+    def inv(self) -> tuple[int, ...]:
+        return tuple(self.inv_np.tolist())
 
     def conjugate(self, u: int, k: int) -> int:
         """u * k * u^-1."""
-        return self.mul[self.mul[u][k]][self.inv[u]]
+        return int(self.mul_np[self.mul_np[u, k], self.inv_np[u]])
 
     def __eq__(self, other):
         if not isinstance(other, FiniteGroup):
             return NotImplemented
-        return self.mul == other.mul and self.identity == other.identity
+        # the table determines the unit
+        return self is other or np.array_equal(self.mul_np, other.mul_np)
 
     def __hash__(self):
         return self._hash
@@ -132,18 +170,22 @@ class Subgroup:
     __slots__ = ("parent", "members")
 
     def __init__(self, parent: FiniteGroup, members: Iterable[int]):
-        mem = sorted({int(x) for x in members})
-        if any(x < 0 or x >= parent.order for x in mem):
+        mem = sorted({_integer(x, "subgroup member") for x in members})
+        if mem and (mem[0] < 0 or mem[-1] >= parent.order):
             raise GroupAxiomError("subgroup members out of range")
         if parent.identity not in mem:
             raise GroupAxiomError("subgroup must contain the unit")
-        member_set = set(mem)
-        for a in mem:
-            if parent.inv[a] not in member_set:
-                raise GroupAxiomError(f"subgroup not closed under inverse at {a}")
-            for b in mem:
-                if parent.mul[a][b] not in member_set:
-                    raise GroupAxiomError(f"subgroup not closed under product at ({a}, {b})")
+        idx = np.array(mem)
+        inside = np.zeros(parent.order, dtype=bool)
+        inside[idx] = True
+        # row a: the inverse of a, then a*b for each member b, checked in this order
+        checks = (parent.inv_np[idx, None], parent.mul_np[idx[:, None], idx])
+        closed = inside[np.concatenate(checks, axis=1)]
+        if not closed.all():
+            a, b = divmod(int(closed.argmin()), len(mem) + 1)
+            if b == 0:
+                raise GroupAxiomError(f"subgroup not closed under inverse at {mem[a]}")
+            raise GroupAxiomError(f"subgroup not closed under product at ({mem[a]}, {mem[b - 1]})")
         self.parent = parent
         self.members = tuple(mem)
 
@@ -185,48 +227,19 @@ def _symmetric3() -> FiniteGroup:
 
 
 def _dihedral8() -> FiniteGroup:
-    rot = (1, 2, 3, 0)
-    ref = (0, 3, 2, 1)
-    elems = {(0, 1, 2, 3)}
-    frontier = [(0, 1, 2, 3)]
-    while frontier:
-        p = frontier.pop()
-        for gen in (rot, ref):
-            q = _perm_compose(gen, p)
-            if q not in elems:
-                elems.add(q)
-                frontier.append(q)
-    perms = sorted(elems)
-    if len(perms) != 8:
-        raise GroupAxiomError("dihedral construction produced a wrong closure")
+    rotations = [(0, 1, 2, 3), (1, 2, 3, 0), (2, 3, 0, 1), (3, 0, 1, 2)]
+    reflection = (0, 3, 2, 1)
+    perms = sorted(rotations + [_perm_compose(r, reflection) for r in rotations])
     return _table_from_perms(perms, "d8")
 
 
 def _quaternion8() -> FiniteGroup:
-    # elements 1, -1, i, -i, j, -j, k, -k encoded as 2*axis + (sign < 0)
-    # with axes 0=1, 1=i, 2=j, 3=k
-    cyc = {
-        (1, 2): (3, 1), (2, 1): (3, -1),
-        (2, 3): (1, 1), (3, 2): (1, -1),
-        (3, 1): (2, 1), (1, 3): (2, -1),
-    }
-
-    def mul_pair(a: int, b: int) -> int:
-        ax, sa = a // 2, -1 if a % 2 else 1
-        bx, sb = b // 2, -1 if b % 2 else 1
-        sign = sa * sb
-        if ax == 0:
-            res = bx
-        elif bx == 0:
-            res = ax
-        elif ax == bx:
-            res, sign = 0, -sign
-        else:
-            res, extra = cyc[(ax, bx)]
-            sign *= extra
-        return 2 * res + (1 if sign < 0 else 0)
-
-    mul = [[mul_pair(a, b) for b in range(8)] for a in range(8)]
+    # elements 1, -1, i, -i, j, -j, k, -k: element 2*axis + (sign < 0) with
+    # axes 0=1, 1=i, 2=j, 3=k.  Axis a times axis b is axis a XOR b, negated
+    # where ``flip`` is set (i*i = -1, j*i = -k, ...)
+    flip = np.array([[0, 0, 0, 0], [0, 1, 0, 1], [0, 1, 1, 0], [0, 0, 1, 1]])
+    a, b = np.arange(8)[:, None], np.arange(8)
+    mul = 2 * ((a >> 1) ^ (b >> 1)) + (((a ^ b) & 1) ^ flip[a >> 1, b >> 1])
     return FiniteGroup(mul, 0, name="q8")
 
 
@@ -239,14 +252,9 @@ def _cyclic(n: int) -> FiniteGroup:
     if n < 1:
         raise ValueError(f"cyclic order must be >= 1, got {n}")
     _check_table_cells(f"builtin group c{n}", n)
-    elems = tuple(range(n))
-    # rows share the element objects of ``elems``: row a is a + b mod n
-    table = tuple(elems[a:] + elems[:a] for a in range(n))
     ar = np.arange(n, dtype=np.int32)
-    arr = (ar[:, None] + ar) % np.int32(n)
     g = FiniteGroup.__new__(FiniteGroup)
-    inv = elems[:1] + elems[:0:-1]  # -a mod n: 0, n-1, ..., 1
-    g._fill(table, arr, inv, 0, f"c{n}")
+    g._fill((ar[:, None] + ar) % np.int32(n), -ar % np.int32(n), 0, f"c{n}")
     return g
 
 
@@ -281,7 +289,7 @@ def group_from_dict(data) -> FiniteGroup:
 
 
 def group_to_dict(k: FiniteGroup) -> dict:
-    return {"order": k.order, "mul": [list(row) for row in k.mul], "unit": k.identity}
+    return {"order": k.order, "mul": k.mul_np.tolist(), "unit": k.identity}
 
 
 class TupleIndex:

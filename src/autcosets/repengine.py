@@ -40,7 +40,7 @@ import numpy as np
 from .automorphisms import Automorphism
 from .cosets import _block_swap
 from .errors import DEFAULT_MAX_POINTS, MAX_COORDINATES, SizeLimitError, SupportViolation
-from .groups import FiniteGroup, Subgroup, TupleIndex
+from .groups import FiniteGroup, Subgroup, TupleIndex, _greedy_generators
 from .ratmat import INT64_MAX, RationalMatrix, _absmax
 from .words import Word
 
@@ -213,7 +213,7 @@ def projection_matrix(K: FiniteGroup, m: int, n_coords: int, max_points=None) ->
 def _conjugation_perm(K: FiniteGroup, u: int, m: int) -> np.ndarray:
     """Point permutation of K^m sending each coordinate k to u k u^-1."""
     n = K.order
-    conj = K.mul_np[K.mul_np[u], K.inv[u]]
+    conj = K.mul_np[K.mul_np[u], K.inv_np[u]]
     return _full_table(_digit_sum(n, (conj[_coordinate(n, i)] for i in range(1, m + 1))), n, m)
 
 
@@ -223,31 +223,13 @@ def _members(K: FiniteGroup, u) -> tuple[int, ...]:
     return u.members if isinstance(u, Subgroup) else Subgroup(K, u).members
 
 
-def _generators(K: FiniteGroup, members: tuple[int, ...]) -> tuple[int, ...]:
-    """A generating set of the subgroup ``members``, ascending: each
-    generator is the smallest member not yet generated, so each at least
-    doubles what is generated and there are at most log2|U| of them."""
-    reached = {K.identity}
-    gens: list[int] = []
-    for elem in members:
-        if elem in reached:
-            continue
-        gens.append(elem)
-        frontier = list(reached)
-        while frontier:
-            new = {K.mul[a][b] for a in frontier for b in gens} - reached
-            reached |= new
-            frontier = list(new)
-    return tuple(gens)
-
-
 @functools.lru_cache(maxsize=16)
 def _orbit_structure(group: weakref.ref, members: tuple[int, ...], m: int):
     """Conjugation orbits of the subgroup ``members`` on K^m, built once per
     (K, U, m): (gens, perms, reps, order, starts), the arrays read-only.
 
-    ``gens`` is the generating set of ``_generators`` and ``perms`` their
-    point permutations, ``reps`` the smallest point of each orbit
+    ``gens`` is the generating set of ``_greedy_generators`` and ``perms``
+    their point permutations, ``reps`` the smallest point of each orbit
     (ascending), ``order`` the points grouped by orbit in the order of
     ``reps`` (ascending within an orbit), and ``starts`` the offset of each
     orbit in ``order``.  An entry holds O(log|U| * n^m) integers, and the
@@ -256,7 +238,7 @@ def _orbit_structure(group: weakref.ref, members: tuple[int, ...], m: int):
     a group's n^2 table alive."""
     K = group()
     dim = K.order ** m
-    gens = _generators(K, members)
+    gens = tuple(_greedy_generators(K.mul_np, K.identity, members))
     perms = tuple(_conjugation_perm(K, elem, m) for elem in gens)
     # the smallest point of each orbit, by pulling the minimum along the
     # generators until it settles: U is finite, so forward images reach the orbit

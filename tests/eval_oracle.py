@@ -3,9 +3,17 @@
 
 from __future__ import annotations
 
+import functools
+
 from autcosets.errors import SupportViolation
 from autcosets.groups import FiniteGroup
 from autcosets.words import Word
+
+
+@functools.lru_cache(maxsize=8)
+def _tables(K: FiniteGroup) -> tuple[list, list]:
+    """K's multiplication table and inverses as Python lists, read once per group."""
+    return K.mul_np.tolist(), K.inv_np.tolist()
 
 
 def eval_word(K: FiniteGroup, w: Word, point) -> int:
@@ -14,8 +22,7 @@ def eval_word(K: FiniteGroup, w: Word, point) -> int:
     Letters multiply left to right; inverse letters use the group inverse.
     """
     acc = K.identity
-    mul = K.mul
-    inv = K.inv
+    mul, inv = _tables(K)
     size = len(point)
     for gen, sign in w:
         if gen > size:

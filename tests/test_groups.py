@@ -4,7 +4,9 @@ builtin groups against their known structure."""
 from __future__ import annotations
 
 import itertools
+import numbers
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -40,12 +42,13 @@ def brute_check_axioms(mul, identity):
 
 
 def element_orders(k: FiniteGroup):
+    mul = k.mul
     orders = []
     for a in range(k.order):
         acc = a
         n = 1
         while acc != k.identity:
-            acc = k.mul[acc][a]
+            acc = mul[acc][a]
             n += 1
         orders.append(n)
     return sorted(orders)
@@ -54,9 +57,10 @@ def element_orders(k: FiniteGroup):
 @pytest.mark.parametrize("name", ["c1", "c2", "c3", "c6", "s3", "d8", "q8"])
 def test_builtin_tables_satisfy_axioms(name):
     k = builtin_group(name)
-    assert brute_check_axioms(k.mul, k.identity)
+    mul, inv = k.mul, k.inv
+    assert brute_check_axioms(mul, k.identity)
     for a in range(k.order):
-        assert k.mul[a][k.inv[a]] == k.identity
+        assert mul[a][inv[a]] == k.identity
 
 
 def test_builtin_structure():
@@ -66,16 +70,14 @@ def test_builtin_structure():
     s3 = builtin_group("s3")
     assert s3.order == 6
     assert element_orders(s3) == [1, 2, 2, 2, 3, 3]
-    assert any(s3.mul[a][b] != s3.mul[b][a] for a in range(6) for b in range(6))
+    mul = s3.mul
+    assert any(mul[a][b] != mul[b][a] for a in range(6) for b in range(6))
 
     d8 = builtin_group("d8")
     assert d8.order == 8
     assert element_orders(d8) == [1, 2, 2, 2, 2, 2, 4, 4]
-    center = [
-        a
-        for a in range(8)
-        if all(d8.mul[a][b] == d8.mul[b][a] for b in range(8))
-    ]
+    mul = d8.mul
+    center = [a for a in range(8) if all(mul[a][b] == mul[b][a] for b in range(8))]
     assert len(center) == 2
 
     q8 = builtin_group("q8")
@@ -135,6 +137,11 @@ def test_table_validation_rejects_broken_tables():
         FiniteGroup([[0, 5], [1, 0]])
     with pytest.raises(GroupAxiomError):
         FiniteGroup([])
+    # int32 would wrap 2**32 to 0; numpy keeps 2**70 as an object
+    for big in (2**32, 2**70):
+        with pytest.raises(GroupAxiomError, match="must be square over 0..n-1"):
+            FiniteGroup([[big, 1], [1, 0]])
+    assert FiniteGroup(np.array(good, dtype=np.uint8)) == FiniteGroup(good)
 
 
 SMALL_GROUPS = {
@@ -222,11 +229,28 @@ def test_json_tables_are_checked_fast_and_bounded():
     )
 
 
+def test_json_tables_are_stored_once():
+    # the table is kept only as int32 arrays: 34.3 MiB for c3000, where a
+    # tuple-of-tuples copy would add another 69 MiB
+    n = 3000
+    row = list(range(n))
+    doc = {"mul": [row[a:] + row[:a] for a in range(n)]}
+    tracemalloc.start()
+    try:
+        k = group_from_dict(doc)
+        retained = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert k.order == n and k.mul_np.dtype == np.int32
+    assert retained < 45 * 2**20
+
+
 def test_conjugate():
     s3 = builtin_group("s3")
+    mul, inv = s3.mul, s3.inv
     for u in range(6):
         for a in range(6):
-            assert s3.conjugate(u, a) == s3.mul[s3.mul[u][a]][s3.inv[u]]
+            assert s3.conjugate(u, a) == mul[mul[u][a]][inv[u]]
 
 
 def test_group_json_roundtrip():
@@ -263,11 +287,26 @@ def test_group_json_rejects_malformed(doc):
         ({"mul": [[0, "1"], [1, 0]]}, "'mul' entry"),
         ({"order": "2", "mul": [[0, 1], [1, 0]]}, "'order'"),
         ({"order": 2.0, "mul": [[0, 1], [1, 0]]}, "'order'"),
+        # numpy would read these bools among ints as 0 and 1
+        ({"mul": [[0, True], [True, 0]]}, "'mul' entry"),
     ],
 )
 def test_group_json_accepts_only_real_ints(doc, field):
     with pytest.raises(ValueError, match=f"^{field} must be an integer"):
         group_from_dict(doc)
+
+
+class Index:
+    """An Integral type that numpy does not know."""
+
+    def __init__(self, value: int):
+        self.value = value
+
+    def __int__(self):
+        return self.value
+
+
+numbers.Integral.register(Index)
 
 
 def test_table_entries_must_be_integers():
@@ -277,6 +316,8 @@ def test_table_entries_must_be_integers():
         FiniteGroup([[0, 1], [1, 0]], identity=True)
     # numpy integers are integers
     assert FiniteGroup(np.array([[0, 1], [1, 0]]), identity=np.int64(0)).mul == ((0, 1), (1, 0))
+    # so are Integral types numpy keeps as objects
+    assert FiniteGroup([[Index(0), Index(1)], [1, 0]]).mul == ((0, 1), (1, 0))
 
 
 def test_subgroup_validation():
@@ -284,12 +325,22 @@ def test_subgroup_validation():
     Subgroup(s3, [0, 3, 4])  # the 3-cycles with the unit
     assert len(Subgroup.trivial(s3)) == 1
     assert len(Subgroup.whole(s3)) == 6
-    with pytest.raises(GroupAxiomError):
-        Subgroup(s3, [3, 4])  # no unit
-    with pytest.raises(GroupAxiomError):
-        Subgroup(s3, [0, 3])  # not closed: 3*3 = 4
-    with pytest.raises(GroupAxiomError):
-        Subgroup(s3, [0, 9])
+    for members, message in [
+        ([3, 4], "subgroup must contain the unit"),
+        # 3*3 = 4 is missing too, but the inverse of a is checked before a*b
+        ([0, 3], "subgroup not closed under inverse at 3"),
+        ([0, 1, 2], "subgroup not closed under product at (1, 2)"),
+        ([0, 9], "subgroup members out of range"),
+        ([-1, 0], "subgroup members out of range"),
+    ]:
+        with pytest.raises(GroupAxiomError) as exc:
+            Subgroup(s3, members)
+        assert str(exc.value) == message
+    # members are integers, not truncated floats or bools
+    for members in ([0.2, 3.7, 4], [False], ["0"]):
+        with pytest.raises(ValueError, match="^subgroup member must be an integer"):
+            Subgroup(s3, members)
+    assert Subgroup(s3, [np.int64(0), np.int32(3), 4]).members == (0, 3, 4)
     assert 3 in Subgroup(s3, [0, 3, 4])
 
 

@@ -367,9 +367,10 @@ def reference_orbits(K, members, m):
     """Orbits of diagonal conjugation, built point by point from the
     multiplication table: (orbits ordered by smallest member, point perms)."""
     ti = TupleIndex(K.order, m)
+    mul, inv = K.mul, K.inv
     perms = [
         [
-            ti.encode(tuple(K.mul[K.mul[u][k]][K.inv[u]] for k in ti.decode(p)))
+            ti.encode(tuple(mul[mul[u][k]][inv[u]] for k in ti.decode(p)))
             for p in range(ti.n_points)
         ]
         for u in members
@@ -402,11 +403,12 @@ def reference_compress(K, members, m, matrix):
 
 
 def cyclic_subgroup(K, x):
+    mul = K.mul
     members = {K.identity}
     power = x
     while power not in members:
         members.add(power)
-        power = K.mul[power][x]
+        power = mul[power][x]
     return Subgroup(K, members)
 
 
