@@ -43,6 +43,7 @@ from .words import (
     Letter,
     Word,
     _integer,
+    concat,
     format_word,
     generator_word,
     max_generator,
@@ -372,11 +373,21 @@ def is_in_H(a: Automorphism, m: int) -> bool:
 
 
 def random_automorphism(m_fix: int, max_index: int, length: int, seed: int) -> Automorphism:
-    """Composition of ``length`` random Nielsen moves touching only the
-    generators m_fix+1 .. max_index.  Deterministic in ``seed``.
+    """Composition mu_L . ... . mu_1 of ``length`` random Nielsen moves
+    touching only the generators m_fix+1 .. max_index, mu_1 drawn first.
+    Deterministic in ``seed``.
 
-    Both halves are composed as the moves are drawn, so the result carries
-    no chain of deferred inverses."""
+    All moves are drawn first.  The forward map is then folded by right
+    multiplication, F <- F . mu, from mu_L down, and the inverse,
+    mu_1^-1 . ... . mu_L^-1, by G <- G . mu^-1 from mu_1 up.  Right
+    multiplication by a move rewrites at most two images of the map built so
+    far: a swap exchanges F(x_i) and F(x_j), an inversion inverts F(x_i),
+    and x_i -> x_i x_j sets F(x_i) to F(x_i) F(x_j) (G(x_i) to
+    G(x_i) G(x_j)^-1 on the inverse side).  So a step costs the letters of
+    two words, never a substitution through the whole map.  Composition is
+    associative and reduced words are unique, so the images are those of
+    composing each move onto the left as it is drawn; both halves are built
+    in full, so the result carries no chain of deferred inverses."""
     if m_fix < 0:
         raise ValueError(f"m_fix must be >= 0, got {m_fix}")
     if length < 0:
@@ -385,21 +396,54 @@ def random_automorphism(m_fix: int, max_index: int, length: int, seed: int) -> A
     if max_index < lo:
         raise ValueError("max_index leaves no generators free to move")
     rng = random.Random(seed)
-    indices = list(range(lo, max_index + 1))
-    fwd = inv = Endomorphism()
+    # random draws index a range exactly as they index the list it spans
+    indices = range(lo, max_index + 1)
+    moves: list[tuple[str, int, int]] = []
     for _ in range(length):
         if len(indices) == 1:
             kind = "invert"
         else:
             kind = rng.choice(("swap", "invert", "right_mult"))
         if kind == "invert":
-            move = nielsen_invert(rng.choice(indices))
+            i = rng.choice(indices)
+            moves.append((kind, i, i))
         else:
             i, j = rng.sample(indices, 2)
-            move = nielsen_swap(i, j) if kind == "swap" else nielsen_right_mult(i, j)
-        fwd = compose_endomorphisms(move.fwd, fwd)
-        inv = compose_endomorphisms(inv, move.inv)
+            moves.append((kind, i, j))
+    # one shared tuple per signed letter and per generator word
+    flip: dict[Letter, Letter] = {}
+    generator: dict[int, Word] = {}
+    for _, i, j in moves:
+        for k in (i, j):
+            if k not in generator:
+                pos, neg = (k, 1), (k, -1)
+                flip[pos], flip[neg] = neg, pos
+                generator[k] = (pos,)
+    fwd = _right_fold(reversed(moves), generator, flip, inverse=False)
+    inv = _right_fold(moves, generator, flip, inverse=True)
     return _closed_automorphism(fwd, inv)
+
+
+def _right_fold(moves, generator: dict[int, Word], flip: dict[Letter, Letter], inverse: bool):
+    """Images of mu_1 . mu_2 . ... . mu_n for the Nielsen moves (kind, i, j)
+    taken in order, each replaced by its inverse when ``inverse``.  Built
+    from the identity by right multiplication; ``generator`` and ``flip``
+    hold the shared letter tuples of every index the moves name."""
+    images: dict[int, Word] = {}
+    get = images.get
+    for kind, i, j in moves:
+        wi = get(i) or generator[i]  # an automorphism sends no x_i to 1
+        if kind == "invert":
+            images[i] = tuple([flip[letter] for letter in reversed(wi)])
+            continue
+        wj = get(j) or generator[j]
+        if kind == "swap":
+            images[i], images[j] = wj, wi
+        else:
+            if inverse:
+                wj = tuple([flip[letter] for letter in reversed(wj)])
+            images[i] = concat(wi, wj)
+    return images
 
 
 def _endo_to_dict(e: Endomorphism) -> dict:

@@ -164,7 +164,15 @@ def _resolve_max_points(args):
     if args.max_points is not None:
         return args.max_points
     env = os.environ.get("COSET_MAX_POINTS")
-    return int(env) if env else None
+    return _parse_int(env, "COSET_MAX_POINTS must be an integer") if env else None
+
+
+def _parse_int(text: str, what: str) -> int:
+    """``int(text)``, refusing anything else with ``what`` and the text."""
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"{what}, got {text!r}") from None
 
 
 def _cmd_rep_matrix(args) -> int:
@@ -173,7 +181,9 @@ def _cmd_rep_matrix(args) -> int:
     max_points = _resolve_max_points(args)
     matrix = markov_matrix(group, g, args.m, truncation=args.truncation, max_points=max_points)
     if args.u is not None:
-        members = [int(x) for x in args.u.split(",") if x.strip() != ""]
+        members = [
+            _parse_int(x.strip(), "--u must list integers") for x in args.u.split(",") if x.strip()
+        ]
         matrix = compress_to_invariants(
             group, Subgroup(group, members), args.m, matrix, max_points=max_points
         )

@@ -3,6 +3,7 @@ mixed-radix indexing of the points of K^d."""
 
 from __future__ import annotations
 
+import functools
 import itertools
 from typing import Iterable, Iterator, Sequence
 
@@ -258,18 +259,28 @@ def _cyclic(n: int) -> FiniteGroup:
     return g
 
 
+_FIXED_GROUPS = {"s3": _symmetric3, "d8": _dihedral8, "q8": _quaternion8}
+
+
+@functools.cache
+def _fixed_group(key: str) -> FiniteGroup:
+    return _FIXED_GROUPS[key]()
+
+
 def builtin_group(name: str) -> FiniteGroup:
     """Named groups: ``c<n>`` cyclic of order n, ``s3`` symmetric on three
-    points, ``d8`` dihedral of order 8, ``q8`` quaternion."""
+    points, ``d8`` dihedral of order 8, ``q8`` quaternion.
+
+    Each call returns a new group.  The read-only tables of s3, d8 and q8
+    are built and verified once per process and shared by those groups."""
     key = name.strip().lower()
     if len(key) > 1 and key[0] == "c" and key[1:].isdigit():
         return _cyclic(int(key[1:]))
-    if key == "s3":
-        return _symmetric3()
-    if key == "d8":
-        return _dihedral8()
-    if key == "q8":
-        return _quaternion8()
+    if key in _FIXED_GROUPS:
+        fixed = _fixed_group(key)
+        g = FiniteGroup.__new__(FiniteGroup)
+        g._fill(fixed.mul_np, fixed.inv_np, fixed.identity, fixed.name)
+        return g
     raise ValueError(f"unknown builtin group {name!r}")
 
 

@@ -252,6 +252,27 @@ def test_non_integer_letters_exit_1(capsys):
 
 
 @pytest.mark.parametrize(
+    "env, u, message",
+    [
+        ("abc", None, "COSET_MAX_POINTS must be an integer, got 'abc'"),
+        ("1.5", "0,1", "COSET_MAX_POINTS must be an integer, got '1.5'"),
+        (None, "a", "--u must list integers, got 'a'"),
+        (None, "0, 3,x4", "--u must list integers, got 'x4'"),
+    ],
+)
+def test_bad_integer_inputs_are_named(capsys, monkeypatch, env, u, message):
+    if env is not None:
+        monkeypatch.setenv("COSET_MAX_POINTS", env)
+    else:
+        monkeypatch.delenv("COSET_MAX_POINTS", raising=False)
+    argv = ["rep-matrix", "--group", "s3", "--m", "1", "--g", G_JSON]
+    assert main(argv + (["--u", u] if u is not None else [])) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize(
     "g, message",
     [
         ('{"images": {"1": [[1,-1]], "01": [[1,1]]}, "inverse_images": {}}', "a second time"),

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from autcosets import groups
 from autcosets.errors import DEFAULT_MAX_POINTS, SizeLimitError
 from autcosets.groups import (
     FiniteGroup,
@@ -106,6 +107,19 @@ def test_cyclic_builtins_equal_the_checked_table(n):
     )
     for arr, ref in ((k.mul_np, checked.mul_np), (k.inv_np, checked.inv_np)):
         assert arr.dtype == ref.dtype and np.array_equal(arr, ref) and not arr.flags.writeable
+
+
+@pytest.mark.parametrize("name", ["s3", "d8", "q8"])
+def test_fixed_builtins_share_one_verified_table(name, monkeypatch):
+    first = builtin_group(name)
+    built = []
+    monkeypatch.setattr(groups, "_check_associative", lambda *args: built.append(args))
+    again = builtin_group(f" {name.upper()}")
+    assert built == []
+    assert again == first and hash(again) == hash(first)
+    assert (again.name, again.order, again.identity) == (first.name, first.order, first.identity)
+    assert again.mul_np is first.mul_np and again.inv_np is first.inv_np
+    assert not again.mul_np.flags.writeable and not again.inv_np.flags.writeable
 
 
 def test_cyclic_builtins_are_cheap_and_bounded():
