@@ -125,17 +125,10 @@ def _cmd_invert(args) -> int:
     return _emit_automorphism(args, invert(_load_automorphism(args.g)))
 
 
-def _cmd_coset_product(args) -> int:
-    prod = coset_product(args.m, _load_automorphism(args.g), _load_automorphism(args.h))
-    if args.text:
-        print(f"m={prod.m} N={prod.block}")
-        print(_auto_text(prod.rep))
-        return 0
-    return _emit({"m": prod.m, "N": prod.block, "rep": automorphism_to_dict(prod.rep)})
-
-
-def _cmd_star_product(args) -> int:
-    prod = star_product(args.m, _load_automorphism(args.g), _load_automorphism(args.h))
+def _cmd_pair_product(args) -> int:
+    # resolved per call, not bound into the parser, which is built once per process
+    product = coset_product if args.verb == "coset-product" else star_product
+    prod = product(args.m, _load_automorphism(args.g), _load_automorphism(args.h))
     if args.text:
         print(f"m={prod.m} N={prod.block}")
         print(_auto_text(prod.rep))
@@ -228,13 +221,13 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--text", action="store_true")
         p.set_defaults(func=fn)
 
-    for name, fn in (("coset-product", _cmd_coset_product), ("star-product", _cmd_star_product)):
+    for name in ("coset-product", "star-product"):
         p = sub.add_parser(name, help=f"{name.replace('-', ' ')} of two automorphisms")
         p.add_argument("--m", type=int, required=True, help="size of the fixed base block")
         p.add_argument("--g", required=True)
         p.add_argument("--h", required=True)
         p.add_argument("--text", action="store_true")
-        p.set_defaults(func=fn)
+        p.set_defaults(func=_cmd_pair_product)
 
     p = sub.add_parser("tuple-product", help="coordinatewise product of automorphism tuples")
     p.add_argument("--m", type=int, required=True)

@@ -271,16 +271,16 @@ def builtin_group(name: str) -> FiniteGroup:
     """Named groups: ``c<n>`` cyclic of order n, ``s3`` symmetric on three
     points, ``d8`` dihedral of order 8, ``q8`` quaternion.
 
-    Each call returns a new group.  The read-only tables of s3, d8 and q8
-    are built and verified once per process and shared by those groups."""
+    s3, d8 and q8 are built and verified once per process, and every call
+    returns that one instance, so caches keyed by the group (the orbit
+    structure of ``compress_to_invariants``) hold across calls.  ``c<n>``,
+    with n in ASCII digits, is a new group per call."""
     key = name.strip().lower()
-    if len(key) > 1 and key[0] == "c" and key[1:].isdigit():
-        return _cyclic(int(key[1:]))
+    digits = key[1:]
+    if key[:1] == "c" and digits.isascii() and digits.isdigit():
+        return _cyclic(int(digits))
     if key in _FIXED_GROUPS:
-        fixed = _fixed_group(key)
-        g = FiniteGroup.__new__(FiniteGroup)
-        g._fill(fixed.mul_np, fixed.inv_np, fixed.identity, fixed.name)
-        return g
+        return _fixed_group(key)
     raise ValueError(f"unknown builtin group {name!r}")
 
 

@@ -23,7 +23,7 @@ INT64_MAX = 2**63 - 1
 def _as_fraction(x) -> Fraction:
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, (int, str)):
+    if isinstance(x, (int, str)) and not isinstance(x, bool):
         return Fraction(x)
     raise TypeError(f"matrix entries must be Fraction, int, or 'p/q' string, got {type(x).__name__}")
 
@@ -67,8 +67,9 @@ class _FractionStrings(dict):
 
 class RationalMatrix:
     """Immutable matrix of exact rationals supporting exact product and
-    equality.  Entries may be given as Fraction, int, or "p/q" strings;
-    ``from_numerators`` builds one from an integer array and a denominator."""
+    equality.  Entries may be given as Fraction, int (not bool), or "p/q"
+    strings; ``from_numerators`` builds one from an integer array and a
+    denominator."""
 
     __slots__ = ("rows", "cols", "num", "den")
 

@@ -148,6 +148,11 @@ def test_coset_product_text(capsys):
     )
 
 
+def test_star_product_text(capsys):
+    assert main(["star-product", "--m", "1", "--g", G_JSON, "--h", H_JSON, "--text"]) == 0
+    assert capsys.readouterr().out == "m=1 N=1\nx1 -> x1 x2\nx3 -> x3 x1 x2\n"
+
+
 def test_star_product_verb(capsys):
     assert main(["star-product", "--m", "1", "--g", G_JSON, "--h", H_JSON]) == 0
     doc = json.loads(capsys.readouterr().out)
@@ -412,6 +417,14 @@ def test_large_builtin_group_exit_1(capsys):
         "error: builtin group c4000 needs a 4000x4000 multiplication table, "
         "over the budget of 10000000 cells\n"
     )
+
+
+@pytest.mark.parametrize("name", ["c\u00b3", "c\u0663"])
+def test_non_ascii_cyclic_order_exit_1(capsys, name):
+    assert main(["rep-matrix", "--group", name, "--m", "1", "--g", G_JSON]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: unknown builtin group {name!r}\n"
 
 
 def test_cached_parser_prints_what_a_fresh_parser_prints(monkeypatch):

@@ -122,6 +122,18 @@ def test_fixed_builtins_share_one_verified_table(name, monkeypatch):
     assert not again.mul_np.flags.writeable and not again.inv_np.flags.writeable
 
 
+@pytest.mark.parametrize("name", ["s3", "d8", "q8"])
+def test_fixed_builtins_are_one_instance(name):
+    assert builtin_group(name) is builtin_group(f" {name.upper()}")
+
+
+@pytest.mark.parametrize("name", ["c\u00b3", "c\u0663"])  # superscript three, Arabic-Indic three
+def test_builtin_cyclic_order_takes_ascii_digits_only(name):
+    with pytest.raises(ValueError) as exc:
+        builtin_group(name)
+    assert str(exc.value) == f"unknown builtin group {name!r}"
+
+
 def test_cyclic_builtins_are_cheap_and_bounded():
     start = time.perf_counter()
     assert builtin_group("c800").order == 800

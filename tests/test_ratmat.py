@@ -65,6 +65,12 @@ def test_construction_accepts_ints_and_strings():
     assert a.entry(1, 0) == Fraction(-3, 4)
 
 
+@pytest.mark.parametrize("entry", [True, False])
+def test_construction_rejects_bool_entries(entry):
+    with pytest.raises(TypeError, match="got bool"):
+        RationalMatrix([[entry, 1]])
+
+
 def test_construction_rejects_bad_input():
     with pytest.raises(ValueError):
         RationalMatrix([])

@@ -7,6 +7,7 @@ functions by explicit enumeration (``cylinder_oracle``)."""
 from __future__ import annotations
 
 import itertools
+import json
 import random
 import weakref
 from fractions import Fraction
@@ -19,7 +20,9 @@ from hypothesis import strategies as st
 import autcosets
 import autcosets.repengine
 
+from autcosets import cli
 from autcosets.automorphisms import (
+    automorphism_to_dict,
     compose,
     identity_automorphism,
     nielsen_invert,
@@ -29,7 +32,7 @@ from autcosets.automorphisms import (
 )
 from autcosets.cosets import block_size, coset_product, theta, triple_product_disjoint
 from autcosets.errors import MAX_COORDINATES, SizeLimitError, SupportViolation
-from autcosets.groups import Subgroup, TupleIndex, builtin_group
+from autcosets.groups import Subgroup, TupleIndex, builtin_group, group_from_dict, group_to_dict
 from autcosets.ratmat import RationalMatrix
 from autcosets.repengine import (
     action_map,
@@ -499,7 +502,7 @@ def test_subgroup_of_another_group_is_refused():
     with pytest.raises(ValueError, match="subgroup of s3 does not act on c3"):
         conjugation_orbits(C3, whole_s3, 1)
     # an equal table built a second time is the same group
-    again = builtin_group("s3")
+    again = group_from_dict(group_to_dict(S3))
     assert again is not S3
     assert conjugation_orbits(again, whole_s3, 1) == conjugation_orbits(S3, whole_s3, 1)
     assert compress_to_invariants(again, whole_s3, 1, RationalMatrix.identity(6)).rows == 3
@@ -601,6 +604,20 @@ def test_cached_orbit_structure_is_read_only_and_linear_in_the_points():
         with pytest.raises(ValueError):
             arr[0] = 1
     assert autcosets.repengine._orbit_structure.cache_info().maxsize is not None
+
+
+def test_cli_requests_on_a_fixed_builtin_share_the_orbit_structure(monkeypatch, capsys):
+    argv = ["rep-matrix", "--group", "s3", "--m", "2", "--u", "0,1,2,3,4,5"]
+    argv += ["--g", json.dumps(automorphism_to_dict(rand_aut(3, 6, max_index=3)))]
+    autcosets.repengine._orbit_structure.cache_clear()
+    built = count_conjugation_perms(monkeypatch)
+    assert cli.main(argv) == 0
+    first = capsys.readouterr().out
+    assert built != []
+    del built[:]
+    assert cli.main(argv) == 0
+    assert built == []
+    assert capsys.readouterr().out == first
 
 
 def test_orbit_cache_keeps_no_group_alive():
