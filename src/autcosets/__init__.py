@@ -60,7 +60,6 @@ from .groups import (
     FiniteGroup,
     GroupAxiomError,
     Subgroup,
-    TupleIndex,
     builtin_group,
     group_from_dict,
     group_to_dict,
@@ -71,7 +70,6 @@ from .repengine import (
     ActionMap,
     action_map,
     compress_to_invariants,
-    conjugation_orbits,
     markov_matrix,
     projection_matrix,
     weak_limit_check,
@@ -127,7 +125,6 @@ __all__ = [
     "FiniteGroup",
     "GroupAxiomError",
     "Subgroup",
-    "TupleIndex",
     "builtin_group",
     "group_from_dict",
     "group_to_dict",
@@ -136,7 +133,6 @@ __all__ = [
     "ActionMap",
     "action_map",
     "compress_to_invariants",
-    "conjugation_orbits",
     "markov_matrix",
     "projection_matrix",
     "weak_limit_check",

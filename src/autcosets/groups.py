@@ -1,5 +1,5 @@
-"""Finite groups given by multiplication tables, their subgroups, and
-mixed-radix indexing of the points of K^d."""
+"""Finite groups given by verified multiplication tables, their subgroups,
+and the built-in groups."""
 
 from __future__ import annotations
 
@@ -94,8 +94,7 @@ class FiniteGroup:
     element, and associativity by Light's test.  Table entries and the unit
     must be integers (``bool``, floats and strings are refused).  The table
     is stored once, as the read-only int32 arrays ``mul_np`` (``mul_np[a, b]``
-    is the product a*b) and ``inv_np``; ``mul`` and ``inv`` build tuples of
-    the same data on demand.
+    is the product a*b) and ``inv_np`` (``inv_np[a]`` is the inverse of a).
     """
 
     __slots__ = ("name", "order", "identity", "mul_np", "inv_np", "_hash", "__weakref__")
@@ -137,19 +136,6 @@ class FiniteGroup:
         self.name = name or f"group{self.order}"
         # hashed once: groups key the orbit cache, and the table is n^2 cells
         self._hash = hash(arr.tobytes())
-
-    @property
-    def mul(self) -> tuple[tuple[int, ...], ...]:
-        """The table as a tuple of row tuples, built on each read."""
-        return tuple(map(tuple, self.mul_np.tolist()))
-
-    @property
-    def inv(self) -> tuple[int, ...]:
-        return tuple(self.inv_np.tolist())
-
-    def conjugate(self, u: int, k: int) -> int:
-        """u * k * u^-1."""
-        return int(self.mul_np[self.mul_np[u, k], self.inv_np[u]])
 
     def __eq__(self, other):
         if not isinstance(other, FiniteGroup):
@@ -302,47 +288,3 @@ def group_from_dict(data) -> FiniteGroup:
 def group_to_dict(k: FiniteGroup) -> dict:
     return {"order": k.order, "mul": k.mul_np.tolist(), "unit": k.identity}
 
-
-class TupleIndex:
-    """Bijection between d-tuples over 0..n-1 and the integers 0..n^d - 1.
-
-    Coordinate 1 is the least significant digit:
-    index = point[0] + point[1]*n + ... + point[d-1]*n^(d-1).
-    """
-
-    __slots__ = ("n", "d", "n_points")
-
-    def __init__(self, n: int, d: int):
-        if n < 1:
-            raise ValueError(f"base must be >= 1, got {n}")
-        if d < 0:
-            raise ValueError(f"tuple length must be >= 0, got {d}")
-        self.n = n
-        self.d = d
-        self.n_points = n ** d
-
-    def encode(self, point: Sequence[int]) -> int:
-        if len(point) != self.d:
-            raise ValueError(f"expected a {self.d}-tuple, got length {len(point)}")
-        index = 0
-        for c in range(self.d - 1, -1, -1):
-            x = point[c]
-            if not 0 <= x < self.n:
-                raise ValueError(f"coordinate {x} out of range 0..{self.n - 1}")
-            index = index * self.n + x
-        return index
-
-    def decode(self, index: int) -> tuple[int, ...]:
-        if not 0 <= index < self.n_points:
-            raise ValueError(f"index {index} out of range 0..{self.n_points - 1}")
-        out = []
-        for _ in range(self.d):
-            index, digit = divmod(index, self.n)
-            out.append(digit)
-        return tuple(out)
-
-    def digit(self, index: int, coord: int) -> int:
-        """Coordinate ``coord`` (1-based) of the point with this index."""
-        if not 1 <= coord <= self.d:
-            raise ValueError(f"coordinate {coord} out of range 1..{self.d}")
-        return (index // self.n ** (coord - 1)) % self.n

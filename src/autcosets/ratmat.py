@@ -180,10 +180,6 @@ class RationalMatrix:
         table = _FractionStrings(self.den)
         return [list(map(table.__getitem__, row)) for row in self.num.tolist()]
 
-    @classmethod
-    def from_strings(cls, rows: Iterable[Iterable[str]]) -> "RationalMatrix":
-        return cls(rows)
-
     def __repr__(self):
         body = "; ".join(" ".join(row) for row in self.to_strings())
         return f"RationalMatrix({self.rows}x{self.cols}: {body})"

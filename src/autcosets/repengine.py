@@ -40,9 +40,9 @@ import numpy as np
 from .automorphisms import Automorphism
 from .cosets import _block_swap
 from .errors import DEFAULT_MAX_POINTS, MAX_COORDINATES, SizeLimitError, SupportViolation
-from .groups import FiniteGroup, Subgroup, TupleIndex, _greedy_generators
+from .groups import FiniteGroup, Subgroup, _greedy_generators
 from .ratmat import INT64_MAX, RationalMatrix, _absmax
-from .words import Word
+from .words import Word, _integer
 
 
 def _check_budget(max_points, layer: str, n: int, exp: int, cells: bool = False) -> None:
@@ -52,7 +52,7 @@ def _check_budget(max_points, layer: str, n: int, exp: int, cells: bool = False)
 
     A power far over the budget is neither built nor printed: the message
     then writes it as n^exp."""
-    budget = DEFAULT_MAX_POINTS if max_points is None else int(max_points)
+    budget = DEFAULT_MAX_POINTS if max_points is None else _integer(max_points, "max_points")
     if budget < 1:
         raise ValueError(f"max_points must be >= 1, got {max_points}")
     total = 2 * exp if cells else exp
@@ -85,7 +85,8 @@ def _grid_eval(K: FiniteGroup, w: Word, n_coords: int) -> np.ndarray:
     right, coordinate i feeds x_i), on a grid with one axis per coordinate.
 
     Coordinate i runs along axis n_coords - i, so on the full grid the
-    C-order flat index is the TupleIndex code.  Only the coordinates ``w``
+    C-order flat index is the point's index, the base-n number whose least
+    significant digit is coordinate 1.  Only the coordinates ``w``
     reads are materialized: every other axis has length 1 (or is absent
     below the highest one read), and the result broadcasts to the full grid.
     """
@@ -102,7 +103,8 @@ def _grid_eval(K: FiniteGroup, w: Word, n_coords: int) -> np.ndarray:
 
 
 def _digit_sum(n: int, digits) -> np.ndarray:
-    """TupleIndex code of grids of digits in 0..n-1, least significant first."""
+    """Base-n number of grids of digits in 0..n-1, least significant first:
+    the index of the point whose coordinate i is the i-th digit."""
     code = np.zeros((), dtype=np.int64)
     for i, digit in enumerate(digits):
         code = code + digit.astype(np.int64) * n ** i
@@ -110,20 +112,22 @@ def _digit_sum(n: int, digits) -> np.ndarray:
 
 
 def _grid_code(K: FiniteGroup, words, n_coords: int) -> np.ndarray:
-    """TupleIndex code of the tuple of values of ``words`` (the first word
+    """Base-n number of the tuple of values of ``words`` (the first word
     gives the least significant digit), on the grid of K^n_coords."""
     return _digit_sum(K.order, (_grid_eval(K, w, n_coords) for w in words))
 
 
 def _full_table(code: np.ndarray, n: int, n_coords: int) -> np.ndarray:
-    """A grid on K^n_coords broadcast to every point, flat in TupleIndex order."""
+    """A grid on K^n_coords broadcast to every point, flat in point-index
+    order (coordinate 1 is the least significant base-n digit)."""
     shape = (n,) * n_coords if n > 1 else ()
     return (code if code.shape == shape else np.broadcast_to(code, shape)).ravel()
 
 
 class ActionMap:
     """Bijection of K^n_coords induced by an automorphism, tabulated on
-    point indices (TupleIndex order)."""
+    point indices: ``table[p]`` is the index of the image of point p, where
+    coordinate 1 is the least significant base-n digit of an index."""
 
     __slots__ = ("group", "n_coords", "table")
 
@@ -131,10 +135,6 @@ class ActionMap:
         self.group = group
         self.n_coords = n_coords
         self.table = table
-
-    def __call__(self, point):
-        ti = TupleIndex(self.group.order, self.n_coords)
-        return ti.decode(int(self.table[ti.encode(point)]))
 
     def __repr__(self):
         return f"ActionMap({self.group.name!r}, n_coords={self.n_coords})"
@@ -147,6 +147,7 @@ def action_map(K: FiniteGroup, g: Automorphism, n_coords: int, max_points=None) 
     Composites reverse: the point map of compose(g, h) is the point map of
     g followed by the point map of h.
     """
+    n_coords = _integer(n_coords, "n_coords")
     if g.support_bound() > n_coords:
         raise SupportViolation(
             f"automorphism moves x{g.support_bound()} but points have {n_coords} coordinates"
@@ -170,18 +171,19 @@ def markov_matrix(
     Entry [a][b] is the fraction of uniform extensions of the m-tuple a to
     K^N whose image under the point action starts with the m-tuple b, where
     N defaults to max(support bound, m).  Rows and columns are indexed by
-    TupleIndex codes.  The result is doubly stochastic, equals the identity
-    for automorphisms fixing x_1..x_m, and does not change if ``truncation``
-    raises N further.
+    point index, coordinate 1 being the least significant base-n digit.  The
+    result is doubly stochastic, equals the identity for automorphisms
+    fixing x_1..x_m, and does not change if ``truncation`` raises N further.
 
     The budget counts all n^N points, but only the coordinates 1..m and
     those the images of x_1..x_m read are enumerated: each other coordinate
     multiplies every count by n, which cancels in the lowest-terms result.
     """
+    m = _integer(m, "m")
     if m < 0:
         raise ValueError(f"m must be >= 0, got {m}")
     bound = max(g.support_bound(), m)
-    n_coords = bound if truncation is None else int(truncation)
+    n_coords = bound if truncation is None else _integer(truncation, "truncation")
     if n_coords < bound:
         raise SupportViolation(f"truncation {truncation} is below the required bound {bound}")
     n = K.order
@@ -199,6 +201,8 @@ def projection_matrix(K: FiniteGroup, m: int, n_coords: int, max_points=None) ->
     """Matrix on K^n_coords of the conditional expectation onto functions of
     the first m coordinates: entry [p][q] = n^-(N-m) when p and q agree in
     coordinates 1..m, else 0.  Dense — quadratic in the point count."""
+    m = _integer(m, "m")
+    n_coords = _integer(n_coords, "n_coords")
     if m < 0 or n_coords < m:
         raise ValueError("need 0 <= m <= n_coords")
     n = K.order
@@ -215,12 +219,6 @@ def _conjugation_perm(K: FiniteGroup, u: int, m: int) -> np.ndarray:
     n = K.order
     conj = K.mul_np[K.mul_np[u], K.inv_np[u]]
     return _full_table(_digit_sum(n, (conj[_coordinate(n, i)] for i in range(1, m + 1))), n, m)
-
-
-def _members(K: FiniteGroup, u) -> tuple[int, ...]:
-    if isinstance(u, Subgroup) and u.parent != K:
-        raise ValueError(f"subgroup of {u.parent.name} does not act on {K.name}")
-    return u.members if isinstance(u, Subgroup) else Subgroup(K, u).members
 
 
 @functools.lru_cache(maxsize=16)
@@ -261,23 +259,6 @@ def _orbit_structure(group: weakref.ref, members: tuple[int, ...], m: int):
     return gens, perms, reps, order, starts
 
 
-def conjugation_orbits(K: FiniteGroup, u, m: int, max_points=None):
-    """Orbits of the diagonal conjugation action of the subgroup U on the
-    points of K^m.
-
-    Returns (orbit_of, orbits): orbit_of[p] is the orbit id of point p, and
-    orbits is the list of orbits (sorted tuples), ordered by smallest member.
-    """
-    members = _members(K, u)
-    _check_budget(max_points, f"orbits on {K.name}^{m}", K.order, m)
-    # built but not cached: n^m may reach the point budget here, so an entry
-    # could outweigh what compression ever caches
-    *_, reps, order, starts = _orbit_structure.__wrapped__(weakref.ref(K), members, m)
-    orbit_of = np.empty(len(order), dtype=np.int64)
-    orbit_of[order] = np.repeat(np.arange(len(reps)), np.diff(starts, append=len(order)))
-    return orbit_of.tolist(), [tuple(points.tolist()) for points in np.split(order, starts[1:])]
-
-
 def compress_to_invariants(K: FiniteGroup, u, m: int, matrix: RationalMatrix, max_points=None) -> RationalMatrix:
     """Compress a K^m operator matrix onto U-conjugation orbit averages.
 
@@ -299,7 +280,10 @@ def compress_to_invariants(K: FiniteGroup, u, m: int, matrix: RationalMatrix, ma
     sum over orbit_t: C[s][t] is that sum in the row of orbit_s's smallest
     point, taken by ``np.add.reduceat`` over the columns grouped by orbit.
     """
-    members = _members(K, u)
+    if isinstance(u, Subgroup) and u.parent != K:
+        raise ValueError(f"subgroup of {u.parent.name} does not act on {K.name}")
+    members = u.members if isinstance(u, Subgroup) else Subgroup(K, u).members
+    m = _integer(m, "m")
     _check_budget(max_points, f"compression on {K.name}^{m}", K.order, m)
     _check_budget(max_points, f"compress_to_invariants on {K.name}^{m}", K.order, m, cells=True)
     dim = K.order ** m
@@ -335,6 +319,9 @@ def weak_limit_check(K: FiniteGroup, m: int, m_cyl: int, j: int, max_points=None
     bounds n^(m + j + m_cyl), and both sides bound their n^(2(m + m_cyl))
     output cells.
     """
+    m = _integer(m, "m")
+    m_cyl = _integer(m_cyl, "m_cyl")
+    j = _integer(j, "j")
     if m < 0 or m_cyl < 0 or j < 0:
         raise ValueError("block parameters must be non-negative")
     n = K.order

@@ -15,7 +15,8 @@ from fractions import Fraction
 from typing import Mapping
 
 from autcosets.errors import SupportViolation
-from autcosets.groups import FiniteGroup, TupleIndex
+from autcosets.groups import FiniteGroup
+from eval_oracle import TupleIndex
 
 
 @dataclass(frozen=True)

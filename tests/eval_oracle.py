@@ -1,9 +1,11 @@
-"""Scalar word evaluation: the point-by-point oracle for the broadcast grid
-``repengine._grid_eval`` and every matrix built on it."""
+"""Scalar word evaluation and point indexing: the point-by-point oracles for
+the broadcast grid ``repengine._grid_eval``, the point order of its flat
+tables, and every matrix built on them."""
 
 from __future__ import annotations
 
 import functools
+from typing import Sequence
 
 from autcosets.errors import SupportViolation
 from autcosets.groups import FiniteGroup
@@ -30,3 +32,48 @@ def eval_word(K: FiniteGroup, w: Word, point) -> int:
         k = point[gen - 1]
         acc = mul[acc][k if sign == 1 else inv[k]]
     return acc
+
+
+class TupleIndex:
+    """Bijection between d-tuples over 0..n-1 and the integers 0..n^d - 1.
+
+    Coordinate 1 is the least significant digit:
+    index = point[0] + point[1]*n + ... + point[d-1]*n^(d-1).
+    """
+
+    __slots__ = ("n", "d", "n_points")
+
+    def __init__(self, n: int, d: int):
+        if n < 1:
+            raise ValueError(f"base must be >= 1, got {n}")
+        if d < 0:
+            raise ValueError(f"tuple length must be >= 0, got {d}")
+        self.n = n
+        self.d = d
+        self.n_points = n ** d
+
+    def encode(self, point: Sequence[int]) -> int:
+        if len(point) != self.d:
+            raise ValueError(f"expected a {self.d}-tuple, got length {len(point)}")
+        index = 0
+        for c in range(self.d - 1, -1, -1):
+            x = point[c]
+            if not 0 <= x < self.n:
+                raise ValueError(f"coordinate {x} out of range 0..{self.n - 1}")
+            index = index * self.n + x
+        return index
+
+    def decode(self, index: int) -> tuple[int, ...]:
+        if not 0 <= index < self.n_points:
+            raise ValueError(f"index {index} out of range 0..{self.n_points - 1}")
+        out = []
+        for _ in range(self.d):
+            index, digit = divmod(index, self.n)
+            out.append(digit)
+        return tuple(out)
+
+    def digit(self, index: int, coord: int) -> int:
+        """Coordinate ``coord`` (1-based) of the point with this index."""
+        if not 1 <= coord <= self.d:
+            raise ValueError(f"coordinate {coord} out of range 1..{self.d}")
+        return (index // self.n ** (coord - 1)) % self.n

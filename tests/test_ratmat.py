@@ -108,7 +108,7 @@ def test_string_roundtrip():
     a = RationalMatrix([[Fraction(1, 2), Fraction(-2, 3)], [Fraction(4), Fraction(0)]])
     strings = a.to_strings()
     assert strings == [["1/2", "-2/3"], ["4", "0"]]
-    assert RationalMatrix.from_strings(strings) == a
+    assert RationalMatrix(strings) == a
 
 
 def assert_strings_match_fractions(num, den):
