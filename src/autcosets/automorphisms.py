@@ -372,22 +372,43 @@ def is_in_H(a: Automorphism, m: int) -> bool:
     return all(i not in xfixed for i in range(1, m + 1))
 
 
+# move kinds as random_automorphism draws them below 3; kind 2 is x_i -> x_i x_j
+_SWAP, _INVERT = 0, 1
+
+
 def random_automorphism(m_fix: int, max_index: int, length: int, seed: int) -> Automorphism:
     """Composition mu_L . ... . mu_1 of ``length`` random Nielsen moves
     touching only the generators m_fix+1 .. max_index, mu_1 drawn first.
     Deterministic in ``seed``.
 
+    Each move is drawn from ``random.Random(seed).getrandbits`` with the
+    rejection rule of ``Random._randbelow``: a value below n takes
+    k = n.bit_length() bits, drawn again while it is n or more.  Over the n
+    free indices a move draws its kind (swap, inversion or x_i -> x_i x_j)
+    below 3, unless n = 1, where every move is an inversion, then i below n.
+    The second index j of a swap or a multiplication follows the k = 2 rule
+    of ``Random.sample``: for n <= 21 it is drawn below n - 1 and becomes
+    n - 1 where it meets i; for n > 21 it is drawn below n again until it
+    differs from i.  These are the draws ``choice`` and ``sample`` make, but
+    the stream is pinned by SHA-256 digests of the results in the tests, not
+    by calls to them.
+
     All moves are drawn first.  The forward map is then folded by right
     multiplication, F <- F . mu, from mu_L down, and the inverse,
-    mu_1^-1 . ... . mu_L^-1, by G <- G . mu^-1 from mu_1 up.  Right
-    multiplication by a move rewrites at most two images of the map built so
-    far: a swap exchanges F(x_i) and F(x_j), an inversion inverts F(x_i),
-    and x_i -> x_i x_j sets F(x_i) to F(x_i) F(x_j) (G(x_i) to
-    G(x_i) G(x_j)^-1 on the inverse side).  So a step costs the letters of
-    two words, never a substitution through the whole map.  Composition is
-    associative and reduced words are unique, so the images are those of
-    composing each move onto the left as it is drawn; both halves are built
-    in full, so the result carries no chain of deferred inverses."""
+    mu_1^-1 . ... . mu_L^-1, by G <- G . mu^-1 from mu_1 up.  Each fold
+    keeps every image paired with its inverse word.  Right multiplication
+    by a move rewrites at most two pairs of the map built so far: a swap
+    exchanges the pairs of x_i and x_j, an inversion swaps the two words of
+    x_i's pair, and x_i -> x_i x_j sets F(x_i) to F(x_i) F(x_j) and its
+    inverse to F(x_j)^-1 F(x_i)^-1, two ``concat`` calls (G(x_j)^-1 in place
+    of G(x_j) on the inverse side).  So a step costs the letters of two
+    joins, never a substitution through the whole map nor a word inverted
+    letter by letter.  Composition is associative and reduced words are
+    unique, so the images are those of composing each move onto the left
+    as it is drawn; both halves are built in full, so the result carries no
+    chain of deferred inverses."""
+    m_fix, max_index = _integer(m_fix, "m_fix"), _integer(max_index, "max_index")
+    length = _integer(length, "length")
     if m_fix < 0:
         raise ValueError(f"m_fix must be >= 0, got {m_fix}")
     if length < 0:
@@ -395,55 +416,63 @@ def random_automorphism(m_fix: int, max_index: int, length: int, seed: int) -> A
     lo = m_fix + 1
     if max_index < lo:
         raise ValueError("max_index leaves no generators free to move")
-    rng = random.Random(seed)
-    # random draws index a range exactly as they index the list it spans
-    indices = range(lo, max_index + 1)
-    moves: list[tuple[str, int, int]] = []
+    getrandbits = random.Random(seed).getrandbits
+    n = max_index - m_fix
+    bits = n.bit_length()
+    bits_less = (n - 1).bit_length()
+    moves: list[tuple[int, int, int]] = []
     for _ in range(length):
-        if len(indices) == 1:
-            kind = "invert"
+        if n == 1:
+            kind = _INVERT
         else:
-            kind = rng.choice(("swap", "invert", "right_mult"))
-        if kind == "invert":
-            i = rng.choice(indices)
-            moves.append((kind, i, i))
+            kind = getrandbits(2)
+            while kind >= 3:
+                kind = getrandbits(2)
+        i = getrandbits(bits)
+        while i >= n:
+            i = getrandbits(bits)
+        if kind == _INVERT:
+            j = i
+        elif n <= 21:
+            j = getrandbits(bits_less)
+            while j >= n - 1:
+                j = getrandbits(bits_less)
+            if j == i:
+                j = n - 1
         else:
-            i, j = rng.sample(indices, 2)
-            moves.append((kind, i, j))
-    # one shared tuple per signed letter and per generator word
-    flip: dict[Letter, Letter] = {}
-    generator: dict[int, Word] = {}
-    for _, i, j in moves:
-        for k in (i, j):
-            if k not in generator:
-                pos, neg = (k, 1), (k, -1)
-                flip[pos], flip[neg] = neg, pos
-                generator[k] = (pos,)
-    fwd = _right_fold(reversed(moves), generator, flip, inverse=False)
-    inv = _right_fold(moves, generator, flip, inverse=True)
+            j = getrandbits(bits)
+            while j >= n or j == i:
+                j = getrandbits(bits)
+        moves.append((kind, lo + i, lo + j))
+    # one shared (x_k, x_k^-1) pair of words per generator the moves name
+    names = {i for _, i, _ in moves}
+    names.update([j for _, _, j in moves])
+    generator = {k: (((k, 1),), ((k, -1),)) for k in names}
+    fwd = _right_fold(reversed(moves), generator, inverse=False)
+    inv = _right_fold(moves, generator, inverse=True)
     return _closed_automorphism(fwd, inv)
 
 
-def _right_fold(moves, generator: dict[int, Word], flip: dict[Letter, Letter], inverse: bool):
+def _right_fold(moves, generator: dict[int, tuple[Word, Word]], inverse: bool) -> dict[int, Word]:
     """Images of mu_1 . mu_2 . ... . mu_n for the Nielsen moves (kind, i, j)
     taken in order, each replaced by its inverse when ``inverse``.  Built
-    from the identity by right multiplication; ``generator`` and ``flip``
-    hold the shared letter tuples of every index the moves name."""
-    images: dict[int, Word] = {}
-    get = images.get
+    from the identity by right multiplication, on (image, inverse word)
+    pairs; ``generator`` holds the pair of every index the moves name."""
+    pairs: dict[int, tuple[Word, Word]] = {}
+    get = pairs.get
     for kind, i, j in moves:
-        wi = get(i) or generator[i]  # an automorphism sends no x_i to 1
-        if kind == "invert":
-            images[i] = tuple([flip[letter] for letter in reversed(wi)])
+        wi = get(i) or generator[i]
+        if kind == _INVERT:
+            pairs[i] = (wi[1], wi[0])
             continue
         wj = get(j) or generator[j]
-        if kind == "swap":
-            images[i], images[j] = wj, wi
+        if kind == _SWAP:
+            pairs[i], pairs[j] = wj, wi
+        elif inverse:
+            pairs[i] = (concat(wi[0], wj[1]), concat(wj[0], wi[1]))
         else:
-            if inverse:
-                wj = tuple([flip[letter] for letter in reversed(wj)])
-            images[i] = concat(wi, wj)
-    return images
+            pairs[i] = (concat(wi[0], wj[0]), concat(wj[1], wi[1]))
+    return {k: pair[0] for k, pair in pairs.items()}
 
 
 def _endo_to_dict(e: Endomorphism) -> dict:

@@ -44,7 +44,7 @@ from .automorphisms import (
     permutation_automorphism,
 )
 from .errors import SizeLimitError, SupportViolation
-from .words import Word, generator_word, substitute
+from .words import Word, _integer, generator_word, substitute
 
 # theta(m, N) has 2N images and every product representative moves all of
 # them, so a product's size grows with N, not with the size of its input.
@@ -80,6 +80,7 @@ def theta(m: int, j: int) -> Automorphism:
     k = 1..j.  theta(m, 0) is the identity.
 
     Raises SizeLimitError for j over MAX_BLOCK_SIZE."""
+    m, j = _integer(m, "m"), _integer(j, "j")
     if m < 0 or j < 0:
         raise ValueError("block parameters must be non-negative")
     _check_block_size("block swap theta", "j", j)
@@ -91,6 +92,7 @@ def block_size(m: int, *autos: Automorphism) -> int:
 
     Raises SizeLimitError for N over MAX_BLOCK_SIZE, before any block swap
     is built."""
+    m = _integer(m, "m")
     if m < 0:
         raise ValueError(f"m must be >= 0, got {m}")
     top = m
@@ -148,6 +150,7 @@ def coset_product(m: int, g: Automorphism, h: Automorphism) -> DoubleCosetRep:
     """Product of the cosets HgH and HhH, as a representative.
 
     Uses the canonical block size N = block_size(m, g, h)."""
+    m = _integer(m, "m")
     n = block_size(m, g, h)
     rep = compose(g, compose(theta(m, n), h))
     return DoubleCosetRep(m, rep, n)
@@ -188,6 +191,7 @@ def product_formula_direct(m: int, n: int, g: Automorphism, h: Automorphism) -> 
     inverted and swapped, and the pair is verified: that check is part of
     the cross-check.
     """
+    m, n = _integer(m, "m"), _integer(n, "n")
     if m < 0 or n < 0:
         raise ValueError("block parameters must be non-negative")
     _require_support(m, n, g, h)
@@ -207,6 +211,7 @@ def witness_left(m: int, n: int, r: Automorphism, g: Automorphism, h: Automorphi
     x_{m+n+k} is r's image of x_{m+k} rewritten by x_j -> g(x_j),
     x_{m+t} -> x_{m+n+t}; it depends only on r and g, with h entering the
     identity but not the construction."""
+    m, n = _integer(m, "m"), _integer(n, "n")
     if not is_in_H(r, m):
         raise SupportViolation("witness factor must fix x_1..x_m")
     _require_support(m, n, r, g, h)
@@ -243,6 +248,7 @@ def stability_witness(
     x_{m+n+t} -> x_{m+2n+t} (t <= p) and x_{m+n+p+k} -> x_{m+n+k} (k <= n).
     For p = 0 both are the identity.  Raises SizeLimitError for n + p over
     MAX_BLOCK_SIZE."""
+    m, n, p = _integer(m, "m"), _integer(n, "n"), _integer(p, "p")
     if p < 0:
         raise ValueError(f"p must be >= 0, got {p}")
     _check_block_size("stability witness", "n + p", n + p)
@@ -260,6 +266,7 @@ def stability_witness(
 def star_product(m: int, g: Automorphism, h: Automorphism) -> ConjClassRep:
     """Product on H-conjugation classes of cosets: representative
     g . theta . h . theta with the canonical block size."""
+    m = _integer(m, "m")
     n = block_size(m, g, h)
     th = theta(m, n)
     rep = compose(g, compose(th, compose(h, th)))
@@ -271,6 +278,7 @@ def tuple_product(m: int, gs, hs) -> TupleRep:
 
     The shared block size covers every component of both tuples, so each
     coordinate is the coset product of its factors computed at a common N."""
+    m = _integer(m, "m")
     gs = tuple(gs)
     hs = tuple(hs)
     if len(gs) != len(hs):

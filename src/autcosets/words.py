@@ -60,22 +60,27 @@ def reduce(letters: Iterable[Letter]) -> Word:
 
 
 def concat(a: Word, b: Word) -> Word:
-    """Product of two reduced words, freely reduced."""
+    """Product of two reduced words, freely reduced.
+
+    Both words are reduced, so letters can cancel only at the junction: the
+    end of ``a`` against the start of ``b``.  What survives on each side is
+    copied by slicing."""
     if not a:
         return b
     if not b:
         return a
-    stack = list(a)
-    append = stack.append
-    pop = stack.pop
-    for letter in b:
-        if stack:
-            top = stack[-1]
-            if top[0] == letter[0] and top[1] == -letter[1]:
-                pop()
-                continue
-        append(letter)
-    return tuple(stack)
+    n = len(a)
+    k = 0  # letters cancelled on each side
+    for gen, sign in b:
+        if k == n:
+            break
+        top = a[n - 1 - k]
+        if top[0] != gen or top[1] != -sign:
+            break
+        k += 1
+    if not k:
+        return a + b
+    return a[: n - k] + b[k:]
 
 
 def invert_word(a: Word) -> Word:

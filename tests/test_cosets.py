@@ -4,8 +4,10 @@ equalities."""
 
 from __future__ import annotations
 
+import re
 import time
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -29,6 +31,7 @@ from autcosets.cosets import (
     MAX_BLOCK_SIZE,
     ConjClassRep,
     DoubleCosetRep,
+    TupleRep,
     _block_swap,
     _shift_upper_block,
     block_size,
@@ -306,6 +309,54 @@ def test_tuple_product_rejects_bad_shapes():
         tuple_product(1, (e,), (e, e))
     with pytest.raises(ValueError):
         tuple_product(1, (), ())
+
+
+_G, _H = nielsen_right_mult(1, 2), nielsen_swap(1, 2)
+
+# (function, arguments, the position of each integer argument by name)
+INTEGER_ARGUMENTS = [
+    (theta, (1, 2), {"m": 0, "j": 1}),
+    (block_size, (1, _G, _H), {"m": 0}),
+    (coset_product, (1, _G, _H), {"m": 0}),
+    (star_product, (1, _G, _H), {"m": 0}),
+    (tuple_product, (1, (_G,), (_H,)), {"m": 0}),
+    (product_formula_direct, (1, 1, _G, _H), {"m": 0, "n": 1}),
+    (witness_left, (1, 2, nielsen_swap(2, 3), _G, _H), {"m": 0, "n": 1}),
+    (witness_right, (1, 2, nielsen_swap(2, 3), _G, _H), {"m": 0, "n": 1}),
+    (stability_witness, (1, 1, 1, _G, _H), {"m": 0, "n": 1, "p": 2}),
+]
+
+
+def _with(args, position, value):
+    return args[:position] + (value,) + args[position + 1:]
+
+
+@pytest.mark.parametrize(
+    "func, args, position, name",
+    [
+        pytest.param(func, args, position, name, id=f"{func.__name__}-{name}")
+        for func, args, positions in INTEGER_ARGUMENTS
+        for name, position in positions.items()
+    ],
+)
+@pytest.mark.parametrize("bad", [1.5, 1.0, True, "2"])
+def test_integer_arguments_refuse_non_integers(func, args, position, name, bad):
+    with pytest.raises(ValueError, match=f"^{name} must be an integer, got {re.escape(repr(bad))}$"):
+        func(*_with(args, position, bad))
+
+
+@pytest.mark.parametrize(
+    "func, args, positions",
+    [pytest.param(*case, id=case[0].__name__) for case in INTEGER_ARGUMENTS],
+)
+def test_integer_arguments_accept_numpy_integers(func, args, positions):
+    as_numpy = args
+    for position in positions.values():
+        as_numpy = _with(as_numpy, position, np.int64(args[position]))
+    got = func(*as_numpy)
+    assert got == func(*args)
+    if isinstance(got, (DoubleCosetRep, ConjClassRep, TupleRep)):
+        assert type(got.m) is int
 
 
 def test_triple_product_frozen_example():

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import re
 import tracemalloc
 
 import pytest
@@ -20,7 +21,7 @@ from random_oracle import oracle_random_pair
 
 @given(
     st.integers(0, 3),
-    st.integers(1, 8),
+    st.integers(1, 30),
     st.integers(0, 60),
     st.integers(),
 )
@@ -101,3 +102,12 @@ def test_huge_index_range_is_not_materialised(seed):
     assert peak < 1 << 20
     assert 1 <= a.support_bound() <= 10**12
     assert verify_inverse_pair(a.fwd, a.inv)
+
+
+@pytest.mark.parametrize("name, position", [("m_fix", 0), ("max_index", 1), ("length", 2)])
+@pytest.mark.parametrize("bad", [5.0, True, "5"])
+def test_integer_arguments_refuse_non_integers(name, position, bad):
+    args = [0, 5, 5, 1]
+    args[position] = bad
+    with pytest.raises(ValueError, match=f"^{name} must be an integer, got {re.escape(repr(bad))}$"):
+        random_automorphism(*args)

@@ -61,6 +61,42 @@ def test_concat_matches_reduction_of_concatenation(a, b):
     assert concat(wa, wb) == naive_reduce(list(wa) + list(wb))
 
 
+def stack_concat(a, b):
+    """Product of two reduced words by pushing b's letters one at a time
+    onto a stack holding a: the oracle for concat's junction cancelling."""
+    stack = list(a)
+    for letter in b:
+        if stack and stack[-1][0] == letter[0] and stack[-1][1] == -letter[1]:
+            stack.pop()
+        else:
+            stack.append(letter)
+    return tuple(stack)
+
+
+@st.composite
+def word_pairs(draw):
+    """Two reduced words: unrelated, inverse (full cancellation), b starting
+    with the inverse of a suffix of a (partial overlap), or one side empty."""
+    a = reduce(draw(letters_st))
+    tail = reduce(draw(letters_st))
+    kind = draw(st.sampled_from(("random", "inverse", "overlap", "empty")))
+    if kind == "random":
+        b = tail
+    elif kind == "inverse":
+        b = invert_word(a)
+    elif kind == "overlap":
+        b = reduce(invert_word(a)[: draw(st.integers(0, len(a)))] + tail)
+    else:
+        b = ()
+    return (b, a) if draw(st.booleans()) else (a, b)
+
+
+@given(word_pairs())
+def test_concat_matches_letter_stack_oracle(pair):
+    a, b = pair
+    assert concat(a, b) == stack_concat(a, b)
+
+
 @given(letters_st, letters_st, letters_st)
 def test_concat_associative(a, b, c):
     wa, wb, wc = reduce(a), reduce(b), reduce(c)
