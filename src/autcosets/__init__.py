@@ -50,7 +50,6 @@ from .cosets import (
     star_product,
     star_vs_pair_check,
     theta,
-    triple_product_disjoint,
     tuple_product,
     witness_left,
     witness_right,
@@ -116,7 +115,6 @@ __all__ = [
     "star_product",
     "star_vs_pair_check",
     "theta",
-    "triple_product_disjoint",
     "tuple_product",
     "witness_left",
     "witness_right",

@@ -79,6 +79,8 @@ class Endomorphism:
 
     def image(self, index: int) -> Word:
         """Image word of x_index (x_index itself when fixed)."""
+        if type(index) is not int:
+            index = _integer(index, "generator index")
         if index < 1:
             raise ValueError(f"generator index must be >= 1, got {index}")
         return self._images.get(index, ((index, 1),))
@@ -366,6 +368,8 @@ def permutation_automorphism(mapping: Mapping[int, int]) -> Automorphism:
 def is_in_H(a: Automorphism, m: int) -> bool:
     """Whether ``a`` fixes each of x_1 .. x_m (membership in the pointwise
     stabilizer of the first m generators)."""
+    if type(m) is not int:
+        m = _integer(m, "m")
     if m < 0:
         raise ValueError(f"m must be >= 0, got {m}")
     xfixed = a.fwd._images

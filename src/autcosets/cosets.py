@@ -20,12 +20,10 @@ Block layout used throughout, for given m and N:
     x block: 1..m          (never moved by theta)
     y block: m+1..m+N
     z block: m+N+1..m+2N
-    u block: m+2N+1..m+3N  (triple products only)
 
 Every block swap is built by ``_block_swap(base, size, offset)``:
 ``theta(m, N)`` swaps y and z, ``stability_witness`` swaps the padding
-with the block above it, the triple product renames an upper block by
-conjugating with a swap, and ``repengine.weak_limit_check`` swaps the pairs
+with the block above it, and ``repengine.weak_limit_check`` swaps the pairs
 of theta it reads.
 """
 
@@ -303,26 +301,3 @@ def star_vs_pair_check(m: int, g: Automorphism, h: Automorphism) -> bool:
         raise SupportViolation("second pair component escaped the stabilizer")
     return compose(a, b.inverse()) == star_product(m, g, h).rep
 
-
-def _shift_upper_block(a: Automorphism, m: int, n: int, offset: int) -> Automorphism:
-    """Rename generators m+1..m+n to m+offset+1..m+offset+n inside ``a``
-    (keys and image letters alike), by conjugating with the block swap of
-    the two blocks; ``a`` must be supported on 1..m+n and offset >= n."""
-    _require_support(m, n, a)
-    pi = _block_swap(m, n, offset)
-    return compose(pi, compose(a, pi))
-
-
-def triple_product_disjoint(
-    m: int, g: Automorphism, h: Automorphism, f: Automorphism
-) -> Automorphism:
-    """Three-factor product with pairwise disjoint upper blocks.
-
-    g's upper block is renamed to the u block and h's to the z block; f
-    keeps the y block.  The composite (g', h' and f acting in that order,
-    f first) represents (HgH . HhH) . HfH = HgH . (HhH . HfH) at block
-    size n = block_size(m, g, h, f)."""
-    n = block_size(m, g, h, f)
-    g_sep = _shift_upper_block(g, m, n, 2 * n)
-    h_sep = _shift_upper_block(h, m, n, n)
-    return compose(g_sep, compose(h_sep, f))

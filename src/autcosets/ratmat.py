@@ -11,21 +11,13 @@ an object array of Python ints.  No float ever enters.
 from __future__ import annotations
 
 import math
-import operator
-from fractions import Fraction
-from typing import Iterable
+import numbers
 
 import numpy as np
 
+from .words import _integer
+
 INT64_MAX = 2**63 - 1
-
-
-def _as_fraction(x) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, (int, str)) and not isinstance(x, bool):
-        return Fraction(x)
-    raise TypeError(f"matrix entries must be Fraction, int, or 'p/q' string, got {type(x).__name__}")
 
 
 def _absmax(a: np.ndarray) -> int:
@@ -65,28 +57,47 @@ class _FractionStrings(dict):
         return text
 
 
+def _over_common_denominator(arr: np.ndarray, den: int) -> tuple[np.ndarray, int]:
+    """Python-int numerators and denominator of arr / den, for an object
+    array of ints, numpy integers and Fractions."""
+    parts = []
+    for x in arr.flat:
+        if isinstance(x, bool) or not isinstance(x, numbers.Rational):
+            raise TypeError(f"matrix entries must be integers or Fractions, got {type(x).__name__}")
+        parts.append((int(x), 1) if isinstance(x, numbers.Integral) else (x.numerator, x.denominator))
+    scale = math.lcm(*(q for _, q in parts))
+    num = np.array([p * (scale // q) for p, q in parts], dtype=object)
+    return num.reshape(arr.shape), den * scale
+
+
 class RationalMatrix:
     """Immutable matrix of exact rationals supporting exact product and
-    equality.  Entries may be given as Fraction, int (not bool), or "p/q"
-    strings; ``from_numerators`` builds one from an integer array and a
-    denominator."""
+    equality: ``RationalMatrix(num, den)`` is num / den for a non-empty 2-D
+    integer array ``num`` (any integer dtype) or nested lists of integers
+    and Fractions, and an integer den >= 1.  Floats, strings and booleans
+    are refused, as entries and as den."""
 
     __slots__ = ("rows", "cols", "num", "den")
 
-    def __init__(self, rows_data: Iterable[Iterable]):
-        rows = [[_as_fraction(x) for x in row] for row in rows_data]
-        if not rows:
-            raise ValueError("matrix needs at least one row")
-        width = len(rows[0])
-        if width == 0:
-            raise ValueError("matrix needs at least one column")
-        if any(len(row) != width for row in rows):
-            raise ValueError("ragged rows")
-        den = math.lcm(*(x.denominator for row in rows for x in row))
-        num = np.array(
-            [[x.numerator * (den // x.denominator) for x in row] for row in rows], dtype=object
-        )
-        self._set(num, den)
+    def __init__(self, num, den: int = 1):
+        # nested lists stay Python objects, so a bool or float among ints
+        # is seen before numpy would convert it
+        arr = np.array(num) if isinstance(num, np.ndarray) else np.array(num, dtype=object)
+        den = _integer(den, "denominator")
+        if den < 1:
+            raise ValueError(f"denominator must be >= 1, got {den}")
+        if arr.ndim != 2 or 0 in arr.shape:
+            raise ValueError(f"numerators must be a non-empty 2-D array, got shape {arr.shape}")
+        if arr.dtype == object:
+            if not all(type(x) is int for x in arr.flat):
+                arr, den = _over_common_denominator(arr, den)
+        elif arr.dtype.kind not in "iu":
+            raise TypeError(f"numerators must be integers, got dtype {arr.dtype}")
+        elif arr.dtype == np.uint64 or (arr.dtype == np.int64 and arr.min() == -INT64_MAX - 1):
+            arr = arr.astype(object)
+        else:
+            arr = arr.astype(np.int64)
+        self._set(arr, den)
 
     def _set(self, num: np.ndarray, den: int) -> None:
         """Store num/den in lowest terms and the narrowest exact dtype."""
@@ -103,48 +114,26 @@ class RationalMatrix:
 
     @classmethod
     def _exact(cls, num: np.ndarray, den: int) -> "RationalMatrix":
+        """num / den from already checked integer parts, with no checks."""
         out = cls.__new__(cls)
         out._set(num, den)
         return out
 
-    @classmethod
-    def from_numerators(cls, num, den: int = 1) -> "RationalMatrix":
-        """The matrix num / den for a 2-D integer array ``num`` and an
-        integer den >= 1; floats and booleans are rejected."""
-        arr = np.array(num)
-        den = operator.index(den)
-        if den < 1:
-            raise ValueError(f"denominator must be >= 1, got {den}")
-        if arr.ndim != 2 or 0 in arr.shape:
-            raise ValueError(f"numerators must be a non-empty 2-D array, got shape {arr.shape}")
-        if arr.dtype == object:
-            if not all(type(x) is int for x in arr.flat):
-                raise TypeError("numerators must be Python ints")
-        elif arr.dtype.kind not in "iu":
-            raise TypeError(f"numerators must be integers, got dtype {arr.dtype}")
-        elif arr.dtype == np.uint64 or (arr.dtype == np.int64 and arr.min() == -INT64_MAX - 1):
-            arr = arr.astype(object)
-        else:
-            arr = arr.astype(np.int64)
-        return cls._exact(arr, den)
+    @property
+    def data(self) -> tuple[tuple, ...]:
+        """Entries as Fractions, row by row; ``RationalMatrix(M.data) == M``."""
+        # imported here: no library path reads Fractions, so importing the
+        # package does not load fractions
+        from fractions import Fraction
+
+        return tuple(tuple(Fraction(p, self.den) for p in row) for row in self.num.tolist())
 
     @classmethod
     def identity(cls, dim: int) -> "RationalMatrix":
-        return cls.from_numerators(np.eye(dim, dtype=np.int64))
-
-    @property
-    def data(self) -> tuple[tuple[Fraction, ...], ...]:
-        """Entries as Fractions, row by row."""
-        return tuple(tuple(Fraction(p, self.den) for p in row) for row in self.num.tolist())
-
-    def entry(self, i: int, j: int) -> Fraction:
-        return Fraction(int(self.num[i, j]), self.den)
-
-    def row(self, i: int) -> tuple[Fraction, ...]:
-        return tuple(Fraction(p, self.den) for p in self.num[i].tolist())
-
-    def transpose(self) -> "RationalMatrix":
-        return RationalMatrix._exact(self.num.T, self.den)
+        dim = _integer(dim, "dim")
+        if dim < 1:
+            raise ValueError(f"dim must be >= 1, got {dim}")
+        return cls(np.eye(dim, dtype=np.int64))
 
     def __matmul__(self, other):
         if not isinstance(other, RationalMatrix):

@@ -194,7 +194,7 @@ def markov_matrix(
     rows = np.arange(dim, dtype=np.int64).reshape((n,) * m if n > 1 else ())
     key = rows * dim + _grid_code(K, [g.image(i) for i in range(1, m + 1)], n_coords)
     counts = np.bincount(key.ravel(), minlength=dim * dim).reshape(dim, dim)
-    return RationalMatrix.from_numerators(counts, key.size // dim)
+    return RationalMatrix(counts, key.size // dim)
 
 
 def projection_matrix(K: FiniteGroup, m: int, n_coords: int, max_points=None) -> RationalMatrix:
@@ -211,7 +211,7 @@ def projection_matrix(K: FiniteGroup, m: int, n_coords: int, max_points=None) ->
     npts = n ** n_coords
     head = np.arange(npts, dtype=np.int64) % n ** m
     same_head = (head[:, None] == head[None, :]).astype(np.int64)
-    return RationalMatrix.from_numerators(same_head, n ** (n_coords - m))
+    return RationalMatrix(same_head, n ** (n_coords - m))
 
 
 def _conjugation_perm(K: FiniteGroup, u: int, m: int) -> np.ndarray:
@@ -298,7 +298,7 @@ def compress_to_invariants(K: FiniteGroup, u, m: int, matrix: RationalMatrix, ma
     # a sum of at most dim entries stays in int64 when max|x| * dim does
     if block.dtype != object and _absmax(block) * dim > INT64_MAX:
         block = block.astype(object)
-    return RationalMatrix.from_numerators(np.add.reduceat(block, starts, axis=1), matrix.den)
+    return RationalMatrix(np.add.reduceat(block, starts, axis=1), matrix.den)
 
 
 def weak_limit_check(K: FiniteGroup, m: int, m_cyl: int, j: int, max_points=None) -> bool:

@@ -163,6 +163,8 @@ def format_word(w: Word) -> str:
 
 def generator_word(index: int) -> Word:
     """The one-letter word x_index."""
+    if type(index) is not int:
+        index = _integer(index, "generator index")
     if index < 1:
         raise ValueError(f"generator index must be >= 1, got {index!r}")
     return ((index, 1),)

@@ -1,15 +1,34 @@
 """Scalar word evaluation and point indexing: the point-by-point oracles for
 the broadcast grid ``repengine._grid_eval``, the point order of its flat
-tables, and every matrix built on them."""
+tables, and every matrix built on them; and the Fraction entries of an exact
+matrix, in and out."""
 
 from __future__ import annotations
 
 import functools
+import math
+from fractions import Fraction
 from typing import Sequence
+
+import numpy as np
 
 from autcosets.errors import SupportViolation
 from autcosets.groups import FiniteGroup
+from autcosets.ratmat import RationalMatrix
 from autcosets.words import Word
+
+
+def fraction_matrix(rows) -> RationalMatrix:
+    """The matrix with these rows of Fractions (or ints), over the lcm of
+    their denominators."""
+    den = math.lcm(*(x.denominator for row in rows for x in row))
+    num = [[x.numerator * (den // x.denominator) for x in row] for row in rows]
+    return RationalMatrix(np.array(num, dtype=object), den)
+
+
+def entries(M: RationalMatrix) -> tuple[tuple[Fraction, ...], ...]:
+    """M's entries as Fractions, row by row."""
+    return tuple(tuple(Fraction(p, M.den) for p in row) for row in M.num.tolist())
 
 
 @functools.lru_cache(maxsize=8)

@@ -13,7 +13,7 @@ import numpy as np
 
 import conftest
 from autcosets.automorphisms import compose, random_automorphism
-from autcosets.cosets import block_size, coset_product, star_vs_pair_check, triple_product_disjoint
+from autcosets.cosets import block_size, coset_product, star_vs_pair_check
 from autcosets.groups import Subgroup, builtin_group
 from autcosets.repengine import action_map, markov_matrix, weak_limit_check
 from autcosets.verify import (
@@ -26,6 +26,7 @@ from autcosets.verify import (
     right_witness_absorbs,
 )
 from autcosets.words import EMPTY, concat, invert_word, reduce
+from coset_oracle import triple_product_disjoint
 
 C2 = builtin_group("c2")
 C3 = builtin_group("c3")

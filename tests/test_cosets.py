@@ -33,7 +33,6 @@ from autcosets.cosets import (
     DoubleCosetRep,
     TupleRep,
     _block_swap,
-    _shift_upper_block,
     block_size,
     coset_product,
     product_formula_direct,
@@ -41,7 +40,6 @@ from autcosets.cosets import (
     star_product,
     star_vs_pair_check,
     theta,
-    triple_product_disjoint,
     tuple_product,
     witness_left,
     witness_right,
@@ -55,6 +53,8 @@ from autcosets.verify import (
     left_witness_absorbs,
     right_witness_absorbs,
 )
+from autcosets.words import generator_word
+from coset_oracle import triple_product_disjoint
 
 
 def rand_aut(seed, length, m_fix=0, max_index=4):
@@ -120,7 +120,6 @@ def test_block_size_over_the_limit_is_refused_before_theta(monkeypatch):
         lambda: coset_product(m, far, e),
         lambda: star_product(m, e, far),
         lambda: tuple_product(m, (e, far), (e, e)),
-        lambda: triple_product_disjoint(m, e, e, far),
     ]
     for product in products:
         with pytest.raises(SizeLimitError) as exc:
@@ -324,6 +323,9 @@ INTEGER_ARGUMENTS = [
     (witness_left, (1, 2, nielsen_swap(2, 3), _G, _H), {"m": 0, "n": 1}),
     (witness_right, (1, 2, nielsen_swap(2, 3), _G, _H), {"m": 0, "n": 1}),
     (stability_witness, (1, 1, 1, _G, _H), {"m": 0, "n": 1, "p": 2}),
+    (is_in_H, (_G, 1), {"m": 1}),
+    (Automorphism.image, (_G, 1), {"generator index": 1}),
+    (generator_word, (2,), {"generator index": 0}),
 ]
 
 
@@ -386,15 +388,11 @@ def test_invertible_remark_degenerate_product():
 @settings(max_examples=40)
 def test_closed_products_preserve_the_inverse_pair(m, j, s1, l1, s2, l2, s3, l3):
     g, h, f = rand_aut(s1, l1), rand_aut(s2, l2), rand_aut(s3, l3)
-    n = block_size(m, g, h, f)
     results = [
         theta(m, j),
         coset_product(m, g, h).rep,
         star_product(m, g, h).rep,
         *tuple_product(m, (g, h), (h, f)).reps,
-        _shift_upper_block(g, m, n, n),
-        _shift_upper_block(h, m, n, 2 * n),
-        triple_product_disjoint(m, g, h, f),
     ]
     for r in results:
         assert_closed_result(r)
@@ -464,18 +462,6 @@ def oracle_weak_limit_swap(m, m_cyl, j):
     return permutation_automorphism({**{k: k + j for k in pairs}, **{k + j: k for k in pairs}})
 
 
-def oracle_shift_upper_block(a, m, n, offset):
-    """Rename m+1..m+n to m+offset+1..m+offset+n in keys and letters alike."""
-
-    def relabel(i):
-        return i + offset if i > m else i
-
-    def relabel_images(e):
-        return {relabel(k): tuple((relabel(g), s) for g, s in w) for k, w in e.images.items()}
-
-    return Automorphism(relabel_images(a.fwd), relabel_images(a.inv))
-
-
 def assert_same_images(got, want):
     assert got.fwd.images == want.fwd.images
     assert got.inv.images == want.inv.images
@@ -488,9 +474,6 @@ def test_block_swaps_match_hand_built_oracles(m, n, p, seed, length):
     a = rand_aut(seed, length, max_index=m + n) if m + n else identity_automorphism()
     pi, s = stability_witness(m, n, p, a, a)
     assert_same_images(s, oracle_stability_swap(m, n, p))
-    for offset in (n, 2 * n):
-        shifted = _shift_upper_block(a, m, n, offset)
-        assert_same_images(shifted, oracle_shift_upper_block(a, m, n, offset))
 
 
 @given(st.integers(0, 3), st.integers(0, 3), st.integers(0, 5))

@@ -1,7 +1,10 @@
-"""Exact rational matrices; the product oracle is a naive triple loop."""
+"""Exact rational matrices; the product oracle is a naive triple loop over
+the Fraction entries of ``eval_oracle.entries``."""
 
 from __future__ import annotations
 
+import subprocess
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -10,6 +13,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from autcosets.ratmat import RationalMatrix
+from eval_oracle import entries, fraction_matrix
 
 fraction_st = st.builds(
     Fraction, st.integers(-12, 12), st.integers(1, 9)
@@ -24,45 +28,40 @@ def square_st(dim):
 
 def naive_matmul(a: RationalMatrix, b: RationalMatrix) -> list[list[Fraction]]:
     out = [[Fraction(0)] * b.cols for _ in range(a.rows)]
+    ea, eb = entries(a), entries(b)
     for i in range(a.rows):
         for j in range(b.cols):
             acc = Fraction(0)
             for t in range(a.cols):
-                acc += a.entry(i, t) * b.entry(t, j)
+                acc += ea[i][t] * eb[t][j]
             out[i][j] = acc
     return out
 
 
 @given(square_st(3), square_st(3))
 def test_matmul_matches_naive_oracle(rows_a, rows_b):
-    a = RationalMatrix(rows_a)
-    b = RationalMatrix(rows_b)
-    assert (a @ b).data == tuple(tuple(r) for r in naive_matmul(a, b))
+    a = fraction_matrix(rows_a)
+    b = fraction_matrix(rows_b)
+    assert entries(a @ b) == tuple(tuple(r) for r in naive_matmul(a, b))
 
 
 @given(square_st(2), square_st(2), square_st(2))
 def test_matmul_associative(ra, rb, rc):
-    a, b, c = RationalMatrix(ra), RationalMatrix(rb), RationalMatrix(rc)
+    a, b, c = fraction_matrix(ra), fraction_matrix(rb), fraction_matrix(rc)
     assert (a @ b) @ c == a @ (b @ c)
 
 
 @given(square_st(3))
 def test_identity_neutral(rows):
-    a = RationalMatrix(rows)
+    a = fraction_matrix(rows)
     e = RationalMatrix.identity(3)
     assert a @ e == a
     assert e @ a == a
 
 
 def test_entries_are_exact():
-    a = RationalMatrix([[Fraction(1, 3), Fraction(1, 3), Fraction(1, 3)]])
-    assert sum(a.row(0)) == 1  # no float drift
-
-
-def test_construction_accepts_ints_and_strings():
-    a = RationalMatrix([[1, "1/2"], ["-3/4", 0]])
-    assert a.entry(0, 1) == Fraction(1, 2)
-    assert a.entry(1, 0) == Fraction(-3, 4)
+    a = fraction_matrix([[Fraction(1, 3), Fraction(1, 3), Fraction(1, 3)]])
+    assert sum(entries(a)[0]) == 1  # no float drift
 
 
 @pytest.mark.parametrize("entry", [True, False])
@@ -80,8 +79,18 @@ def test_construction_rejects_bad_input():
         RationalMatrix([[1, 2], [3]])
     with pytest.raises(TypeError):
         RationalMatrix([[0.5]])
-    with pytest.raises(ValueError):
-        RationalMatrix([["nope"]])
+    for entry in ("1/2", True, np.bool_(True), 0.5):
+        with pytest.raises(TypeError, match=f"got {type(entry).__name__}$"):
+            RationalMatrix([[1, entry]])
+    for den in (True, 2.0):
+        with pytest.raises(ValueError, match=f"^denominator must be an integer, got {den!r}$"):
+            RationalMatrix([[1, 2]], den)
+    for dim in (True, 2.0):
+        with pytest.raises(ValueError, match=f"^dim must be an integer, got {dim!r}$"):
+            RationalMatrix.identity(dim)
+    for dim in (0, -1):
+        with pytest.raises(ValueError, match=f"^dim must be >= 1, got {dim}$"):
+            RationalMatrix.identity(dim)
 
 
 def test_shape_mismatch():
@@ -90,29 +99,16 @@ def test_shape_mismatch():
         a @ a
 
 
-def test_transpose():
-    a = RationalMatrix([[1, 2, 3], [4, 5, 6]])
-    assert a.transpose().data == ((1, 4), (2, 5), (3, 6))
-
-
 def test_doubly_stochastic():
-    half = Fraction(1, 2)
-    assert RationalMatrix([[half, half], [half, half]]).is_doubly_stochastic()
+    assert RationalMatrix([[1, 1], [1, 1]], 2).is_doubly_stochastic()
     assert RationalMatrix.identity(3).is_doubly_stochastic()
     assert not RationalMatrix([[1, 0], [1, 0]]).is_doubly_stochastic()
-    assert not RationalMatrix([["3/2", "-1/2"], ["-1/2", "3/2"]]).is_doubly_stochastic()
+    assert not RationalMatrix([[3, -1], [-1, 3]], 2).is_doubly_stochastic()
     assert not RationalMatrix([[1, 0]]).is_doubly_stochastic()
 
 
-def test_string_roundtrip():
-    a = RationalMatrix([[Fraction(1, 2), Fraction(-2, 3)], [Fraction(4), Fraction(0)]])
-    strings = a.to_strings()
-    assert strings == [["1/2", "-2/3"], ["4", "0"]]
-    assert RationalMatrix(strings) == a
-
-
 def assert_strings_match_fractions(num, den):
-    mat = RationalMatrix.from_numerators(num, den)
+    mat = RationalMatrix(num, den)
     want = [[str(Fraction(int(p), den)) for p in row] for row in num]
     assert mat.to_strings() == want
     return mat
@@ -160,21 +156,21 @@ big_fraction_st = st.builds(
     st.lists(st.lists(big_fraction_st, min_size=2, max_size=2), min_size=3, max_size=3),
 )
 def test_large_numerators_fall_back_to_python_ints(rows_a, rows_b):
-    a = RationalMatrix(rows_a)
-    b = RationalMatrix(rows_b)
+    a = fraction_matrix(rows_a)
+    b = fraction_matrix(rows_b)
     prod = a @ b
-    assert prod.data == tuple(tuple(r) for r in naive_matmul(a, b))
+    assert entries(prod) == tuple(tuple(r) for r in naive_matmul(a, b))
     assert prod.to_strings() == [[str(x) for x in r] for r in naive_matmul(a, b)]
 
 
 def test_int64_edge_of_the_product_bound():
     # 2^63 - 1 = 7 * 1317624576693539401: the bound is met exactly
     at_bound = RationalMatrix([[7]]) @ RationalMatrix([[(2**63 - 1) // 7]])
-    assert at_bound.entry(0, 0) == 2**63 - 1
+    assert entries(at_bound) == ((2**63 - 1,),)
     assert at_bound.num.dtype == np.int64
     # the bound is one past 2^63 - 1, and so is the product: int64 would wrap
     above = RationalMatrix([[1, 1]]) @ RationalMatrix([[2**62], [2**62]])
-    assert above.entry(0, 0) == 2**63
+    assert entries(above) == ((2**63,),)
     assert above.num.dtype == object
     assert above.to_strings() == [[str(2**63)]]
     # over the bound with a small product: the result narrows back to int64
@@ -185,20 +181,23 @@ def test_int64_edge_of_the_product_bound():
 
 def test_row_sums_beyond_int64_stay_exact():
     big = 2**62
-    wide = RationalMatrix.from_numerators([[big, big], [big, big]], 2 * big)
+    wide = RationalMatrix([[big, big], [big, big]], 2 * big)
     assert wide.is_doubly_stochastic()
-    over = RationalMatrix.from_numerators([[big, big + 1], [big + 1, big]], 2 * big + 1)
+    over = RationalMatrix([[big, big + 1], [big + 1, big]], 2 * big + 1)
     assert over.num.dtype == np.int64
     assert over.is_doubly_stochastic()
 
 
 def test_canonical_form():
     forms = [
-        RationalMatrix([["1/2", "1/4"], [0, "-3/4"]]),
-        RationalMatrix.from_numerators([[2, 1], [0, -3]], 4),
-        RationalMatrix.from_numerators(np.array([[4, 2], [0, -6]], dtype=np.int64), 8),
-        RationalMatrix.from_numerators(np.array([[2**70, 2**69], [0, -3 * 2**69]], dtype=object), 2**71),
-        RationalMatrix.from_numerators(np.array([[6, 3], [0, -9]], dtype=np.int8), 12),
+        fraction_matrix([[Fraction(1, 2), Fraction(1, 4)], [0, Fraction(-3, 4)]]),
+        RationalMatrix([[2, 1], [0, -3]], 4),
+        RationalMatrix(np.array([[4, 2], [0, -6]], dtype=np.int64), 8),
+        RationalMatrix(np.array([[2**70, 2**69], [0, -3 * 2**69]], dtype=object), 2**71),
+        RationalMatrix(np.array([[6, 3], [0, -9]], dtype=np.int8), 12),
+        RationalMatrix([[np.int64(4), np.int16(2)], [0, np.int32(-6)]], np.int64(8)),
+        RationalMatrix(list(np.array([[4, 2], [0, -6]], dtype=np.int64)), 8),
+        RationalMatrix([[1, Fraction(1, 2)], [0, Fraction(-3, 2)]], 2),
     ]
     first = forms[0]
     assert first.den == 4
@@ -208,19 +207,18 @@ def test_canonical_form():
         assert hash(other) == hash(first)
         assert other.to_strings() == first.to_strings() == [["1/2", "1/4"], ["0", "-3/4"]]
         assert other.den == first.den and other.num.dtype == np.int64
-    zero = RationalMatrix.from_numerators([[0, 0]], 9)
+    zero = RationalMatrix([[0, 0]], 9)
     assert zero.den == 1 and zero == RationalMatrix([[0, 0]])
 
 
 def test_numerators_are_never_floats():
-    a = RationalMatrix([[1, "1/2"], [Fraction(-2, 3), 0]])
+    a = fraction_matrix([[1, Fraction(1, 2)], [Fraction(-2, 3), 0]])
     big = RationalMatrix([[2**80]])
     made = [
         a,
         a @ a,
-        a.transpose(),
         RationalMatrix.identity(3),
-        RationalMatrix.from_numerators([[1, 2]], 3),
+        RationalMatrix([[1, 2]], 3),
         big,
         big @ big,
     ]
@@ -229,23 +227,59 @@ def test_numerators_are_never_floats():
         assert all(isinstance(x, int) for x in m.num.ravel().tolist())
     assert not a.num.flags.writeable
     with pytest.raises(TypeError):
-        RationalMatrix.from_numerators(np.array([[0.5, 1.0]]), 2)
+        RationalMatrix(np.array([[0.5, 1.0]]), 2)
     with pytest.raises(TypeError):
-        RationalMatrix.from_numerators([[1.0]])
+        RationalMatrix([[1.0]])
     with pytest.raises(TypeError):
-        RationalMatrix.from_numerators(np.array([[True]]))
+        RationalMatrix(np.array([[True]]))
     with pytest.raises(TypeError):
-        RationalMatrix.from_numerators(np.array([[1, 0.5]], dtype=object))
-    with pytest.raises(TypeError):
-        RationalMatrix.from_numerators([[1]], 2.0)
+        RationalMatrix(np.array([[1, 0.5]], dtype=object))
+    with pytest.raises(ValueError, match="denominator must be an integer"):
+        RationalMatrix([[1]], 2.0)
     with pytest.raises(ValueError):
-        RationalMatrix.from_numerators([[1]], 0)
+        RationalMatrix([[1]], 0)
     with pytest.raises(ValueError):
-        RationalMatrix.from_numerators([1, 2])
+        RationalMatrix([1, 2])
 
 
 def test_repr_and_fraction_views():
-    a = RationalMatrix([["1/2", 2], [0, "-1/3"]])
+    a = RationalMatrix([[3, 12], [0, -2]], 6)
     assert repr(a) == "RationalMatrix(2x2: 1/2 2; 0 -1/3)"
-    assert a.row(1) == (Fraction(0), Fraction(-1, 3))
-    assert a.data == ((Fraction(1, 2), Fraction(2)), (Fraction(0), Fraction(-1, 3)))
+    assert entries(a)[1] == (Fraction(0), Fraction(-1, 3))
+    assert entries(a) == ((Fraction(1, 2), Fraction(2)), (Fraction(0), Fraction(-1, 3)))
+
+
+@given(st.integers(1, 4).flatmap(square_st))
+def test_fraction_rows_round_trip_and_show_a_changed_entry(rows):
+    a = RationalMatrix(rows)
+    assert a == fraction_matrix(rows)
+    assert a.data == entries(a)
+    assert RationalMatrix(a.data) == a
+    changed = [list(row) for row in a.data]
+    changed[0][0] += 1
+    b = RationalMatrix(changed)
+    assert b != a and entries(b)[0][0] == entries(a)[0][0] + 1
+    assert entries(b)[1:] == entries(a)[1:] and entries(b)[0][1:] == entries(a)[0][1:]
+
+
+def test_matrix_verbs_never_import_fractions():
+    """Matrices are integers over one denominator, so neither a compressed
+    ``rep-matrix`` nor the representation suite loads ``fractions``."""
+    g = '{"images": {"1": [[1,1],[2,1]]}, "inverse_images": {"1": [[1,1],[2,-1]]}}'
+    for argv in (
+        ["rep-matrix", "--group", "s3", "--m", "2", "--g", g, "--u", "0,1,2,3,4,5"],
+        ["verify", "--suite", "representation"],
+    ):
+        proc = subprocess.run(
+            [sys.executable, "-X", "importtime", "-m", "autcosets", *argv],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        imported = {
+            line.rsplit("|", 1)[-1].strip()
+            for line in proc.stderr.splitlines()
+            if line.startswith("import time:")
+        }
+        assert "autcosets.ratmat" in imported  # the import log was read
+        assert "fractions" not in imported
