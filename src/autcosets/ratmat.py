@@ -5,7 +5,8 @@ Python-int denominator ``den``, always in lowest terms: gcd(den, every
 numerator) == 1, so equal matrices have equal parts.  Numerators are int64
 whenever every entry fits, and an operation runs in int64 only when a bound
 on its inputs proves that no partial sum can overflow; otherwise it runs on
-an object array of Python ints.  No float ever enters.
+an object array of Python ints.  No float ever enters.  A product of more
+than ``errors.MAX_MATMUL_WORK`` multiply-adds is refused before any work.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import numbers
 
 import numpy as np
 
+from .errors import MAX_MATMUL_WORK, SizeLimitError
 from .words import _integer
 
 INT64_MAX = 2**63 - 1
@@ -114,7 +116,11 @@ class RationalMatrix:
 
     @classmethod
     def _exact(cls, num: np.ndarray, den: int) -> "RationalMatrix":
-        """num / den from already checked integer parts, with no checks."""
+        """num / den from integer parts the library built itself: a fresh
+        non-empty 2-D int64 array with no entry -2^63, or an object array of
+        Python ints, and an int den >= 1.  It skips the constructor's checks
+        and copies, which are for outside input; ``num`` is taken, not
+        copied, and made read-only."""
         out = cls.__new__(cls)
         out._set(num, den)
         return out
@@ -133,19 +139,27 @@ class RationalMatrix:
         dim = _integer(dim, "dim")
         if dim < 1:
             raise ValueError(f"dim must be >= 1, got {dim}")
-        return cls(np.eye(dim, dtype=np.int64))
+        return cls._exact(np.eye(dim, dtype=np.int64), 1)
 
     def __matmul__(self, other):
         if not isinstance(other, RationalMatrix):
             return NotImplemented
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch: {self.rows}x{self.cols} @ {other.rows}x{other.cols}")
+        work = self.rows * self.cols * other.cols
+        if work > MAX_MATMUL_WORK:
+            raise SizeLimitError(
+                f"matmul {self.rows}x{self.cols} @ {other.rows}x{other.cols} needs {work} "
+                f"multiply-adds, over the limit of {MAX_MATMUL_WORK}"
+            )
         return RationalMatrix._exact(int_matmul(self.num, other.num), self.den * other.den)
 
     def __eq__(self, other):
         if not isinstance(other, RationalMatrix):
             return NotImplemented
-        return self.den == other.den and bool(np.array_equal(self.num, other.num))
+        # shapes first: arrays of different shapes do not compare elementwise
+        a, b = self.num, other.num
+        return self.den == other.den and a.shape == b.shape and bool((a == b).all())
 
     def __hash__(self):
         return hash((self.den, self.num.shape, tuple(self.num.ravel().tolist())))
@@ -155,9 +169,10 @@ class RationalMatrix:
         if self.rows != self.cols:
             return False
         num = self.num
-        if (num < 0).any():
+        if num.min() < 0:
             return False
-        if self.den > INT64_MAX or _absmax(num) * self.cols > INT64_MAX:
+        # entries are non-negative, so the largest is the largest |x|
+        if self.den > INT64_MAX or int(num.max()) * self.cols > INT64_MAX:
             num = num.astype(object)
         return bool((num.sum(axis=1) == self.den).all() and (num.sum(axis=0) == self.den).all())
 

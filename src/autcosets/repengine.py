@@ -73,42 +73,75 @@ def _check_budget(max_points, layer: str, n: int, exp: int, cells: bool = False)
     raise SizeLimitError(f"{layer} enumerates {size} points, over the budget of {budget}")
 
 
+@functools.lru_cache(maxsize=256)
 def _coordinate(n: int, i: int) -> np.ndarray:
-    """Coordinate i of every point: arange(n) along axis -i.  A group of
-    order 1 has one point, laid out with no axes (numpy allows at most 64)."""
+    """Coordinate i of every point: arange(n) along axis -i, read-only and
+    cached, so every word that reads x_i shares it.  A group of order 1 has
+    one point, laid out with no axes (numpy allows at most 64)."""
     shape = (n,) + (1,) * (i - 1) if n > 1 else ()
-    return np.arange(n, dtype=np.int32).reshape(shape)
+    grid = np.arange(n, dtype=np.int32).reshape(shape)
+    grid.setflags(write=False)
+    return grid
+
+
+@functools.lru_cache(maxsize=32)
+def _row_offsets(n: int, m: int) -> np.ndarray:
+    """Read-only grid on K^m of each point's row offset in a flat n^m x n^m
+    matrix: its index times n^m."""
+    dim = n ** m
+    rows = np.arange(0, dim * dim, dim, dtype=np.int64).reshape((n,) * m if n > 1 else ())
+    rows.setflags(write=False)
+    return rows
 
 
 def _grid_eval(K: FiniteGroup, w: Word, n_coords: int) -> np.ndarray:
     """Value of ``w`` at every point of K^n_coords (letters multiply left to
-    right, coordinate i feeds x_i), on a grid with one axis per coordinate.
+    right, coordinate i feeds x_i), on a read-only grid with one axis per
+    coordinate.
 
     Coordinate i runs along axis n_coords - i, so on the full grid the
     C-order flat index is the point's index, the base-n number whose least
     significant digit is coordinate 1.  Only the coordinates ``w``
     reads are materialized: every other axis has length 1 (or is absent
     below the highest one read), and the result broadcasts to the full grid.
+
+    The value starts at the first letter's grid, not at the identity, so a
+    word of one positive letter returns the cached coordinate grid itself
+    and costs no gather; the empty word is the identity, with no axes.
     """
     n = K.order
     mul = K.mul_np
     inv = K.inv_np
-    acc = np.array(K.identity, dtype=np.int32)
+    acc = None
     for gen, sign in w:
         if gen > n_coords:
             raise SupportViolation(f"word mentions x{gen} but points have {n_coords} coordinates")
         coord = _coordinate(n, gen)
-        acc = mul[acc, coord if sign == 1 else inv[coord]]
+        value = coord if sign == 1 else inv[coord]
+        acc = value if acc is None else mul[acc, value]
+    if acc is None:
+        acc = np.array(K.identity, dtype=np.int32)
+    acc.setflags(write=False)
     return acc
 
 
 def _digit_sum(n: int, digits) -> np.ndarray:
     """Base-n number of grids of digits in 0..n-1, least significant first:
-    the index of the point whose coordinate i is the i-th digit."""
-    code = np.zeros((), dtype=np.int64)
+    the index of the point whose coordinate i is the i-th digit.
+
+    The sum starts as an int64 copy of the first digit, and each later digit
+    is scaled in place in its own int64 copy before it is added, so the
+    digits, which may be cached read-only grids, are never written.  No
+    digits give the index 0 of the one point of K^0."""
+    code = None
     for i, digit in enumerate(digits):
-        code = code + digit.astype(np.int64) * n ** i
-    return code
+        term = digit.astype(np.int64)
+        if code is None:
+            code = term
+        else:
+            term *= n ** i
+            code = code + term
+    return np.zeros((), dtype=np.int64) if code is None else code
 
 
 def _grid_code(K: FiniteGroup, words, n_coords: int) -> np.ndarray:
@@ -122,6 +155,14 @@ def _full_table(code: np.ndarray, n: int, n_coords: int) -> np.ndarray:
     order (coordinate 1 is the least significant base-n digit)."""
     shape = (n,) * n_coords if n > 1 else ()
     return (code if code.shape == shape else np.broadcast_to(code, shape)).ravel()
+
+
+def _require_automorphism(g, layer: str) -> None:
+    """Refuse a ``g`` that is not a verified ``Automorphism`` (TypeError
+    naming its type): any object with ``image`` and ``support_bound`` would
+    otherwise be evaluated."""
+    if not isinstance(g, Automorphism):
+        raise TypeError(f"{layer} needs an Automorphism, got {type(g).__name__}")
 
 
 class ActionMap:
@@ -147,6 +188,7 @@ def action_map(K: FiniteGroup, g: Automorphism, n_coords: int, max_points=None) 
     Composites reverse: the point map of compose(g, h) is the point map of
     g followed by the point map of h.
     """
+    _require_automorphism(g, "action_map")
     n_coords = _integer(n_coords, "n_coords")
     if g.support_bound() > n_coords:
         raise SupportViolation(
@@ -178,7 +220,11 @@ def markov_matrix(
     The budget counts all n^N points, but only the coordinates 1..m and
     those the images of x_1..x_m read are enumerated: each other coordinate
     multiplies every count by n, which cancels in the lowest-terms result.
+
+    ``g`` must be an ``Automorphism``: the image map of a mere endomorphism
+    need not induce a bijection, and its matrix need not be stochastic.
     """
+    _require_automorphism(g, "markov_matrix")
     m = _integer(m, "m")
     if m < 0:
         raise ValueError(f"m must be >= 0, got {m}")
@@ -191,10 +237,9 @@ def markov_matrix(
     _check_budget(max_points, f"markov_matrix on {K.name}^{m}", n, m, cells=True)
     dim = n ** m
     # the row of a point is the code of its first m coordinates
-    rows = np.arange(dim, dtype=np.int64).reshape((n,) * m if n > 1 else ())
-    key = rows * dim + _grid_code(K, [g.image(i) for i in range(1, m + 1)], n_coords)
+    key = _row_offsets(n, m) + _grid_code(K, [g.image(i) for i in range(1, m + 1)], n_coords)
     counts = np.bincount(key.ravel(), minlength=dim * dim).reshape(dim, dim)
-    return RationalMatrix(counts, key.size // dim)
+    return RationalMatrix._exact(counts, key.size // dim)
 
 
 def projection_matrix(K: FiniteGroup, m: int, n_coords: int, max_points=None) -> RationalMatrix:
@@ -211,7 +256,7 @@ def projection_matrix(K: FiniteGroup, m: int, n_coords: int, max_points=None) ->
     npts = n ** n_coords
     head = np.arange(npts, dtype=np.int64) % n ** m
     same_head = (head[:, None] == head[None, :]).astype(np.int64)
-    return RationalMatrix(same_head, n ** (n_coords - m))
+    return RationalMatrix._exact(same_head, n ** (n_coords - m))
 
 
 def _conjugation_perm(K: FiniteGroup, u: int, m: int) -> np.ndarray:
@@ -292,13 +337,14 @@ def compress_to_invariants(K: FiniteGroup, u, m: int, matrix: RationalMatrix, ma
     num = matrix.num
     gens, perms, reps, order, starts = _orbit_structure(weakref.ref(K), members, m)
     for elem, perm in zip(gens, perms):
-        if not np.array_equal(num[perm[:, None], perm], num):
+        # both sides are dim x dim, so no shape check is needed
+        if not (num[perm[:, None], perm] == num).all():
             raise ValueError(f"matrix does not commute with conjugation by element {elem}")
     block = num[reps[:, None], order]
     # a sum of at most dim entries stays in int64 when max|x| * dim does
     if block.dtype != object and _absmax(block) * dim > INT64_MAX:
         block = block.astype(object)
-    return RationalMatrix(np.add.reduceat(block, starts, axis=1), matrix.den)
+    return RationalMatrix._exact(np.add.reduceat(block, starts, axis=1), matrix.den)
 
 
 def weak_limit_check(K: FiniteGroup, m: int, m_cyl: int, j: int, max_points=None) -> bool:

@@ -26,6 +26,8 @@ class WordSyntaxError(ValueError):
 def _integer(value, what: str) -> int:
     """``value`` as a Python int.  ``bool`` and non-integers such as 1.7 are
     refused, not truncated."""
+    if type(value) is int:
+        return value
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise ValueError(f"{what} must be an integer, got {value!r}")
     return int(value)

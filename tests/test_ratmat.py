@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import subprocess
 import sys
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -12,6 +13,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from autcosets import cli, ratmat
+from autcosets.errors import MAX_MATMUL_WORK, SizeLimitError
 from autcosets.ratmat import RationalMatrix
 from eval_oracle import entries, fraction_matrix
 
@@ -99,11 +102,75 @@ def test_shape_mismatch():
         a @ a
 
 
+def test_matmul_work_over_the_limit_is_refused_before_any_work(monkeypatch):
+    def no_work(a, b):
+        raise AssertionError("multiplied past the work limit")
+
+    monkeypatch.setattr(ratmat, "int_matmul", no_work)
+    # each factor's 3162^2 cells fit the point budget; their product does not
+    # fit the work limit.  Broadcast views keep the test from allocating them.
+    side = 3162
+    ones = RationalMatrix._exact(np.broadcast_to(np.int64(1), (side, side)), 1)
+    with pytest.raises(SizeLimitError) as exc:
+        ones @ ones
+    assert str(exc.value) == (
+        f"matmul {side}x{side} @ {side}x{side} needs {side ** 3} multiply-adds, "
+        f"over the limit of {MAX_MATMUL_WORK}"
+    )
+
+
+def test_matmul_work_limit_counts_rows_inner_and_cols(monkeypatch):
+    monkeypatch.setattr(ratmat, "MAX_MATMUL_WORK", 12)
+    a = RationalMatrix([[1, 2], [3, 4]])
+    b = RationalMatrix([[1, 0, 1], [0, 1, 1]])
+    assert (a @ b).num.tolist() == [[1, 2, 3], [3, 4, 7]]  # 2 x 2 x 3 = 12
+    with pytest.raises(SizeLimitError, match="matmul 3x2 @ 2x3 needs 18 multiply-adds, over the limit of 12"):
+        RationalMatrix(b.num.T) @ b
+
+
+def test_matmul_over_the_work_limit_exits_1(monkeypatch, capsys):
+    monkeypatch.setattr(ratmat, "MAX_MATMUL_WORK", 1)
+    assert cli.main(["verify", "--suite", "representation"]) == 1
+    assert capsys.readouterr().err.startswith("error: matmul 2x2 @ 2x2 needs 8 multiply-adds")
+
+
+def object_numerators(M: RationalMatrix) -> RationalMatrix:
+    """M with its numerators held as Python ints: a form no library path
+    keeps for numerators that fit in int64."""
+    out = RationalMatrix.__new__(RationalMatrix)
+    out.num, out.den, out.rows, out.cols = M.num.astype(object), M.den, M.rows, M.cols
+    return out
+
+
+def test_equality_compares_den_shape_and_entries():
+    wide = RationalMatrix([[1, 2, 3], [4, 5, 6]])
+    flat = RationalMatrix([[1, 2, 3, 4, 5, 6]])
+    big = RationalMatrix([[2**70, 1]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        # the same entries in another shape: no broadcast, no warning
+        assert wide != RationalMatrix([[1, 2], [3, 4], [5, 6]])
+        assert flat != RationalMatrix([[1], [2], [3], [4], [5], [6]])
+        assert flat != RationalMatrix([[1, 2, 3, 4, 5, 6, 7]])
+        assert wide != RationalMatrix([[1, 2, 3]])
+        # the same entries held as int64 and as Python ints
+        assert object_numerators(wide) == wide and wide == object_numerators(wide)
+        assert object_numerators(wide) != RationalMatrix([[1, 2, 3], [4, 5, 7]])
+        assert big == RationalMatrix(np.array([[2**70, 1]], dtype=object))
+        assert big != RationalMatrix([[2**70 + 1, 1]]) and big != RationalMatrix([[1, 1]])
+        # the same numerators over another denominator
+        assert RationalMatrix([[1, 2]], 3) != RationalMatrix([[1, 2]], 5)
+        assert RationalMatrix([[1, 2]], 3) == RationalMatrix([[2, 4]], 6)
+        assert wide.__eq__([[1, 2, 3], [4, 5, 6]]) is NotImplemented
+
+
 def test_doubly_stochastic():
     assert RationalMatrix([[1, 1], [1, 1]], 2).is_doubly_stochastic()
     assert RationalMatrix.identity(3).is_doubly_stochastic()
     assert not RationalMatrix([[1, 0], [1, 0]]).is_doubly_stochastic()
     assert not RationalMatrix([[3, -1], [-1, 3]], 2).is_doubly_stochastic()
+    # rows and columns sum to 1, but an entry is negative (Python ints)
+    assert not RationalMatrix([[2**64, 1 - 2**64], [1 - 2**64, 2**64]]).is_doubly_stochastic()
     assert not RationalMatrix([[1, 0]]).is_doubly_stochastic()
 
 

@@ -15,7 +15,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import autcosets
@@ -25,6 +25,7 @@ import autcosets.repengine
 
 from autcosets import cli
 from autcosets.automorphisms import (
+    Endomorphism,
     automorphism_to_dict,
     compose,
     identity_automorphism,
@@ -38,6 +39,9 @@ from autcosets.errors import MAX_COORDINATES, SizeLimitError, SupportViolation
 from autcosets.groups import Subgroup, builtin_group, group_from_dict, group_to_dict
 from autcosets.ratmat import RationalMatrix
 from autcosets.repengine import (
+    _coordinate,
+    _grid_eval,
+    _row_offsets,
     action_map,
     compress_to_invariants,
     markov_matrix,
@@ -106,6 +110,107 @@ def test_eval_word_matches_permutation_oracle():
 def test_eval_word_rejects_short_points():
     with pytest.raises(SupportViolation):
         eval_word(C2, parse_word("x3"), (0, 1))
+
+
+# --- _grid_eval ---------------------------------------------------------
+
+# the most coordinates drawn per group: at most 512 points
+GRID_GROUPS = {"c1": 4, "c2": 4, "c3": 3, "s3": 3, "q8": 3}
+
+
+@st.composite
+def grid_cases(draw):
+    name = draw(st.sampled_from(sorted(GRID_GROUPS)))
+    n_coords = draw(st.integers(1, GRID_GROUPS[name]))
+    letters = st.tuples(st.integers(1, n_coords), st.sampled_from((1, -1)))
+    return name, n_coords, tuple(draw(st.lists(letters, max_size=6)))
+
+
+@given(grid_cases())
+@example(("q8", 2, ()))
+@example(("c1", 4, ()))
+@example(("s3", 3, ((2, 1),)))
+@example(("q8", 3, ((3, -1),)))
+@example(("c1", 4, ((4, -1),)))
+@example(("q8", 3, ((1, -1), (3, 1), (1, 1))))
+@example(("c3", 2, ((2, -1), (2, -1))))
+def test_grid_eval_matches_eval_word_at_every_point(case):
+    name, n_coords, word = case
+    K = builtin_group(name)
+    n = K.order
+    grid = _grid_eval(K, word, n_coords)
+    assert not grid.flags.writeable
+    assert grid.dtype == np.int32 and grid.ndim <= (n_coords if n > 1 else 0)
+    # coordinate i runs along axis n_coords - i of the full grid
+    full = np.broadcast_to(grid, (n,) * n_coords)
+    for point in itertools.product(range(n), repeat=n_coords):
+        assert full[point[::-1]] == eval_word(K, word, point)
+    if len(word) == 1 and word[0][1] == 1:
+        # a positive letter alone is its cached coordinate grid
+        assert grid is _coordinate(n, word[0][0])
+    for i in range(1, n_coords + 1):
+        assert not _coordinate(n, i).flags.writeable
+
+
+@pytest.mark.parametrize("name, m", [("c1", 3), ("c2", 0), ("c2", 3), ("c3", 2), ("q8", 1)])
+def test_row_offsets_are_read_only_point_index_times_dim(name, m):
+    n = builtin_group(name).order
+    dim = n ** m
+    rows = _row_offsets(n, m)
+    assert rows is _row_offsets(n, m)
+    assert not rows.flags.writeable
+    assert rows.dtype == np.int64
+    full = np.broadcast_to(rows, (n,) * m if n > 1 else ())
+    assert full.ravel().tolist() == [p * dim for p in range(dim)]
+    with pytest.raises(ValueError):
+        rows[...] = 0
+
+
+def test_grid_eval_refuses_a_letter_beyond_the_coordinates():
+    with pytest.raises(SupportViolation, match="word mentions x3 but points have 2 coordinates"):
+        _grid_eval(C3, ((1, -1), (3, 1)), 2)
+
+
+class ImageMap:
+    """Has ``image`` and ``support_bound``, but is no Automorphism."""
+
+    def image(self, i):
+        return ((1, 1), (1, 1)) if i == 1 else ((i, 1),)
+
+    def support_bound(self):
+        return 1
+
+
+@pytest.mark.parametrize("g", [Endomorphism({1: [(1, 1), (1, 1)]}), ImageMap()])
+def test_point_engine_refuses_what_is_not_an_automorphism(g):
+    # x1 -> x1^2 maps both points of c2 to the unit: 1 0; 1 0 is not stochastic
+    kind = type(g).__name__
+    with pytest.raises(TypeError, match=f"^markov_matrix needs an Automorphism, got {kind}$"):
+        markov_matrix(C2, g, 1)
+    with pytest.raises(TypeError, match=f"^action_map needs an Automorphism, got {kind}$"):
+        action_map(C2, g, 1)
+
+
+def test_library_built_matrices_skip_the_constructor(monkeypatch):
+    built = []
+    checked = RationalMatrix.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(args)
+        checked(self, *args, **kwargs)
+
+    monkeypatch.setattr(RationalMatrix, "__init__", counting_init)
+    g = rand_aut(12, 6, max_index=3)
+    t = markov_matrix(S3, g, 1)
+    c = compress_to_invariants(S3, Subgroup.whole(S3), 1, t)
+    results = [t, c, t @ t, projection_matrix(C3, 1, 2), RationalMatrix.identity(4)]
+    assert built == []
+    for mat in results:
+        # each is already what the checking constructor makes of its parts
+        assert not mat.num.flags.writeable
+        assert mat.num.dtype == np.int64
+        assert RationalMatrix(mat.num, mat.den) == mat
+    assert len(built) == len(results)
 
 
 # --- action_map ---------------------------------------------------------
