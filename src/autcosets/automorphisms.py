@@ -65,7 +65,7 @@ class Endomorphism:
         normalized: dict[int, Word] = {}
         if images:
             for key, img in images.items():
-                key = _check_index(key)
+                key = _integer(key, "generator index", 1)
                 word = reduce(img)
                 if word != ((key, 1),):
                     normalized[key] = word
@@ -79,10 +79,7 @@ class Endomorphism:
 
     def image(self, index: int) -> Word:
         """Image word of x_index (x_index itself when fixed)."""
-        if type(index) is not int:
-            index = _integer(index, "generator index")
-        if index < 1:
-            raise ValueError(f"generator index must be >= 1, got {index}")
+        index = _integer(index, "generator index", 1)
         return self._images.get(index, ((index, 1),))
 
     def support_bound(self) -> int:
@@ -313,17 +310,9 @@ def identity_automorphism() -> Automorphism:
     return _closed_automorphism({}, {})
 
 
-def _check_index(i) -> int:
-    if type(i) is not int:
-        i = _integer(i, "generator index")
-    if i < 1:
-        raise ValueError(f"generator index must be >= 1, got {i}")
-    return i
-
-
 def nielsen_swap(i: int, j: int) -> Automorphism:
     """Transposition x_i <-> x_j (i != j)."""
-    i, j = _check_index(i), _check_index(j)
+    i, j = _integer(i, "generator index", 1), _integer(j, "generator index", 1)
     if i == j:
         raise ValueError("swap needs two distinct indices")
     return permutation_automorphism({i: j, j: i})
@@ -331,14 +320,14 @@ def nielsen_swap(i: int, j: int) -> Automorphism:
 
 def nielsen_invert(i: int) -> Automorphism:
     """x_i -> x_i^-1, all other generators fixed.  Self-inverse."""
-    i = _check_index(i)
+    i = _integer(i, "generator index", 1)
     images = {i: ((i, -1),)}
     return _closed_automorphism(images, images)
 
 
 def nielsen_right_mult(i: int, j: int) -> Automorphism:
     """x_i -> x_i x_j with i != j, all other generators fixed."""
-    i, j = _check_index(i), _check_index(j)
+    i, j = _integer(i, "generator index", 1), _integer(j, "generator index", 1)
     if i == j:
         raise ValueError("right multiplication needs two distinct indices")
     return _closed_automorphism({i: ((i, 1), (j, 1))}, {i: ((i, 1), (j, -1))})
@@ -352,7 +341,7 @@ def permutation_automorphism(mapping: Mapping[int, int]) -> Automorphism:
     """
     moved: dict[int, int] = {}
     for key, val in mapping.items():
-        key, val = _check_index(key), _check_index(val)
+        key, val = _integer(key, "generator index", 1), _integer(val, "generator index", 1)
         if key != val:
             if key in moved:
                 raise ValueError(f"duplicate image for generator {key}")
@@ -368,10 +357,7 @@ def permutation_automorphism(mapping: Mapping[int, int]) -> Automorphism:
 def is_in_H(a: Automorphism, m: int) -> bool:
     """Whether ``a`` fixes each of x_1 .. x_m (membership in the pointwise
     stabilizer of the first m generators)."""
-    if type(m) is not int:
-        m = _integer(m, "m")
-    if m < 0:
-        raise ValueError(f"m must be >= 0, got {m}")
+    m = _integer(m, "m", 0)
     xfixed = a.fwd._images
     return all(i not in xfixed for i in range(1, m + 1))
 
@@ -411,12 +397,8 @@ def random_automorphism(m_fix: int, max_index: int, length: int, seed: int) -> A
     unique, so the images are those of composing each move onto the left
     as it is drawn; both halves are built in full, so the result carries no
     chain of deferred inverses."""
-    m_fix, max_index = _integer(m_fix, "m_fix"), _integer(max_index, "max_index")
-    length = _integer(length, "length")
-    if m_fix < 0:
-        raise ValueError(f"m_fix must be >= 0, got {m_fix}")
-    if length < 0:
-        raise ValueError(f"length must be >= 0, got {length}")
+    m_fix, max_index = _integer(m_fix, "m_fix", 0), _integer(max_index, "max_index")
+    length = _integer(length, "length", 0)
     lo = m_fix + 1
     if max_index < lo:
         raise ValueError("max_index leaves no generators free to move")

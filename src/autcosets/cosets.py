@@ -78,9 +78,7 @@ def theta(m: int, j: int) -> Automorphism:
     k = 1..j.  theta(m, 0) is the identity.
 
     Raises SizeLimitError for j over MAX_BLOCK_SIZE."""
-    m, j = _integer(m, "m"), _integer(j, "j")
-    if m < 0 or j < 0:
-        raise ValueError("block parameters must be non-negative")
+    m, j = _integer(m, "m", 0), _integer(j, "j", 0)
     _check_block_size("block swap theta", "j", j)
     return _block_swap(m, j, j)
 
@@ -90,10 +88,7 @@ def block_size(m: int, *autos: Automorphism) -> int:
 
     Raises SizeLimitError for N over MAX_BLOCK_SIZE, before any block swap
     is built."""
-    m = _integer(m, "m")
-    if m < 0:
-        raise ValueError(f"m must be >= 0, got {m}")
-    top = m
+    m = top = _integer(m, "m", 0)
     for a in autos:
         bound = a.support_bound()
         if bound > top:
@@ -189,9 +184,7 @@ def product_formula_direct(m: int, n: int, g: Automorphism, h: Automorphism) -> 
     inverted and swapped, and the pair is verified: that check is part of
     the cross-check.
     """
-    m, n = _integer(m, "m"), _integer(n, "n")
-    if m < 0 or n < 0:
-        raise ValueError("block parameters must be non-negative")
+    m, n = _integer(m, "m", 0), _integer(n, "n", 0)
     _require_support(m, n, g, h)
     fwd = _pattern_images(m, n, g.fwd, h.fwd)
     inv = _pattern_images(m, n, h.inv, g.inv)
@@ -209,7 +202,7 @@ def witness_left(m: int, n: int, r: Automorphism, g: Automorphism, h: Automorphi
     x_{m+n+k} is r's image of x_{m+k} rewritten by x_j -> g(x_j),
     x_{m+t} -> x_{m+n+t}; it depends only on r and g, with h entering the
     identity but not the construction."""
-    m, n = _integer(m, "m"), _integer(n, "n")
+    m, n = _integer(m, "m", 0), _integer(n, "n", 0)
     if not is_in_H(r, m):
         raise SupportViolation("witness factor must fix x_1..x_m")
     _require_support(m, n, r, g, h)
@@ -246,9 +239,7 @@ def stability_witness(
     x_{m+n+t} -> x_{m+2n+t} (t <= p) and x_{m+n+p+k} -> x_{m+n+k} (k <= n).
     For p = 0 both are the identity.  Raises SizeLimitError for n + p over
     MAX_BLOCK_SIZE."""
-    m, n, p = _integer(m, "m"), _integer(n, "n"), _integer(p, "p")
-    if p < 0:
-        raise ValueError(f"p must be >= 0, got {p}")
+    m, n, p = _integer(m, "m", 0), _integer(n, "n", 0), _integer(p, "p", 0)
     _check_block_size("stability witness", "n + p", n + p)
     _require_support(m, n, g, h)
     s = _block_swap(m + n, p, n + p)

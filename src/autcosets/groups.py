@@ -236,8 +236,7 @@ def _cyclic(n: int) -> FiniteGroup:
     Addition mod n is a group law by construction, so the table skips the
     axiom check the way closed automorphisms skip verification.  Its n^2
     cells count against the point budget."""
-    if n < 1:
-        raise ValueError(f"cyclic order must be >= 1, got {n}")
+    n = _integer(n, "cyclic order", 1)
     _check_table_cells(f"builtin group c{n}", n)
     ar = np.arange(n, dtype=np.int32)
     g = FiniteGroup.__new__(FiniteGroup)

@@ -85,9 +85,7 @@ class RationalMatrix:
         # nested lists stay Python objects, so a bool or float among ints
         # is seen before numpy would convert it
         arr = np.array(num) if isinstance(num, np.ndarray) else np.array(num, dtype=object)
-        den = _integer(den, "denominator")
-        if den < 1:
-            raise ValueError(f"denominator must be >= 1, got {den}")
+        den = _integer(den, "denominator", 1)
         if arr.ndim != 2 or 0 in arr.shape:
             raise ValueError(f"numerators must be a non-empty 2-D array, got shape {arr.shape}")
         if arr.dtype == object:
@@ -136,10 +134,7 @@ class RationalMatrix:
 
     @classmethod
     def identity(cls, dim: int) -> "RationalMatrix":
-        dim = _integer(dim, "dim")
-        if dim < 1:
-            raise ValueError(f"dim must be >= 1, got {dim}")
-        return cls._exact(np.eye(dim, dtype=np.int64), 1)
+        return cls._exact(np.eye(_integer(dim, "dim", 1), dtype=np.int64), 1)
 
     def __matmul__(self, other):
         if not isinstance(other, RationalMatrix):

@@ -52,9 +52,7 @@ def _check_budget(max_points, layer: str, n: int, exp: int, cells: bool = False)
 
     A power far over the budget is neither built nor printed: the message
     then writes it as n^exp."""
-    budget = DEFAULT_MAX_POINTS if max_points is None else _integer(max_points, "max_points")
-    if budget < 1:
-        raise ValueError(f"max_points must be >= 1, got {max_points}")
+    budget = DEFAULT_MAX_POINTS if max_points is None else _integer(max_points, "max_points", 1)
     total = 2 * exp if cells else exp
     # n^total >= 2^(total * (bit_length(n) - 1)), which then exceeds budget^2
     huge = total * (n.bit_length() - 1) > 2 * budget.bit_length()
@@ -189,7 +187,7 @@ def action_map(K: FiniteGroup, g: Automorphism, n_coords: int, max_points=None) 
     g followed by the point map of h.
     """
     _require_automorphism(g, "action_map")
-    n_coords = _integer(n_coords, "n_coords")
+    n_coords = _integer(n_coords, "n_coords", 0)
     if g.support_bound() > n_coords:
         raise SupportViolation(
             f"automorphism moves x{g.support_bound()} but points have {n_coords} coordinates"
@@ -225,9 +223,7 @@ def markov_matrix(
     need not induce a bijection, and its matrix need not be stochastic.
     """
     _require_automorphism(g, "markov_matrix")
-    m = _integer(m, "m")
-    if m < 0:
-        raise ValueError(f"m must be >= 0, got {m}")
+    m = _integer(m, "m", 0)
     bound = max(g.support_bound(), m)
     n_coords = bound if truncation is None else _integer(truncation, "truncation")
     if n_coords < bound:
@@ -246,9 +242,8 @@ def projection_matrix(K: FiniteGroup, m: int, n_coords: int, max_points=None) ->
     """Matrix on K^n_coords of the conditional expectation onto functions of
     the first m coordinates: entry [p][q] = n^-(N-m) when p and q agree in
     coordinates 1..m, else 0.  Dense — quadratic in the point count."""
-    m = _integer(m, "m")
-    n_coords = _integer(n_coords, "n_coords")
-    if m < 0 or n_coords < m:
+    m, n_coords = _integer(m, "m", 0), _integer(n_coords, "n_coords")
+    if n_coords < m:
         raise ValueError("need 0 <= m <= n_coords")
     n = K.order
     _check_budget(max_points, f"projection on {K.name}^{n_coords}", n, n_coords)
@@ -328,7 +323,7 @@ def compress_to_invariants(K: FiniteGroup, u, m: int, matrix: RationalMatrix, ma
     if isinstance(u, Subgroup) and u.parent != K:
         raise ValueError(f"subgroup of {u.parent.name} does not act on {K.name}")
     members = u.members if isinstance(u, Subgroup) else Subgroup(K, u).members
-    m = _integer(m, "m")
+    m = _integer(m, "m", 0)
     _check_budget(max_points, f"compression on {K.name}^{m}", K.order, m)
     _check_budget(max_points, f"compress_to_invariants on {K.name}^{m}", K.order, m, cells=True)
     dim = K.order ** m
@@ -365,11 +360,7 @@ def weak_limit_check(K: FiniteGroup, m: int, m_cyl: int, j: int, max_points=None
     bounds n^(m + j + m_cyl), and both sides bound their n^(2(m + m_cyl))
     output cells.
     """
-    m = _integer(m, "m")
-    m_cyl = _integer(m_cyl, "m_cyl")
-    j = _integer(j, "j")
-    if m < 0 or m_cyl < 0 or j < 0:
-        raise ValueError("block parameters must be non-negative")
+    m, m_cyl, j = _integer(m, "m", 0), _integer(m_cyl, "m_cyl", 0), _integer(j, "j", 0)
     n = K.order
     level = m + m_cyl
     n_coords = m + j + m_cyl

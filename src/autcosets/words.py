@@ -23,14 +23,24 @@ class WordSyntaxError(ValueError):
     """Malformed text form of a word."""
 
 
-def _integer(value, what: str) -> int:
-    """``value`` as a Python int.  ``bool`` and non-integers such as 1.7 are
-    refused, not truncated."""
-    if type(value) is int:
-        return value
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ValueError(f"{what} must be an integer, got {value!r}")
-    return int(value)
+def _integer(value, what: str, floor: int | None = None) -> int:
+    """``value`` as a Python int, the one rule for integer arguments.
+
+    ``bool`` and non-integers such as 1.7 are refused, not truncated; numpy
+    and other ``numbers.Integral`` values become Python ints.  Given a
+    ``floor``, a value below it is refused with ``what`` and the floor
+    named: this is the one place a constant floor is checked.  Bounds that
+    relate two arguments stay with their callers.  ``reduce`` alone accepts
+    a plain int letter inline and calls this only for anything else: it
+    runs once per letter of every word the library builds, so the common
+    case pays no call."""
+    if type(value) is not int:
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise ValueError(f"{what} must be an integer, got {value!r}")
+        value = int(value)
+    if floor is not None and value < floor:
+        raise ValueError(f"{what} must be >= {floor}, got {value}")
+    return value
 
 
 def reduce(letters: Iterable[Letter]) -> Word:
@@ -44,12 +54,10 @@ def reduce(letters: Iterable[Letter]) -> Word:
     append = stack.append
     pop = stack.pop
     for gen, sign in letters:
-        if type(gen) is not int:
-            gen = _integer(gen, "generator index")
+        if not (type(gen) is int and gen >= 1):
+            gen = _integer(gen, "generator index", 1)
         if type(sign) is not int:
             sign = _integer(sign, "letter sign")
-        if gen < 1:
-            raise ValueError(f"generator index must be >= 1, got {gen!r}")
         if sign != 1 and sign != -1:
             raise ValueError(f"letter sign must be +1 or -1, got {sign!r}")
         if stack:
@@ -165,11 +173,7 @@ def format_word(w: Word) -> str:
 
 def generator_word(index: int) -> Word:
     """The one-letter word x_index."""
-    if type(index) is not int:
-        index = _integer(index, "generator index")
-    if index < 1:
-        raise ValueError(f"generator index must be >= 1, got {index!r}")
-    return ((index, 1),)
+    return ((_integer(index, "generator index", 1), 1),)
 
 
 def max_generator(w: Word) -> int:

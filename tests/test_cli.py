@@ -261,6 +261,7 @@ def test_non_integer_letters_exit_1(capsys):
     [
         ("abc", None, "COSET_MAX_POINTS must be an integer, got 'abc'"),
         ("1.5", "0,1", "COSET_MAX_POINTS must be an integer, got '1.5'"),
+        ("0", None, "max_points must be >= 1, got 0"),
         (None, "a", "--u must list integers, got 'a'"),
         (None, "0, 3,x4", "--u must list integers, got 'x4'"),
     ],

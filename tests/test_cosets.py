@@ -312,20 +312,21 @@ def test_tuple_product_rejects_bad_shapes():
 
 _G, _H = nielsen_right_mult(1, 2), nielsen_swap(1, 2)
 
-# (function, arguments, the position of each integer argument by name)
+# (function, arguments, the position of each integer argument by name,
+#  the floor of each integer argument by name)
 INTEGER_ARGUMENTS = [
-    (theta, (1, 2), {"m": 0, "j": 1}),
-    (block_size, (1, _G, _H), {"m": 0}),
-    (coset_product, (1, _G, _H), {"m": 0}),
-    (star_product, (1, _G, _H), {"m": 0}),
-    (tuple_product, (1, (_G,), (_H,)), {"m": 0}),
-    (product_formula_direct, (1, 1, _G, _H), {"m": 0, "n": 1}),
-    (witness_left, (1, 2, nielsen_swap(2, 3), _G, _H), {"m": 0, "n": 1}),
-    (witness_right, (1, 2, nielsen_swap(2, 3), _G, _H), {"m": 0, "n": 1}),
-    (stability_witness, (1, 1, 1, _G, _H), {"m": 0, "n": 1, "p": 2}),
-    (is_in_H, (_G, 1), {"m": 1}),
-    (Automorphism.image, (_G, 1), {"generator index": 1}),
-    (generator_word, (2,), {"generator index": 0}),
+    (theta, (1, 2), {"m": 0, "j": 1}, {"m": 0, "j": 0}),
+    (block_size, (1, _G, _H), {"m": 0}, {"m": 0}),
+    (coset_product, (1, _G, _H), {"m": 0}, {"m": 0}),
+    (star_product, (1, _G, _H), {"m": 0}, {"m": 0}),
+    (tuple_product, (1, (_G,), (_H,)), {"m": 0}, {"m": 0}),
+    (product_formula_direct, (1, 1, _G, _H), {"m": 0, "n": 1}, {"m": 0, "n": 0}),
+    (witness_left, (1, 2, nielsen_swap(2, 3), _G, _H), {"m": 0, "n": 1}, {"m": 0, "n": 0}),
+    (witness_right, (1, 2, nielsen_swap(2, 3), _G, _H), {"m": 0, "n": 1}, {"m": 0, "n": 0}),
+    (stability_witness, (1, 1, 1, _G, _H), {"m": 0, "n": 1, "p": 2}, {"m": 0, "n": 0, "p": 0}),
+    (is_in_H, (_G, 1), {"m": 1}, {"m": 0}),
+    (Automorphism.image, (_G, 1), {"generator index": 1}, {"generator index": 1}),
+    (generator_word, (2,), {"generator index": 0}, {"generator index": 1}),
 ]
 
 
@@ -337,7 +338,7 @@ def _with(args, position, value):
     "func, args, position, name",
     [
         pytest.param(func, args, position, name, id=f"{func.__name__}-{name}")
-        for func, args, positions in INTEGER_ARGUMENTS
+        for func, args, positions, _ in INTEGER_ARGUMENTS
         for name, position in positions.items()
     ],
 )
@@ -349,7 +350,7 @@ def test_integer_arguments_refuse_non_integers(func, args, position, name, bad):
 
 @pytest.mark.parametrize(
     "func, args, positions",
-    [pytest.param(*case, id=case[0].__name__) for case in INTEGER_ARGUMENTS],
+    [pytest.param(*case[:3], id=case[0].__name__) for case in INTEGER_ARGUMENTS],
 )
 def test_integer_arguments_accept_numpy_integers(func, args, positions):
     as_numpy = args
@@ -359,6 +360,35 @@ def test_integer_arguments_accept_numpy_integers(func, args, positions):
     assert got == func(*args)
     if isinstance(got, (DoubleCosetRep, ConjClassRep, TupleRep)):
         assert type(got.m) is int
+
+
+_FLOOR_CASES = [
+    pytest.param(func, args, positions[name], name, floor, id=f"{func.__name__}-{name}")
+    for func, args, positions, floors in INTEGER_ARGUMENTS
+    for name, floor in floors.items()
+]
+
+
+@pytest.mark.parametrize("func, args, position, name, floor", _FLOOR_CASES)
+def test_integer_arguments_refuse_values_below_their_floor(func, args, position, name, floor):
+    with pytest.raises(ValueError, match=f"^{name} must be >= {floor}, got {floor - 1}$"):
+        func(*_with(args, position, floor - 1))
+
+
+def _outcome(func, args):
+    try:
+        return func(*args)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("func, args, position, name, floor", _FLOOR_CASES)
+def test_integer_arguments_accept_numpy_integers_at_their_floor(func, args, position, name, floor):
+    # where the call is valid at the floor, np.int64 gives the same result;
+    # where another rule refuses it (a support bound), the same refusal
+    want = _outcome(func, _with(args, position, floor))
+    assert _outcome(func, _with(args, position, np.int64(floor))) == want
+    assert "must be >=" not in str(want)
 
 
 def test_triple_product_frozen_example():

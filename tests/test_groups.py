@@ -92,7 +92,7 @@ def test_builtin_structure():
 def test_builtin_rejects_unknown():
     with pytest.raises(ValueError):
         builtin_group("e7")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^cyclic order must be >= 1, got 0$"):
         builtin_group("c0")
 
 

@@ -8,6 +8,7 @@ import json
 import re
 import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -104,10 +105,36 @@ def test_huge_index_range_is_not_materialised(seed):
     assert verify_inverse_pair(a.fwd, a.inv)
 
 
-@pytest.mark.parametrize("name, position", [("m_fix", 0), ("max_index", 1), ("length", 2)])
+# (name, position, floor) of each integer argument; max_index has no
+# constant floor, only the relational one above m_fix
+INTEGER_ARGUMENTS = [("m_fix", 0, 0), ("max_index", 1, None), ("length", 2, 0)]
+VALID_ARGUMENTS = (0, 5, 5, 1)
+
+
+def _with(position, value):
+    args = list(VALID_ARGUMENTS)
+    args[position] = value
+    return args
+
+
+@pytest.mark.parametrize("name, position", [case[:2] for case in INTEGER_ARGUMENTS])
 @pytest.mark.parametrize("bad", [5.0, True, "5"])
 def test_integer_arguments_refuse_non_integers(name, position, bad):
-    args = [0, 5, 5, 1]
-    args[position] = bad
     with pytest.raises(ValueError, match=f"^{name} must be an integer, got {re.escape(repr(bad))}$"):
-        random_automorphism(*args)
+        random_automorphism(*_with(position, bad))
+
+
+@pytest.mark.parametrize(
+    "name, position, floor", [case for case in INTEGER_ARGUMENTS if case[2] is not None]
+)
+def test_integer_arguments_refuse_values_below_their_floor(name, position, floor):
+    with pytest.raises(ValueError, match=f"^{name} must be >= {floor}, got {floor - 1}$"):
+        random_automorphism(*_with(position, floor - 1))
+    at_floor = random_automorphism(*_with(position, floor))
+    assert random_automorphism(*_with(position, np.int64(floor))) == at_floor
+
+
+def test_max_index_must_leave_a_generator_free():
+    with pytest.raises(ValueError, match="^max_index leaves no generators free to move$"):
+        random_automorphism(3, 3, 5, 1)
+    assert random_automorphism(3, np.int64(4), 5, 1) == random_automorphism(3, 4, 5, 1)

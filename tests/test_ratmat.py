@@ -94,6 +94,10 @@ def test_construction_rejects_bad_input():
     for dim in (0, -1):
         with pytest.raises(ValueError, match=f"^dim must be >= 1, got {dim}$"):
             RationalMatrix.identity(dim)
+    for den in (0, -1):
+        with pytest.raises(ValueError, match=f"^denominator must be >= 1, got {den}$"):
+            RationalMatrix([[1, 2]], den)
+    assert RationalMatrix.identity(np.int64(1)) == RationalMatrix([[1]])
 
 
 def test_shape_mismatch():

@@ -905,17 +905,34 @@ def test_second_paths_are_not_library_api():
     assert not callable(action_map(C2, nielsen_swap(1, 2), 2))
 
 
-# (function, positional arguments, keyword arguments, the integer ones)
+# (function, positional arguments, keyword arguments, the integer ones;
+#  the floor of each integer argument that has a constant one)
 INTEGER_ARGUMENTS = [
-    (markov_matrix, (C3, nielsen_swap(1, 2)), {"m": 1, "truncation": 5, "max_points": 10**6}),
-    (action_map, (C3, nielsen_swap(1, 2)), {"n_coords": 4, "max_points": 10**6}),
-    (projection_matrix, (C2,), {"m": 1, "n_coords": 2, "max_points": 10**6}),
+    (
+        markov_matrix,
+        (C3, nielsen_swap(1, 2)),
+        {"m": 1, "truncation": 5, "max_points": 10**6},
+        {"m": 0, "max_points": 1},
+    ),
+    (
+        action_map,
+        (C3, nielsen_swap(1, 2)),
+        {"n_coords": 4, "max_points": 10**6},
+        {"n_coords": 0, "max_points": 1},
+    ),
+    (projection_matrix, (C2,), {"m": 1, "n_coords": 2, "max_points": 10**6}, {"m": 0, "max_points": 1}),
     (
         compress_to_invariants,
         (S3, Subgroup.whole(S3)),
         {"m": 1, "matrix": RationalMatrix.identity(6), "max_points": 10**6},
+        {"m": 0, "max_points": 1},
     ),
-    (weak_limit_check, (C2,), {"m": 1, "m_cyl": 1, "j": 1, "max_points": 10**6}),
+    (
+        weak_limit_check,
+        (C2,),
+        {"m": 1, "m_cyl": 1, "j": 1, "max_points": 10**6},
+        {"m": 0, "m_cyl": 0, "j": 0, "max_points": 1},
+    ),
 ]
 
 
@@ -923,7 +940,7 @@ INTEGER_ARGUMENTS = [
     "func, args, kwargs, name",
     [
         pytest.param(func, args, kwargs, name, id=f"{func.__name__}-{name}")
-        for func, args, kwargs in INTEGER_ARGUMENTS
+        for func, args, kwargs, _ in INTEGER_ARGUMENTS
         for name in kwargs
         if name != "matrix"
     ],
@@ -934,15 +951,47 @@ def test_integer_arguments_refuse_non_integers(func, args, kwargs, name, bad):
         func(*args, **{**kwargs, name: bad})
 
 
+def _result(func, args, kwargs):
+    got = func(*args, **kwargs)
+    return got.table.tolist() if func is action_map else got
+
+
 @pytest.mark.parametrize(
-    "func, args, kwargs", [pytest.param(*case, id=case[0].__name__) for case in INTEGER_ARGUMENTS]
+    "func, args, kwargs",
+    [pytest.param(*case[:3], id=case[0].__name__) for case in INTEGER_ARGUMENTS],
 )
 def test_integer_arguments_accept_numpy_integers(func, args, kwargs):
     as_numpy = {k: np.int64(v) if isinstance(v, int) else v for k, v in kwargs.items()}
-    got, want = func(*args, **as_numpy), func(*args, **kwargs)
-    if func is action_map:
-        got, want = got.table.tolist(), want.table.tolist()
-    assert got == want
+    assert _result(func, args, as_numpy) == _result(func, args, kwargs)
+
+
+_FLOOR_CASES = [
+    pytest.param(func, args, kwargs, name, floor, id=f"{func.__name__}-{name}")
+    for func, args, kwargs, floors in INTEGER_ARGUMENTS
+    for name, floor in floors.items()
+]
+
+
+@pytest.mark.parametrize("func, args, kwargs, name, floor", _FLOOR_CASES)
+def test_integer_arguments_refuse_values_below_their_floor(func, args, kwargs, name, floor):
+    with pytest.raises(ValueError, match=f"^{name} must be >= {floor}, got {floor - 1}$"):
+        func(*args, **{**kwargs, name: floor - 1})
+
+
+def _outcome(func, args, kwargs):
+    try:
+        return _result(func, args, kwargs)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("func, args, kwargs, name, floor", _FLOOR_CASES)
+def test_integer_arguments_accept_numpy_integers_at_their_floor(func, args, kwargs, name, floor):
+    # where the call is valid at the floor, np.int64 gives the same result;
+    # where another rule refuses it (the point budget), the same refusal
+    want = _outcome(func, args, {**kwargs, name: floor})
+    assert _outcome(func, args, {**kwargs, name: np.int64(floor)}) == want
+    assert "must be >=" not in str(want)
 
 
 # --- associativity through the matrices ---------------------------------
