@@ -369,7 +369,7 @@ _SWAP, _INVERT = 0, 1
 def random_automorphism(m_fix: int, max_index: int, length: int, seed: int) -> Automorphism:
     """Composition mu_L . ... . mu_1 of ``length`` random Nielsen moves
     touching only the generators m_fix+1 .. max_index, mu_1 drawn first.
-    Deterministic in ``seed``.
+    Deterministic in the integer ``seed``.
 
     Each move is drawn from ``random.Random(seed).getrandbits`` with the
     rejection rule of ``Random._randbelow``: a value below n takes
@@ -398,7 +398,7 @@ def random_automorphism(m_fix: int, max_index: int, length: int, seed: int) -> A
     as it is drawn; both halves are built in full, so the result carries no
     chain of deferred inverses."""
     m_fix, max_index = _integer(m_fix, "m_fix", 0), _integer(max_index, "max_index")
-    length = _integer(length, "length", 0)
+    length, seed = _integer(length, "length", 0), _integer(seed, "seed")
     lo = m_fix + 1
     if max_index < lo:
         raise ValueError("max_index leaves no generators free to move")
@@ -472,12 +472,13 @@ def automorphism_to_dict(a: Automorphism) -> dict:
 
 
 def _endo_from_dict(data, field: str) -> Endomorphism:
-    # Keys and letters must be real ints (keys may be digit strings):
-    # JSON true/false and floats such as 1.7 are refused, not truncated.
-    # Two keys naming one generator ("1" and "01") are refused, not merged.
+    # Keys must be real ints or digit strings; two keys naming one generator
+    # ("1" and "01") are refused, not merged.  Only the shape of each letter
+    # is checked here: ``reduce`` applies the one integer rule to its parts,
+    # so JSON true/false and floats such as 1.7 are refused, not truncated.
     if not isinstance(data, dict):
         raise ValueError(f"{field} must be an object mapping indices to letter lists")
-    images: dict[int, list[Letter]] = {}
+    images: dict[int, Iterable] = {}
     for key, letters in data.items():
         if not (type(key) is int or (isinstance(key, str) and key.isascii() and key.isdigit())):
             raise ValueError(f"bad generator key {key!r} in {field}")
@@ -486,15 +487,10 @@ def _endo_from_dict(data, field: str) -> Endomorphism:
             raise ValueError(f"generator key {key!r} in {field} names x{index} a second time")
         if not isinstance(letters, (list, tuple)):
             raise ValueError(f"image of x{index} in {field} must be a list of letters")
-        word = []
         for item in letters:
             if not isinstance(item, (list, tuple)) or len(item) != 2:
                 raise ValueError(f"bad letter {item!r} in image of x{index}")
-            gen, sign = item
-            if type(gen) is not int or type(sign) is not int:
-                raise ValueError(f"bad letter {item!r} in image of x{index}: need two integers")
-            word.append((gen, sign))
-        images[index] = word
+        images[index] = letters
     return Endomorphism(images)
 
 

@@ -41,21 +41,8 @@ from .automorphisms import (
     is_in_H,
     permutation_automorphism,
 )
-from .errors import SizeLimitError, SupportViolation
+from .errors import MAX_BLOCK_SIZE, SupportViolation, check_size
 from .words import Word, _integer, generator_word, substitute
-
-# theta(m, N) has 2N images and every product representative moves all of
-# them, so a product's size grows with N, not with the size of its input.
-MAX_BLOCK_SIZE = 10_000
-
-
-def _check_block_size(layer: str, name: str, size: int) -> None:
-    """Refuse a block of ``size`` generators over MAX_BLOCK_SIZE, naming the
-    layer that asked for it."""
-    if size > MAX_BLOCK_SIZE:
-        raise SizeLimitError(
-            f"{layer}: {name} = {size} generators per block, over the limit of {MAX_BLOCK_SIZE}"
-        )
 
 
 def _block_swap(base: int, size: int, offset: int) -> Automorphism:
@@ -79,7 +66,7 @@ def theta(m: int, j: int) -> Automorphism:
 
     Raises SizeLimitError for j over MAX_BLOCK_SIZE."""
     m, j = _integer(m, "m", 0), _integer(j, "j", 0)
-    _check_block_size("block swap theta", "j", j)
+    check_size("block swap theta", j, "generators per block", MAX_BLOCK_SIZE)
     return _block_swap(m, j, j)
 
 
@@ -94,7 +81,7 @@ def block_size(m: int, *autos: Automorphism) -> int:
         if bound > top:
             top = bound
     n = top - m
-    _check_block_size("block size of the coset product", "N", n)
+    check_size("block size of the coset product", n, "generators per block", MAX_BLOCK_SIZE)
     return n
 
 
@@ -240,7 +227,7 @@ def stability_witness(
     For p = 0 both are the identity.  Raises SizeLimitError for n + p over
     MAX_BLOCK_SIZE."""
     m, n, p = _integer(m, "m", 0), _integer(n, "n", 0), _integer(p, "p", 0)
-    _check_block_size("stability witness", "n + p", n + p)
+    check_size("stability witness", n + p, "generators per block", MAX_BLOCK_SIZE)
     _require_support(m, n, g, h)
     s = _block_swap(m + n, p, n + p)
     rename: dict[int, int] = {}

@@ -1,4 +1,8 @@
-"""Exception types and the size budget shared across modules."""
+"""Exception types, the size limits and the one rule that applies them.
+
+Every size a request asks for is compared with its limit by ``check_size``,
+and every refusal reads ``<layer> needs <size> <unit>, over the limit of
+<limit>``.  Only the point budget can be set per call (``max_points``)."""
 
 # points, or matrix / table cells, one request may build
 DEFAULT_MAX_POINTS = 10_000_000
@@ -9,6 +13,10 @@ MAX_MATMUL_WORK = 10**9
 # coordinates one request may lay out: bounds groups of order 1, whose n^N
 # points never exceed the point budget
 MAX_COORDINATES = 10_000
+# generators per block: theta(m, N) has 2N images and every product
+# representative moves all of them, so a product's size grows with N, not
+# with the size of its input
+MAX_BLOCK_SIZE = 10_000
 
 
 class SupportViolation(ValueError):
@@ -16,6 +24,23 @@ class SupportViolation(ValueError):
 
 
 class SizeLimitError(ValueError):
-    """A request would build more than its budget allows: points or cells
-    over the point budget, a matrix product over its work limit, or a block
-    size or coordinate count over its limit."""
+    """A request would build more than a limit allows: points or cells over
+    the point budget, multiply-adds over the matrix product's work limit, or
+    coordinates or generators per block over theirs.  The message names the
+    layer, the size asked for and the limit."""
+
+
+def check_size(layer: str, size: int, unit: str, limit: int, exp: int = 1) -> None:
+    """Refuse ``size**exp`` ``unit`` over ``limit`` with a SizeLimitError
+    naming ``layer``: the one place a size is compared with its limit.
+
+    A power far over the limit is neither built nor printed: the message
+    then writes it as size^exp."""
+    # size^exp >= 2^(exp * (bit_length(size) - 1)), which then exceeds limit^2
+    if exp > 1 and exp * (size.bit_length() - 1) > 2 * limit.bit_length():
+        shown = f"{size}^{exp}"
+    else:
+        shown = size**exp
+        if shown <= limit:
+            return
+    raise SizeLimitError(f"{layer} needs {shown} {unit}, over the limit of {limit}")

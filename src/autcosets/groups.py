@@ -9,21 +9,12 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .errors import DEFAULT_MAX_POINTS, SizeLimitError
+from .errors import DEFAULT_MAX_POINTS, check_size
 from .words import _integer
 
 
 class GroupAxiomError(ValueError):
     """A claimed multiplication table violates the group axioms."""
-
-
-def _check_table_cells(label: str, n: int) -> None:
-    """Refuse an n x n multiplication table over the point budget."""
-    if n * n > DEFAULT_MAX_POINTS:
-        raise SizeLimitError(
-            f"{label} needs a {n}x{n} multiplication table, "
-            f"over the budget of {DEFAULT_MAX_POINTS} cells"
-        )
 
 
 def _integer_table(rows: tuple) -> np.ndarray | None:
@@ -102,7 +93,7 @@ class FiniteGroup:
     def __init__(self, mul: Sequence[Sequence[int]], identity: int = 0, name: str | None = None):
         mul = tuple(mul)
         n = len(mul)
-        _check_table_cells(f"group of order {n}", n)
+        check_size(f"group of order {n}", n, "table cells", DEFAULT_MAX_POINTS, 2)
         arr = _integer_table(mul)
         identity = _integer(identity, "'unit'")
         if n == 0:
@@ -237,7 +228,7 @@ def _cyclic(n: int) -> FiniteGroup:
     axiom check the way closed automorphisms skip verification.  Its n^2
     cells count against the point budget."""
     n = _integer(n, "cyclic order", 1)
-    _check_table_cells(f"builtin group c{n}", n)
+    check_size(f"builtin group c{n}", n, "table cells", DEFAULT_MAX_POINTS, 2)
     ar = np.arange(n, dtype=np.int32)
     g = FiniteGroup.__new__(FiniteGroup)
     g._fill((ar[:, None] + ar) % np.int32(n), -ar % np.int32(n), 0, f"c{n}")

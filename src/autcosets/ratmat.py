@@ -16,7 +16,7 @@ import numbers
 
 import numpy as np
 
-from .errors import MAX_MATMUL_WORK, SizeLimitError
+from .errors import MAX_MATMUL_WORK, check_size
 from .words import _integer
 
 INT64_MAX = 2**63 - 1
@@ -141,12 +141,8 @@ class RationalMatrix:
             return NotImplemented
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch: {self.rows}x{self.cols} @ {other.rows}x{other.cols}")
-        work = self.rows * self.cols * other.cols
-        if work > MAX_MATMUL_WORK:
-            raise SizeLimitError(
-                f"matmul {self.rows}x{self.cols} @ {other.rows}x{other.cols} needs {work} "
-                f"multiply-adds, over the limit of {MAX_MATMUL_WORK}"
-            )
+        layer = f"matmul {self.rows}x{self.cols} @ {other.rows}x{other.cols}"
+        check_size(layer, self.rows * self.cols * other.cols, "multiply-adds", MAX_MATMUL_WORK)
         return RationalMatrix._exact(int_matmul(self.num, other.num), self.den * other.den)
 
     def __eq__(self, other):

@@ -39,7 +39,7 @@ import numpy as np
 
 from .automorphisms import Automorphism
 from .cosets import _block_swap
-from .errors import DEFAULT_MAX_POINTS, MAX_COORDINATES, SizeLimitError, SupportViolation
+from .errors import DEFAULT_MAX_POINTS, MAX_COORDINATES, SupportViolation, check_size
 from .groups import FiniteGroup, Subgroup, _greedy_generators
 from .ratmat import INT64_MAX, RationalMatrix, _absmax
 from .words import Word, _integer
@@ -48,27 +48,13 @@ from .words import Word, _integer
 def _check_budget(max_points, layer: str, n: int, exp: int, cells: bool = False) -> None:
     """Refuse n^exp points, or with ``cells`` an n^exp x n^exp matrix, over
     the point budget (DEFAULT_MAX_POINTS unless ``max_points`` is given),
-    and then exp over MAX_COORDINATES.
-
-    A power far over the budget is neither built nor printed: the message
-    then writes it as n^exp."""
+    and then exp over MAX_COORDINATES.  A matrix's n^(2 exp) cells bound
+    its n^exp points too, so a charge for its cells needs no points charge."""
     budget = DEFAULT_MAX_POINTS if max_points is None else _integer(max_points, "max_points", 1)
-    total = 2 * exp if cells else exp
-    # n^total >= 2^(total * (bit_length(n) - 1)), which then exceeds budget^2
-    huge = total * (n.bit_length() - 1) > 2 * budget.bit_length()
-    if not huge and n ** total <= budget:
-        # under a budget below 2^MAX_COORDINATES, only order 1 gets here
-        if exp > MAX_COORDINATES:
-            raise SizeLimitError(
-                f"{layer} lays out {exp} coordinates, over the limit of {MAX_COORDINATES}"
-            )
-        return
-    side, size = (f"{n}^{exp}", f"{n}^{total}") if huge else (n ** exp, n ** total)
-    if cells:
-        raise SizeLimitError(
-            f"{layer} needs a {side}x{side} matrix ({size} cells), over the budget of {budget}"
-        )
-    raise SizeLimitError(f"{layer} enumerates {size} points, over the budget of {budget}")
+    unit, total = ("cells", 2 * exp) if cells else ("points", exp)
+    check_size(layer, n, unit, budget, total)
+    # under a budget below 2^MAX_COORDINATES, only order 1 passes with exp over it
+    check_size(layer, exp, "coordinates", MAX_COORDINATES)
 
 
 @functools.lru_cache(maxsize=256)
@@ -246,7 +232,6 @@ def projection_matrix(K: FiniteGroup, m: int, n_coords: int, max_points=None) ->
     if n_coords < m:
         raise ValueError("need 0 <= m <= n_coords")
     n = K.order
-    _check_budget(max_points, f"projection on {K.name}^{n_coords}", n, n_coords)
     _check_budget(max_points, f"projection_matrix on {K.name}^{n_coords}", n, n_coords, cells=True)
     npts = n ** n_coords
     head = np.arange(npts, dtype=np.int64) % n ** m
@@ -324,7 +309,6 @@ def compress_to_invariants(K: FiniteGroup, u, m: int, matrix: RationalMatrix, ma
         raise ValueError(f"subgroup of {u.parent.name} does not act on {K.name}")
     members = u.members if isinstance(u, Subgroup) else Subgroup(K, u).members
     m = _integer(m, "m", 0)
-    _check_budget(max_points, f"compression on {K.name}^{m}", K.order, m)
     _check_budget(max_points, f"compress_to_invariants on {K.name}^{m}", K.order, m, cells=True)
     dim = K.order ** m
     if not (matrix.rows == dim and matrix.cols == dim):

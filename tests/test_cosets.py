@@ -125,7 +125,7 @@ def test_block_size_over_the_limit_is_refused_before_theta(monkeypatch):
         with pytest.raises(SizeLimitError) as exc:
             product()
         assert str(exc.value) == (
-            f"block size of the coset product: N = {10**9 - m} generators per block, "
+            f"block size of the coset product needs {10**9 - m} generators per block, "
             f"over the limit of {MAX_BLOCK_SIZE}"
         )
 
@@ -133,12 +133,12 @@ def test_block_size_over_the_limit_is_refused_before_theta(monkeypatch):
 def test_theta_and_stability_witness_are_bounded_like_block_size():
     e = identity_automorphism()
     refusals = [
-        (lambda: theta(0, 10**9), "block swap theta: j = 1000000000"),
-        (lambda: stability_witness(1, 1, 10**9, e, e), "stability witness: n + p = 1000000001"),
-        (lambda: theta(2, MAX_BLOCK_SIZE + 1), f"block swap theta: j = {MAX_BLOCK_SIZE + 1}"),
+        (lambda: theta(0, 10**9), "block swap theta needs 1000000000"),
+        (lambda: stability_witness(1, 1, 10**9, e, e), "stability witness needs 1000000001"),
+        (lambda: theta(2, MAX_BLOCK_SIZE + 1), f"block swap theta needs {MAX_BLOCK_SIZE + 1}"),
         (
             lambda: stability_witness(0, 1, MAX_BLOCK_SIZE, e, e),
-            f"stability witness: n + p = {MAX_BLOCK_SIZE + 1}",
+            f"stability witness needs {MAX_BLOCK_SIZE + 1}",
         ),
     ]
     for build, head in refusals:

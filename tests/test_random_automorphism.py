@@ -106,8 +106,8 @@ def test_huge_index_range_is_not_materialised(seed):
 
 
 # (name, position, floor) of each integer argument; max_index has no
-# constant floor, only the relational one above m_fix
-INTEGER_ARGUMENTS = [("m_fix", 0, 0), ("max_index", 1, None), ("length", 2, 0)]
+# constant floor, only the relational one above m_fix, and seed none at all
+INTEGER_ARGUMENTS = [("m_fix", 0, 0), ("max_index", 1, None), ("length", 2, 0), ("seed", 3, None)]
 VALID_ARGUMENTS = (0, 5, 5, 1)
 
 
@@ -132,6 +132,15 @@ def test_integer_arguments_refuse_values_below_their_floor(name, position, floor
         random_automorphism(*_with(position, floor - 1))
     at_floor = random_automorphism(*_with(position, floor))
     assert random_automorphism(*_with(position, np.int64(floor))) == at_floor
+
+
+@pytest.mark.parametrize("bad", [True, 1.0, 1.5, "1", None])
+def test_seed_follows_the_integer_rule(bad):
+    # unchecked, True and 1.0 would alias seed 1, 1.5 and "1" draw streams of
+    # their own, and None would seed from the system's entropy
+    with pytest.raises(ValueError, match=f"^seed must be an integer, got {re.escape(repr(bad))}$"):
+        random_automorphism(0, 5, 5, bad)
+    assert random_automorphism(0, 5, 5, np.int64(7)) == random_automorphism(0, 5, 5, 7)
 
 
 def test_max_index_must_leave_a_generator_free():

@@ -393,7 +393,7 @@ def test_order_one_group_is_bounded_by_its_coordinates():
     for build, layer in refusals:
         with pytest.raises(SizeLimitError) as exc:
             build()
-        assert str(exc.value) == f"{layer} lays out 10001 coordinates, over the limit of 10000"
+        assert str(exc.value) == f"{layer} needs 10001 coordinates, over the limit of 10000"
     one = RationalMatrix.identity(1)
     assert markov_matrix(C1, e, MAX_COORDINATES) == one
     assert markov_matrix(C1, e, 0, truncation=MAX_COORDINATES) == one
@@ -868,11 +868,11 @@ def test_weak_limit_swaps_only_the_pairs_it_reads():
 def test_weak_limit_bounds_its_output_cells():
     # 2^3 points fit a budget of 32, but the two 8x8 matrices do not
     with pytest.raises(
-        SizeLimitError, match=r"markov_matrix on c2\^3 needs a 8x8 matrix \(64 cells\), over the budget of 32"
+        SizeLimitError, match=r"markov_matrix on c2\^3 needs 64 cells, over the limit of 32"
     ):
         weak_limit_check(C2, 1, 2, 0, max_points=32)
     assert not weak_limit_check(C2, 1, 2, 0, max_points=64)
-    with pytest.raises(SizeLimitError, match=r"weak limit over c2\^4 enumerates 16 points"):
+    with pytest.raises(SizeLimitError, match=r"weak limit over c2\^4 needs 16 points"):
         weak_limit_check(C2, 1, 2, 1, max_points=8)
 
 
