@@ -475,10 +475,11 @@ def _endo_from_dict(data, field: str) -> Endomorphism:
     # Keys must be real ints or digit strings; two keys naming one generator
     # ("1" and "01") are refused, not merged.  Only the shape of each letter
     # is checked here: ``reduce`` applies the one integer rule to its parts,
-    # so JSON true/false and floats such as 1.7 are refused, not truncated.
+    # so JSON true/false and floats such as 1.7 are refused, not truncated,
+    # and its message gains the field and the image the letter came from.
     if not isinstance(data, dict):
         raise ValueError(f"{field} must be an object mapping indices to letter lists")
-    images: dict[int, Iterable] = {}
+    images: dict[int, Word] = {}
     for key, letters in data.items():
         if not (type(key) is int or (isinstance(key, str) and key.isascii() and key.isdigit())):
             raise ValueError(f"bad generator key {key!r} in {field}")
@@ -490,8 +491,12 @@ def _endo_from_dict(data, field: str) -> Endomorphism:
         for item in letters:
             if not isinstance(item, (list, tuple)) or len(item) != 2:
                 raise ValueError(f"bad letter {item!r} in image of x{index}")
-        images[index] = letters
-    return Endomorphism(images)
+        _integer(index, "generator index", 1)
+        try:
+            images[index] = reduce(letters)
+        except ValueError as err:
+            raise ValueError(f"{err}, in the image of x{index} in {field}") from None
+    return _reduced_endomorphism(images)
 
 
 def automorphism_from_dict(data) -> Automorphism:

@@ -7,6 +7,17 @@ whenever every entry fits, and an operation runs in int64 only when a bound
 on its inputs proves that no partial sum can overflow; otherwise it runs on
 an object array of Python ints.  No float ever enters.  A product of more
 than ``errors.MAX_MATMUL_WORK`` multiply-adds is refused before any work.
+
+The bound travels with the matrix: a matrix the library builds carries an
+integer ``_bound`` >= max|num| (not necessarily tight) from what built it --
+a product's is bound_a * bound_b * inner, a Markov matrix's is its row
+total, a compression's is its input's bound times the points summed -- and
+lowest terms divide it by the cancelled gcd.  An operation tries that bound
+first and scans the numerators only when it cannot prove int64, so the
+int64-versus-Python-int choice is the one an exact scan would make.  A
+matrix from outside has no bound until its first use scans one.  A
+compression over a central subgroup, whose orbits are single points, is
+the matrix itself (``repengine.compress_to_invariants``).
 """
 
 from __future__ import annotations
@@ -26,20 +37,17 @@ def _absmax(a: np.ndarray) -> int:
     return int(np.abs(a).max())
 
 
-def _narrow(a: np.ndarray) -> np.ndarray:
-    """int64 when every entry has |x| <= INT64_MAX, else Python ints."""
-    if a.dtype == object and _absmax(a) <= INT64_MAX:
-        return a.astype(np.int64)
-    return a
-
-
-def int_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Exact product of two integer arrays (int64 or Python-int objects).
+def int_matmul(a: np.ndarray, b: np.ndarray, bound_a: int, bound_b: int) -> np.ndarray:
+    """Exact product of two integer arrays (int64 or Python-int objects),
+    given ints ``bound_a`` >= max|a| and ``bound_b`` >= max|b|.
 
     Runs in int64 only when max|a| * max|b| * inner <= 2^63 - 1, which bounds
-    every partial sum; otherwise multiplies Python ints."""
-    if a.dtype != object and b.dtype != object and _absmax(a) * _absmax(b) * a.shape[1] <= INT64_MAX:
-        return a @ b
+    every partial sum; otherwise multiplies Python ints.  The bounds are
+    tried first, and the arrays are scanned only when they cannot prove it."""
+    if a.dtype != object and b.dtype != object:
+        inner = a.shape[1]
+        if bound_a * bound_b * inner <= INT64_MAX or _absmax(a) * _absmax(b) * inner <= INT64_MAX:
+            return a @ b
     return a.astype(object) @ b.astype(object)
 
 
@@ -79,7 +87,7 @@ class RationalMatrix:
     and Fractions, and an integer den >= 1.  Floats, strings and booleans
     are refused, as entries and as den."""
 
-    __slots__ = ("rows", "cols", "num", "den")
+    __slots__ = ("rows", "cols", "num", "den", "_bound")
 
     def __init__(self, num, den: int = 1):
         # nested lists stay Python objects, so a bool or float among ints
@@ -99,29 +107,47 @@ class RationalMatrix:
             arr = arr.astype(np.int64)
         self._set(arr, den)
 
-    def _set(self, num: np.ndarray, den: int) -> None:
-        """Store num/den in lowest terms and the narrowest exact dtype."""
+    def _set(self, num: np.ndarray, den: int, bound: int | None = None) -> None:
+        """Store num/den in lowest terms and the narrowest exact dtype, with
+        ``bound`` >= max|num| (None: unknown) divided by the cancelled gcd."""
         if den != 1:
             g = math.gcd(den, int(np.gcd.reduce(num.ravel())))
             if g != 1:
                 num = num // g
                 den //= g
-        num = _narrow(num)
+                if bound is not None:
+                    bound //= g
+        if num.dtype == object:
+            # int64 when every entry has |x| <= INT64_MAX, else Python ints
+            if bound is None or bound > INT64_MAX:
+                bound = _absmax(num)
+            if bound <= INT64_MAX:
+                num = num.astype(np.int64)
         num.setflags(write=False)
         self.num = num
         self.den = den
+        self._bound = bound
         self.rows, self.cols = num.shape
 
     @classmethod
-    def _exact(cls, num: np.ndarray, den: int) -> "RationalMatrix":
+    def _exact(cls, num: np.ndarray, den: int, bound: int | None = None) -> "RationalMatrix":
         """num / den from integer parts the library built itself: a fresh
         non-empty 2-D int64 array with no entry -2^63, or an object array of
-        Python ints, and an int den >= 1.  It skips the constructor's checks
-        and copies, which are for outside input; ``num`` is taken, not
-        copied, and made read-only."""
+        Python ints, an int den >= 1 and, if known, an int ``bound`` >=
+        max|num|.  It skips the constructor's checks and copies, which are
+        for outside input; ``num`` is taken, not copied, and made read-only."""
         out = cls.__new__(cls)
-        out._set(num, den)
+        out._set(num, den, bound)
         return out
+
+    def _abs_bound(self) -> int:
+        """An int >= max|num|: the bound the matrix was built with, or a
+        scan of the numerators, stored on first use."""
+        # a matrix assembled through __new__ has no bound slot set
+        bound = getattr(self, "_bound", None)
+        if bound is None:
+            bound = self._bound = _absmax(self.num)
+        return bound
 
     @property
     def data(self) -> tuple[tuple, ...]:
@@ -134,7 +160,7 @@ class RationalMatrix:
 
     @classmethod
     def identity(cls, dim: int) -> "RationalMatrix":
-        return cls._exact(np.eye(_integer(dim, "dim", 1), dtype=np.int64), 1)
+        return cls._exact(np.eye(_integer(dim, "dim", 1), dtype=np.int64), 1, 1)
 
     def __matmul__(self, other):
         if not isinstance(other, RationalMatrix):
@@ -143,7 +169,9 @@ class RationalMatrix:
             raise ValueError(f"shape mismatch: {self.rows}x{self.cols} @ {other.rows}x{other.cols}")
         layer = f"matmul {self.rows}x{self.cols} @ {other.rows}x{other.cols}"
         check_size(layer, self.rows * self.cols * other.cols, "multiply-adds", MAX_MATMUL_WORK)
-        return RationalMatrix._exact(int_matmul(self.num, other.num), self.den * other.den)
+        bound_a, bound_b = self._abs_bound(), other._abs_bound()
+        num = int_matmul(self.num, other.num, bound_a, bound_b)
+        return RationalMatrix._exact(num, self.den * other.den, bound_a * bound_b * self.cols)
 
     def __eq__(self, other):
         if not isinstance(other, RationalMatrix):
@@ -162,10 +190,15 @@ class RationalMatrix:
         num = self.num
         if num.min() < 0:
             return False
-        # entries are non-negative, so the largest is the largest |x|
-        if self.den > INT64_MAX or int(num.max()) * self.cols > INT64_MAX:
-            num = num.astype(object)
-        return bool((num.sum(axis=1) == self.den).all() and (num.sum(axis=0) == self.den).all())
+        # a sum of cols entries in [0, max] stays in int64 when max * cols
+        # does; entries are non-negative, so the largest is the largest |x|
+        cols = self.cols
+        if num.dtype != object and self._abs_bound() * cols > INT64_MAX:
+            if int(num.max()) * cols > INT64_MAX:
+                num = num.astype(object)
+        # Python-int lists compare exactly against a den of any size
+        ones = [self.den] * cols
+        return num.sum(axis=1).tolist() == ones and num.sum(axis=0).tolist() == ones
 
     def to_strings(self) -> list[list[str]]:
         """Entries in lowest terms as 'p/q' (or 'p') strings, row by row.

@@ -182,8 +182,10 @@ def action_map(K: FiniteGroup, g: Automorphism, n_coords: int, max_points=None) 
     _check_budget(max_points, f"action on {K.name}^{n_coords}", n, n_coords)
     code = _grid_code(K, [g.image(i) for i in range(1, n_coords + 1)], n_coords)
     table = _full_table(code, n, n_coords)
-    counts = np.bincount(table, minlength=n ** n_coords)
-    if not np.all(counts == 1):
+    # n^N codes in 0..n^N-1 form a bijection exactly when every point is hit
+    hit = np.zeros(n ** n_coords, dtype=bool)
+    hit[table] = True
+    if not hit.all():
         raise ValueError("induced point map is not a bijection")
     table.setflags(write=False)
     return ActionMap(K, n_coords, table)
@@ -221,7 +223,9 @@ def markov_matrix(
     # the row of a point is the code of its first m coordinates
     key = _row_offsets(n, m) + _grid_code(K, [g.image(i) for i in range(1, m + 1)], n_coords)
     counts = np.bincount(key.ravel(), minlength=dim * dim).reshape(dim, dim)
-    return RationalMatrix._exact(counts, key.size // dim)
+    # no count exceeds its row's total, the points over one row
+    total = key.size // dim
+    return RationalMatrix._exact(counts, total, total)
 
 
 def projection_matrix(K: FiniteGroup, m: int, n_coords: int, max_points=None) -> RationalMatrix:
@@ -236,7 +240,7 @@ def projection_matrix(K: FiniteGroup, m: int, n_coords: int, max_points=None) ->
     npts = n ** n_coords
     head = np.arange(npts, dtype=np.int64) % n ** m
     same_head = (head[:, None] == head[None, :]).astype(np.int64)
-    return RationalMatrix._exact(same_head, n ** (n_coords - m))
+    return RationalMatrix._exact(same_head, n ** (n_coords - m), 1)
 
 
 def _conjugation_perm(K: FiniteGroup, u: int, m: int) -> np.ndarray:
@@ -251,8 +255,11 @@ def _orbit_structure(group: weakref.ref, members: tuple[int, ...], m: int):
     """Conjugation orbits of the subgroup ``members`` on K^m, built once per
     (K, U, m): (gens, perms, reps, order, starts), the arrays read-only.
 
-    ``gens`` is the generating set of ``_greedy_generators`` and ``perms``
-    their point permutations, ``reps`` the smallest point of each orbit
+    ``gens`` is the generating set of ``_greedy_generators`` less the
+    members whose permutation fixes every point (a central member, or any
+    member when m = 0), and ``perms`` their point permutations: a fixing
+    permutation commutes with every matrix and moves no point to another
+    orbit.  ``reps`` is the smallest point of each orbit
     (ascending), ``order`` the points grouped by orbit in the order of
     ``reps`` (ascending within an orbit), and ``starts`` the offset of each
     orbit in ``order``.  An entry holds O(log|U| * n^m) integers, and the
@@ -261,11 +268,17 @@ def _orbit_structure(group: weakref.ref, members: tuple[int, ...], m: int):
     a group's n^2 table alive."""
     K = group()
     dim = K.order ** m
-    gens = tuple(_greedy_generators(K.mul_np, K.identity, members))
-    perms = tuple(_conjugation_perm(K, elem, m) for elem in gens)
+    identity = np.arange(dim, dtype=np.int64)
+    moving = []
+    for elem in _greedy_generators(K.mul_np, K.identity, members):
+        perm = _conjugation_perm(K, elem, m)
+        if not np.array_equal(perm, identity):
+            moving.append((elem, perm))
+    gens = tuple(elem for elem, _ in moving)
+    perms = tuple(perm for _, perm in moving)
     # the smallest point of each orbit, by pulling the minimum along the
     # generators until it settles: U is finite, so forward images reach the orbit
-    first = np.arange(dim, dtype=np.int64)
+    first = identity
     while True:
         pulled = first
         for perm in perms:
@@ -273,7 +286,7 @@ def _orbit_structure(group: weakref.ref, members: tuple[int, ...], m: int):
         if np.array_equal(pulled, first):
             break
         first = pulled
-    is_rep = first == np.arange(dim)
+    is_rep = first == identity
     reps = np.flatnonzero(is_rep)
     orbit_of = (np.cumsum(is_rep) - 1)[first]
     # a stable sort keeps each orbit's points ascending
@@ -299,11 +312,17 @@ def compress_to_invariants(K: FiniteGroup, u, m: int, matrix: RationalMatrix, ma
     product of generators.  The first generator that fails is the first
     member that fails: the members that commute form a subgroup, which holds
     every member below the first failing one, so the greedy generators below
-    it generate no failing member, and it is the next generator.
+    it generate no failing member, and it is the next generator.  A
+    generator whose permutation fixes every point, such as a central one,
+    never fails, so it is not checked, and the first failing one is still
+    named.
 
     Commuting means M[u.a][u.b] = M[a][b], so every row of orbit_s has the same
     sum over orbit_t: C[s][t] is that sum in the row of orbit_s's smallest
     point, taken by ``np.add.reduceat`` over the columns grouped by orbit.
+    When U is central in K (trivial, say, or K abelian), or m = 0, every
+    orbit is a single point, the fixed vectors are the whole space, and the
+    matrix itself is returned once the checks above have passed.
     """
     if isinstance(u, Subgroup) and u.parent != K:
         raise ValueError(f"subgroup of {u.parent.name} does not act on {K.name}")
@@ -319,11 +338,16 @@ def compress_to_invariants(K: FiniteGroup, u, m: int, matrix: RationalMatrix, ma
         # both sides are dim x dim, so no shape check is needed
         if not (num[perm[:, None], perm] == num).all():
             raise ValueError(f"matrix does not commute with conjugation by element {elem}")
+    if len(reps) == dim:
+        return matrix
     block = num[reps[:, None], order]
     # a sum of at most dim entries stays in int64 when max|x| * dim does
-    if block.dtype != object and _absmax(block) * dim > INT64_MAX:
-        block = block.astype(object)
-    return RationalMatrix._exact(np.add.reduceat(block, starts, axis=1), matrix.den)
+    bound = matrix._abs_bound()
+    if block.dtype != object and bound * dim > INT64_MAX:
+        bound = _absmax(block)
+        if bound * dim > INT64_MAX:
+            block = block.astype(object)
+    return RationalMatrix._exact(np.add.reduceat(block, starts, axis=1), matrix.den, bound * dim)
 
 
 def weak_limit_check(K: FiniteGroup, m: int, m_cyl: int, j: int, max_points=None) -> bool:

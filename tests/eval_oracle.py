@@ -31,6 +31,19 @@ def entries(M: RationalMatrix) -> tuple[tuple[Fraction, ...], ...]:
     return tuple(tuple(Fraction(p, M.den) for p in row) for row in M.num.tolist())
 
 
+def scan_int_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Exact integer product that proves its int64 bound by scanning both
+    operands on every call: int64 when max|a| * max|b| * inner <= 2^63 - 1,
+    else Python ints.  The int64-versus-object choice every exact product
+    must make."""
+    def absmax(x):
+        return int(np.abs(x).max())
+
+    if a.dtype != object and b.dtype != object and absmax(a) * absmax(b) * a.shape[1] <= 2**63 - 1:
+        return a @ b
+    return a.astype(object) @ b.astype(object)
+
+
 @functools.lru_cache(maxsize=8)
 def _tables(K: FiniteGroup) -> tuple[list, list]:
     """K's multiplication table and inverses as Python lists, read once per group."""

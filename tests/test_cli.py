@@ -261,6 +261,22 @@ def test_non_integer_letters_exit_1(capsys):
 
 
 @pytest.mark.parametrize(
+    "doc, message",
+    [
+        ('{"images": {"1": [[true,1]]}, "inverse_images": {}}',
+         "generator index must be an integer, got True, in the image of x1 in images"),
+        ('{"images": {"1": [[1,1]]}, "inverse_images": {"2": [[2,1],[1,1.5]]}}',
+         "letter sign must be an integer, got 1.5, in the image of x2 in inverse_images"),
+        ('{"images": {"3": [[3,2]]}, "inverse_images": {}}',
+         "letter sign must be +1 or -1, got 2, in the image of x3 in images"),
+    ],
+)
+def test_a_refused_letter_names_its_field_and_generator(capsys, doc, message):
+    assert main(["invert", "--g", doc]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize(
     "env, u, message",
     [
         ("abc", None, "COSET_MAX_POINTS must be an integer, got 'abc'"),

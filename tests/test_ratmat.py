@@ -146,6 +146,15 @@ def object_numerators(M: RationalMatrix) -> RationalMatrix:
     return out
 
 
+def test_a_matrix_without_a_bound_is_scanned_on_first_use():
+    bare = object_numerators(RationalMatrix([[1, -(2**40), 3], [4, 5, 6]]))
+    prod = bare @ RationalMatrix([[1], [1], [1]])
+    assert bare._abs_bound() == 2**40
+    # the carried 2^40 * 1 * 3 proves the Python-int product fits int64
+    assert prod == RationalMatrix([[4 - 2**40], [15]]) and prod.num.dtype == np.int64
+    assert prod._bound == 3 * 2**40
+
+
 def test_equality_compares_den_shape_and_entries():
     wide = RationalMatrix([[1, 2, 3], [4, 5, 6]])
     flat = RationalMatrix([[1, 2, 3, 4, 5, 6]])

@@ -26,6 +26,7 @@ import autcosets.repengine
 from autcosets import cli
 from autcosets.automorphisms import (
     Endomorphism,
+    _closed_automorphism,
     automorphism_to_dict,
     compose,
     identity_automorphism,
@@ -37,10 +38,11 @@ from autcosets.automorphisms import (
 from autcosets.cosets import coset_product, theta
 from autcosets.errors import MAX_COORDINATES, SizeLimitError, SupportViolation
 from autcosets.groups import Subgroup, builtin_group, group_from_dict, group_to_dict
-from autcosets.ratmat import RationalMatrix
+from autcosets.ratmat import INT64_MAX, RationalMatrix, int_matmul
 from autcosets.repengine import (
     _coordinate,
     _grid_eval,
+    _orbit_structure,
     _row_offsets,
     action_map,
     compress_to_invariants,
@@ -48,7 +50,7 @@ from autcosets.repengine import (
     projection_matrix,
     weak_limit_check,
 )
-from autcosets.verify import compressed_product_agrees, matrix_product_agrees, product_matrices
+from autcosets.verify import _bijective, compressed_product_agrees, matrix_product_agrees, product_matrices
 from autcosets.words import parse_word
 from cylinder_oracle import (
     CylinderFunction,
@@ -59,7 +61,7 @@ from cylinder_oracle import (
     translate_by_permutation,
 )
 from coset_oracle import triple_product_disjoint
-from eval_oracle import TupleIndex, entries, eval_word, fraction_matrix
+from eval_oracle import TupleIndex, entries, eval_word, fraction_matrix, scan_int_matmul
 
 C2 = builtin_group("c2")
 C3 = builtin_group("c3")
@@ -238,6 +240,17 @@ def test_action_map_bijections():
         n = max(g.support_bound(), 1)
         table = action_map(C2, g, n).table
         assert len(np.unique(table)) == len(table)
+
+
+def test_a_point_map_that_misses_a_point_is_refused():
+    # x1 -> x1 x1 is an endomorphism of the free group, not an automorphism:
+    # over c2 it sends both points to the unit, so the unit is hit twice
+    square = _closed_automorphism({1: ((1, 1), (1, 1))}, {})
+    with pytest.raises(ValueError, match="^induced point map is not a bijection$"):
+        action_map(C2, square, 1)
+    assert not _bijective(C2, square, 1)
+    assert not _bijective(C2, square, 3)
+    assert _bijective(C2, nielsen_swap(1, 2), 2)
 
 
 def test_action_map_rejects_undersized_cube():
@@ -657,6 +670,73 @@ def test_every_single_cell_perturbation_is_refused_like_reference(name):
                 assert compress_to_invariants(K, u, 1, mat) == want
 
 
+def centre(K):
+    mul = K.mul_np
+    return Subgroup(K, [x for x in range(K.order) if (mul[x] == mul[:, x]).all()])
+
+
+@pytest.mark.parametrize(
+    "name, which", [("c3", "whole"), ("s3", "trivial"), ("q8", "centre"), ("d8", "centre")]
+)
+@pytest.mark.parametrize("m", [0, 1, 2])
+def test_compression_over_a_central_subgroup_is_the_matrix_itself(name, which, m):
+    """Every orbit of a central U is one point, so the compression is the
+    matrix, and equals the reference; the checks still run first."""
+    K = builtin_group(name)
+    u = {"whole": Subgroup.whole, "trivial": Subgroup.trivial, "centre": centre}[which](K)
+    assert len(u.members) > 1 or which == "trivial"
+    dim = K.order**m
+    mats = [markov_matrix(K, rand_aut(seed, 6, max_index=3), m) for seed in range(2)]
+    for mat in mats + [RationalMatrix.identity(dim)]:
+        got = compress_to_invariants(K, u, m, mat)
+        assert got is mat
+        assert got == reference_compress(K, u.members, m, mat)
+    if m:
+        with pytest.raises(ValueError, match=f"matrix must be {dim}x{dim}"):
+            compress_to_invariants(K, u, m, RationalMatrix.identity(dim + 1))
+        with pytest.raises(SizeLimitError):
+            compress_to_invariants(K, u, m, mats[0], max_points=dim)
+
+
+@pytest.mark.parametrize("name, members", [("d8", (0, 2, 5, 7)), ("q8", tuple(range(8)))])
+@given(st.integers(1, 2), st.integers(0, 2**32), st.integers(-3, 3))
+@settings(max_examples=15)
+def test_dropped_central_generators_leave_the_first_failing_member_named(name, members, m, seed, delta):
+    """In d8, {0, 2, 5, 7} has the greedy generators 2 and the central 5, and
+    q8 has 1, 2, 4 with 1 central: only the non-central ones are checked,
+    and a matrix that fails is refused naming the member the reference
+    names first."""
+    K = builtin_group(name)
+    u = Subgroup(K, members)
+    gens = _orbit_structure(weakref.ref(K), u.members, m)[0]
+    assert gens == ((2,) if name == "d8" else (2, 4))
+    rng = random.Random(seed)
+    num = invariant_matrix(K, u, m, rng, 5)
+    dim = K.order**m
+    num[rng.randrange(dim), rng.randrange(dim)] += delta
+    mat = RationalMatrix(num, 3)
+    try:
+        want = reference_compress(K, u.members, m, mat)
+    except ValueError as err:
+        with pytest.raises(ValueError) as got:
+            compress_to_invariants(K, u, m, mat)
+        assert str(got.value) == str(err)
+    else:
+        assert compress_to_invariants(K, u, m, mat) == want
+
+
+def test_a_non_commuting_matrix_over_d8_names_element_2():
+    D8 = builtin_group("d8")
+    num = np.eye(8, dtype=np.int64)
+    num[0, 1] = 1  # conjugation by 2 swaps the points 1 and 4
+    mat = RationalMatrix(num)
+    u = Subgroup(D8, (0, 2, 5, 7))
+    with pytest.raises(ValueError, match="element 2$"):
+        compress_to_invariants(D8, u, 1, mat)
+    with pytest.raises(ValueError, match="element 2$"):
+        reference_compress(D8, u.members, 1, mat)
+
+
 def count_conjugation_perms(monkeypatch):
     built = []
     real = autcosets.repengine._conjugation_perm
@@ -1022,3 +1102,86 @@ def test_matrix_laws_fail_on_a_wrong_product():
     assert mg @ mh != wrong
     assert not matrix_product_agrees(wrong, mg, mh)
     assert not compressed_product_agrees(S3, whole, 1, wrong, mg, mh)
+
+
+# --- carried int64 bounds -------------------------------------------------
+
+def assert_bound_holds(M, carried=True):
+    """M's bound is an int >= max|num|; a matrix the library built carries
+    it from what built it, one from outside has it scanned on first use."""
+    if carried:
+        assert M._bound is not None
+    bound = M._abs_bound()
+    assert type(bound) is int and bound >= int(np.abs(M.num).max())
+
+
+def assert_product_matches_scan(a, b):
+    """The product's values and dtype are those of a product that scans both
+    factors for its int64 bound, before and after lowest terms."""
+    want = scan_int_matmul(a.num, b.num)
+    got = int_matmul(a.num, b.num, a._abs_bound(), b._abs_bound())
+    assert got.dtype == want.dtype and np.array_equal(got, want)
+    prod = a @ b
+    ref = RationalMatrix(want, a.den * b.den)
+    assert prod == ref and prod.num.dtype == ref.num.dtype
+    return prod
+
+
+@given(st.sampled_from(["c2", "c3", "s3", "q8", "d8"]), st.integers(0, 2), st.integers(0, 10_000))
+@settings(max_examples=30)
+def test_every_library_matrix_carries_a_bound_and_products_match_the_scan(name, m, seed):
+    K = builtin_group(name)
+    dim = K.order**m
+    tg, th = (markov_matrix(K, rand_aut(seed + i, 6, max_index=3), m) for i in range(2))
+    built = [tg, th, RationalMatrix.identity(dim), projection_matrix(K, max(m - 1, 0), m)]
+    prod = assert_product_matches_scan(tg, th)
+    chained = prod
+    for factor in (tg, prod, th, prod):
+        chained = assert_product_matches_scan(chained, factor)
+    built += [prod, chained]
+    for u in subgroups_to_compress(K):
+        cg, ch = (compress_to_invariants(K, u, m, t) for t in (tg, chained))
+        built += [cg, ch, assert_product_matches_scan(cg, ch)]
+    for M in built:
+        assert_bound_holds(M)
+
+
+big_int_st = st.one_of(st.integers(-9, 9), st.integers(-(2**70), 2**70))
+
+
+@given(
+    st.lists(st.lists(big_int_st, min_size=3, max_size=3), min_size=1, max_size=3),
+    st.lists(st.lists(big_int_st, min_size=2, max_size=2), min_size=3, max_size=3),
+    st.integers(1, 2**65),
+)
+def test_constructed_matrices_get_a_bound_on_first_use(rows_a, rows_b, den):
+    a = RationalMatrix(rows_a, den)
+    b = RationalMatrix(np.array(rows_b, dtype=object))
+    small = RationalMatrix(np.array([[x % 7 for x in row] for row in rows_b], dtype=np.int64))
+    for M in (a, b, small):
+        assert_bound_holds(M, carried=False)
+    for x, y in ((a, b), (a, small)):
+        assert_bound_holds(assert_product_matches_scan(x, y))
+
+
+def test_a_carried_bound_past_int64_falls_back_to_the_exact_scan():
+    # each product multiplies the carried bound by its inner size: 32
+    # products by the 4x4 identity carry 4^32 = 2^64, entries still 0 or 1
+    e = RationalMatrix.identity(4)
+    power = e
+    for _ in range(32):
+        power = power @ e
+    assert power._bound > INT64_MAX
+    assert power == e and power.num.dtype == np.int64
+    square = assert_product_matches_scan(power, power)
+    assert square == e and square.num.dtype == np.int64
+    assert power.is_doubly_stochastic()
+    # 6^25 > 2^63: the compression scans its block and stays in int64
+    six = RationalMatrix.identity(6)
+    power = six
+    for _ in range(25):
+        power = power @ six
+    assert power._bound * 6 > INT64_MAX
+    got = compress_to_invariants(S3, Subgroup.whole(S3), 1, power)
+    assert got == RationalMatrix.identity(3) and got.num.dtype == np.int64
+    assert_bound_holds(got)
