@@ -18,6 +18,13 @@ the cross-checks they provide; their words are reduced already, so they go
 through the private ``_verified_automorphism``, which verifies without
 re-reducing.
 
+Images are stored as code words, signed ints (``words._encode``), and
+every internal rewrite -- composition, verification, the coset patterns --
+runs on the one kernel ``words._substitute_codes``.  Letter words appear
+only at the boundary: the constructor and JSON load reduce letters and
+encode them once, and ``images``, ``image``, ``repr`` and
+``automorphism_to_dict`` decode on demand.
+
 Verification computes one composite, f . g, and stops at its first wrong
 image: free groups of finite rank are Hopfian, so f . g = id forces
 g . f = id (the proof is in ``verify_inverse_pair``).
@@ -40,15 +47,16 @@ import random
 from typing import Iterable, Mapping
 
 from .words import (
+    Code,
     Letter,
     Word,
+    _decode,
+    _encode,
+    _concat_codes,
     _integer,
-    concat,
+    _substitute_codes,
     format_word,
-    generator_word,
-    max_generator,
     reduce,
-    substitute,
 )
 
 
@@ -57,30 +65,38 @@ class InverseVerificationError(ValueError):
 
 
 class Endomorphism:
-    """Generator-image map.  Generators absent from ``images`` are fixed."""
+    """Generator-image map.  Generators absent from ``images`` are fixed.
 
-    __slots__ = ("_images", "_bound")
+    Images are stored as code words (``words._encode``) for the moved
+    generators only; ``images``, ``image`` and ``repr`` decode them on
+    demand.  The first time the map is a left factor it caches its code
+    map (``_code_map``), where the kernel keeps the inverse words it
+    builds."""
+
+    __slots__ = ("_codes", "_bound", "_map")
 
     def __init__(self, images: Mapping[int, Iterable[Letter]] | None = None):
-        normalized: dict[int, Word] = {}
+        codes: dict[int, Code] = {}
         if images:
             for key, img in images.items():
                 key = _integer(key, "generator index", 1)
-                word = reduce(img)
-                if word != ((key, 1),):
-                    normalized[key] = word
-        self._images = normalized
+                code = _encode(reduce(img))
+                if code != (key,):
+                    codes[key] = code
+        self._codes = codes
         self._bound = None
+        self._map = None
 
     @property
     def images(self) -> dict[int, Word]:
         """Copy of the moved-generator image map."""
-        return dict(self._images)
+        return {key: _decode(code) for key, code in self._codes.items()}
 
     def image(self, index: int) -> Word:
         """Image word of x_index (x_index itself when fixed)."""
         index = _integer(index, "generator index", 1)
-        return self._images.get(index, ((index, 1),))
+        code = self._codes.get(index)
+        return ((index, 1),) if code is None else _decode(code)
 
     def support_bound(self) -> int:
         """Smallest B such that every generator above B is fixed and no image
@@ -88,60 +104,79 @@ class Endomorphism:
         bound = self._bound
         if bound is None:
             bound = 0
-            for key, word in self._images.items():
+            for key, code in self._codes.items():
                 if key > bound:
                     bound = key
-                top = max_generator(word)
+                top = max(map(abs, code), default=0)
                 if top > bound:
                     bound = top
             self._bound = bound
         return bound
 
     def is_identity(self) -> bool:
-        return not self._images
+        return not self._codes
 
     def __eq__(self, other):
         if not isinstance(other, Endomorphism):
             return NotImplemented
-        return self._images == other._images
+        return self._codes == other._codes
 
     def __hash__(self):
-        return hash(frozenset(self._images.items()))
+        return hash(frozenset(self._codes.items()))
 
     def __repr__(self):
-        if not self._images:
+        if not self._codes:
             return "Endomorphism(identity)"
         body = ", ".join(
-            f"x{k} -> {format_word(w) or '1'}" for k, w in sorted(self._images.items())
+            f"x{k} -> {format_word(_decode(w)) or '1'}" for k, w in sorted(self._codes.items())
         )
         return f"Endomorphism({body})"
 
 
-def _reduced_endomorphism(images: dict[int, Word]) -> Endomorphism:
-    """Endomorphism from images that are already reduced words under valid
-    generator keys; drops x_i -> x_i entries as the constructor does, but
-    neither re-checks keys nor re-reduces."""
+def _code_endomorphism(codes: dict[int, Code]) -> Endomorphism:
+    """Endomorphism from code words of reduced images under valid generator
+    keys; drops x_i -> x_i entries as the constructor does, but neither
+    re-checks keys nor re-reduces."""
     e = Endomorphism.__new__(Endomorphism)
-    e._images = {key: word for key, word in images.items() if word != ((key, 1),)}
+    e._codes = {key: code for key, code in codes.items() if code != (key,)}
     e._bound = None
+    e._map = None
     return e
+
+
+def _code_map(e: Endomorphism) -> dict[int, Code]:
+    """The code map of ``e`` for ``_substitute_codes``: a copy of its images,
+    made on first use and kept, so the inverse words the kernel stores in
+    it are built once for the life of ``e``."""
+    cmap = e._map
+    if cmap is None:
+        cmap = e._map = dict(e._codes)
+    return cmap
+
+
+def _image_code(e: Endomorphism, index: int) -> Code:
+    """Code word of the image of x_index, a valid generator index."""
+    code = e._codes.get(index)
+    return (index,) if code is None else code
 
 
 def compose_endomorphisms(a: Endomorphism, b: Endomorphism) -> Endomorphism:
     """Endomorphism sending x_i to a(b(x_i))."""
-    a_images = a._images
-    b_images = b._images
-    images: dict[int, Word] = {}
-    for key, word in b_images.items():
-        word = substitute(a_images, word)
-        if word != ((key, 1),):
-            images[key] = word
-    for key, word in a_images.items():
-        if key not in b_images:
-            images[key] = word
+    a_codes = a._codes
+    b_codes = b._codes
+    a_map = _code_map(a)
+    codes: dict[int, Code] = {}
+    for key, code in b_codes.items():
+        code = _substitute_codes(a_map, code)
+        if code != (key,):
+            codes[key] = code
+    for key, code in a_codes.items():
+        if key not in b_codes:
+            codes[key] = code
     e = Endomorphism.__new__(Endomorphism)
-    e._images = images
+    e._codes = codes
     e._bound = None
+    e._map = None
     return e
 
 
@@ -159,13 +194,21 @@ def verify_inverse_pair(f: Endomorphism, g: Endomorphism) -> bool:
 
     On a generator g does not move, f . g agrees with f, so f must not move
     it either.  Both loops run over moved generators only, so the cost does
-    not grow with the largest index the maps mention."""
-    f_images = f._images
-    g_images = g._images
-    if not f_images.keys() <= g_images.keys():
+    not grow with the largest index the maps mention.
+
+    Raises TypeError unless both arguments are Endomorphisms."""
+    if not (isinstance(f, Endomorphism) and isinstance(g, Endomorphism)):
+        raise TypeError(
+            "verify_inverse_pair needs two Endomorphisms, got "
+            f"{type(f).__name__} and {type(g).__name__}"
+        )
+    f_codes = f._codes
+    g_codes = g._codes
+    if not f_codes.keys() <= g_codes.keys():
         return False
-    for key, word in g_images.items():
-        if substitute(f_images, word) != ((key, 1),):
+    f_map = _code_map(f)
+    for key, code in g_codes.items():
+        if _substitute_codes(f_map, code) != (key,):
             return False
     return True
 
@@ -230,26 +273,27 @@ def _closed_automorphism(fwd, inv) -> Automorphism:
     """Automorphism from a pair that is mutually inverse by construction.
 
     For results of closed operations only: ``fwd`` and ``inv`` are
-    Endomorphisms, or image maps of already reduced words, built from
+    Endomorphisms, or maps to code words of reduced images, built from
     verified pairs.  Skips reduction and inverse-pair verification; input
     from outside goes through ``Automorphism(fwd, inv)`` instead.
     """
     a = Automorphism.__new__(Automorphism)
-    a.fwd = fwd if isinstance(fwd, Endomorphism) else _reduced_endomorphism(fwd)
-    a._inv = inv if isinstance(inv, Endomorphism) else _reduced_endomorphism(inv)
+    a.fwd = fwd if isinstance(fwd, Endomorphism) else _code_endomorphism(fwd)
+    a._inv = inv if isinstance(inv, Endomorphism) else _code_endomorphism(inv)
     return a
 
 
-def _verified_automorphism(fwd: dict[int, Word], inv: dict[int, Word]) -> Automorphism:
-    """Automorphism from image maps the library built itself, verified.
+def _verified_automorphism(fwd: dict[int, Code], inv: dict[int, Code]) -> Automorphism:
+    """Automorphism from code maps the library built itself, verified.
 
     For pairs built by substitution: ``fwd`` and ``inv`` map valid generator
-    keys to words that ``substitute`` or ``Endomorphism.image`` returned,
-    hence already reduced, so keys are not re-checked and words are not
-    re-reduced.  The pair is verified as the public constructor verifies
-    it, and a wrong pair raises the same InverseVerificationError.
+    keys to code words that ``_substitute_codes`` returned or an
+    Endomorphism holds, hence already reduced, so keys are not re-checked
+    and words are not re-reduced.  The pair is verified as the public
+    constructor verifies it, and a wrong pair raises the same
+    InverseVerificationError.
     """
-    return Automorphism(_reduced_endomorphism(fwd), _reduced_endomorphism(inv))
+    return Automorphism(_code_endomorphism(fwd), _code_endomorphism(inv))
 
 
 def _force_inverse(root: Automorphism) -> Endomorphism:
@@ -321,7 +365,7 @@ def nielsen_swap(i: int, j: int) -> Automorphism:
 def nielsen_invert(i: int) -> Automorphism:
     """x_i -> x_i^-1, all other generators fixed.  Self-inverse."""
     i = _integer(i, "generator index", 1)
-    images = {i: ((i, -1),)}
+    images = {i: (-i,)}
     return _closed_automorphism(images, images)
 
 
@@ -330,7 +374,7 @@ def nielsen_right_mult(i: int, j: int) -> Automorphism:
     i, j = _integer(i, "generator index", 1), _integer(j, "generator index", 1)
     if i == j:
         raise ValueError("right multiplication needs two distinct indices")
-    return _closed_automorphism({i: ((i, 1), (j, 1))}, {i: ((i, 1), (j, -1))})
+    return _closed_automorphism({i: (i, j)}, {i: (i, -j)})
 
 
 def permutation_automorphism(mapping: Mapping[int, int]) -> Automorphism:
@@ -349,17 +393,20 @@ def permutation_automorphism(mapping: Mapping[int, int]) -> Automorphism:
     values = set(moved.values())
     if len(values) != len(moved) or values != set(moved):
         raise ValueError("mapping is not a permutation of its moved generators")
-    fwd = {k: generator_word(v) for k, v in moved.items()}
-    inv = {v: generator_word(k) for k, v in moved.items()}
+    fwd = {k: (v,) for k, v in moved.items()}
+    inv = {v: (k,) for k, v in moved.items()}
     return _closed_automorphism(fwd, inv)
 
 
 def is_in_H(a: Automorphism, m: int) -> bool:
     """Whether ``a`` fixes each of x_1 .. x_m (membership in the pointwise
-    stabilizer of the first m generators)."""
+    stabilizer of the first m generators).  Raises TypeError unless ``a``
+    is an Automorphism."""
+    if not isinstance(a, Automorphism):
+        raise TypeError(f"is_in_H needs an Automorphism, got {type(a).__name__}")
     m = _integer(m, "m", 0)
-    xfixed = a.fwd._images
-    return all(i not in xfixed for i in range(1, m + 1))
+    moved = a.fwd._codes
+    return all(i not in moved for i in range(1, m + 1))
 
 
 # move kinds as random_automorphism draws them below 3; kind 2 is x_i -> x_i x_j
@@ -390,13 +437,14 @@ def random_automorphism(m_fix: int, max_index: int, length: int, seed: int) -> A
     by a move rewrites at most two pairs of the map built so far: a swap
     exchanges the pairs of x_i and x_j, an inversion swaps the two words of
     x_i's pair, and x_i -> x_i x_j sets F(x_i) to F(x_i) F(x_j) and its
-    inverse to F(x_j)^-1 F(x_i)^-1, two ``concat`` calls (G(x_j)^-1 in place
-    of G(x_j) on the inverse side).  So a step costs the letters of two
-    joins, never a substitution through the whole map nor a word inverted
-    letter by letter.  Composition is associative and reduced words are
-    unique, so the images are those of composing each move onto the left
-    as it is drawn; both halves are built in full, so the result carries no
-    chain of deferred inverses."""
+    inverse to F(x_j)^-1 F(x_i)^-1, two ``_concat_codes`` calls
+    (G(x_j)^-1 in place of G(x_j) on the inverse side).  So a step costs
+    the letters of two joins, never a substitution through the whole map
+    nor a word inverted letter by letter.  The fold runs on code words, so
+    the images need no encoding.  Composition is associative and reduced
+    words are unique, so the images are those of composing each move onto
+    the left as it is drawn; both halves are built in full, so the result
+    carries no chain of deferred inverses."""
     m_fix, max_index = _integer(m_fix, "m_fix", 0), _integer(max_index, "max_index")
     length, seed = _integer(length, "length", 0), _integer(seed, "seed")
     lo = m_fix + 1
@@ -430,21 +478,22 @@ def random_automorphism(m_fix: int, max_index: int, length: int, seed: int) -> A
             while j >= n or j == i:
                 j = getrandbits(bits)
         moves.append((kind, lo + i, lo + j))
-    # one shared (x_k, x_k^-1) pair of words per generator the moves name
+    # one shared (x_k, x_k^-1) pair of code words per generator the moves name
     names = {i for _, i, _ in moves}
     names.update([j for _, _, j in moves])
-    generator = {k: (((k, 1),), ((k, -1),)) for k in names}
+    generator = {k: ((k,), (-k,)) for k in names}
     fwd = _right_fold(reversed(moves), generator, inverse=False)
     inv = _right_fold(moves, generator, inverse=True)
     return _closed_automorphism(fwd, inv)
 
 
-def _right_fold(moves, generator: dict[int, tuple[Word, Word]], inverse: bool) -> dict[int, Word]:
-    """Images of mu_1 . mu_2 . ... . mu_n for the Nielsen moves (kind, i, j)
-    taken in order, each replaced by its inverse when ``inverse``.  Built
-    from the identity by right multiplication, on (image, inverse word)
-    pairs; ``generator`` holds the pair of every index the moves name."""
-    pairs: dict[int, tuple[Word, Word]] = {}
+def _right_fold(moves, generator: dict[int, tuple[Code, Code]], inverse: bool) -> dict[int, Code]:
+    """Code images of mu_1 . mu_2 . ... . mu_n for the Nielsen moves
+    (kind, i, j) taken in order, each replaced by its inverse when
+    ``inverse``.  Built from the identity by right multiplication, on
+    (image, inverse word) pairs of code words; ``generator`` holds the pair
+    of every index the moves name."""
+    pairs: dict[int, tuple[Code, Code]] = {}
     get = pairs.get
     for kind, i, j in moves:
         wi = get(i) or generator[i]
@@ -455,14 +504,17 @@ def _right_fold(moves, generator: dict[int, tuple[Word, Word]], inverse: bool) -
         if kind == _SWAP:
             pairs[i], pairs[j] = wj, wi
         elif inverse:
-            pairs[i] = (concat(wi[0], wj[1]), concat(wj[0], wi[1]))
+            pairs[i] = (_concat_codes(wi[0], wj[1]), _concat_codes(wj[0], wi[1]))
         else:
-            pairs[i] = (concat(wi[0], wj[0]), concat(wj[1], wi[1]))
+            pairs[i] = (_concat_codes(wi[0], wj[0]), _concat_codes(wj[1], wi[1]))
     return {k: pair[0] for k, pair in pairs.items()}
 
 
 def _endo_to_dict(e: Endomorphism) -> dict:
-    return {str(k): [[g, s] for g, s in w] for k, w in sorted(e._images.items())}
+    return {
+        str(k): [[c, 1] if c > 0 else [-c, -1] for c in code]
+        for k, code in sorted(e._codes.items())
+    }
 
 
 def automorphism_to_dict(a: Automorphism) -> dict:
@@ -479,7 +531,7 @@ def _endo_from_dict(data, field: str) -> Endomorphism:
     # and its message gains the field and the image the letter came from.
     if not isinstance(data, dict):
         raise ValueError(f"{field} must be an object mapping indices to letter lists")
-    images: dict[int, Word] = {}
+    images: dict[int, Code] = {}
     for key, letters in data.items():
         if not (type(key) is int or (isinstance(key, str) and key.isascii() and key.isdigit())):
             raise ValueError(f"bad generator key {key!r} in {field}")
@@ -493,10 +545,10 @@ def _endo_from_dict(data, field: str) -> Endomorphism:
                 raise ValueError(f"bad letter {item!r} in image of x{index}")
         _integer(index, "generator index", 1)
         try:
-            images[index] = reduce(letters)
+            images[index] = _encode(reduce(letters))
         except ValueError as err:
             raise ValueError(f"{err}, in the image of x{index} in {field}") from None
-    return _reduced_endomorphism(images)
+    return _code_endomorphism(images)
 
 
 def automorphism_from_dict(data) -> Automorphism:

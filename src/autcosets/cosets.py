@@ -35,6 +35,7 @@ from .automorphisms import (
     Automorphism,
     Endomorphism,
     _closed_automorphism,
+    _image_code,
     _verified_automorphism,
     compose,
     identity_automorphism,
@@ -42,7 +43,7 @@ from .automorphisms import (
     permutation_automorphism,
 )
 from .errors import MAX_BLOCK_SIZE, SupportViolation, check_size
-from .words import Word, _integer, generator_word, substitute
+from .words import Code, _integer, _substitute_codes
 
 
 def _block_swap(base: int, size: int, offset: int) -> Automorphism:
@@ -53,10 +54,10 @@ def _block_swap(base: int, size: int, offset: int) -> Automorphism:
     images would not be an automorphism."""
     if offset < size:
         raise ValueError(f"blocks of {size} generators at offset {offset} overlap")
-    images: dict[int, Word] = {}
+    images: dict[int, Code] = {}
     for k in range(base + 1, base + size + 1):
-        images[k] = ((k + offset, 1),)
-        images[k + offset] = ((k, 1),)
+        images[k] = (k + offset,)
+        images[k + offset] = (k,)
     return _closed_automorphism(images, images)
 
 
@@ -136,29 +137,30 @@ def coset_product(m: int, g: Automorphism, h: Automorphism) -> DoubleCosetRep:
     return DoubleCosetRep(m, rep, n)
 
 
-def _block_mapping(m: int, n: int, outer) -> dict[int, Word]:
-    """Substitution sending x_j (j <= m) to outer's x_j-image and renaming
-    the y block to the z block."""
-    mapping: dict[int, Word] = {i: outer.image(i) for i in range(1, m + 1)}
-    for t in range(1, n + 1):
-        mapping[m + t] = generator_word(m + n + t)
+def _block_mapping(m: int, n: int, outer: Endomorphism) -> dict[int, Code]:
+    """Code map sending x_j (j <= m) to outer's x_j-image and renaming the
+    y block to the z block; an x_j that outer fixes is left out, as fixed."""
+    codes = outer._codes
+    mapping = {i: codes[i] for i in range(1, m + 1) if i in codes}
+    for t in range(m + 1, m + n + 1):
+        mapping[t] = (t + n,)
     return mapping
 
 
-def _pattern_images(m: int, n: int, outer: Endomorphism, inner: Endomorphism) -> dict[int, Word]:
-    """Generator images of the two-factor disjoint-block pattern.
+def _pattern_images(m: int, n: int, outer: Endomorphism, inner: Endomorphism) -> dict[int, Code]:
+    """Code images of the two-factor disjoint-block pattern.
 
     The inner factor's images on the x and y blocks are rewritten by
     ``_block_mapping``; the z block then receives the outer factor's
     y-images verbatim.
     """
     mapping = _block_mapping(m, n, outer)
-    images: dict[int, Word] = {}
+    images: dict[int, Code] = {}
     for i in range(1, m + 1):
-        images[i] = substitute(mapping, inner.image(i))
-    for k in range(1, n + 1):
-        images[m + k] = substitute(mapping, inner.image(m + k))
-        images[m + n + k] = outer.image(m + k)
+        images[i] = _substitute_codes(mapping, _image_code(inner, i))
+    for k in range(m + 1, m + n + 1):
+        images[k] = _substitute_codes(mapping, _image_code(inner, k))
+        images[k + n] = _image_code(outer, k)
     return images
 
 
@@ -193,9 +195,10 @@ def witness_left(m: int, n: int, r: Automorphism, g: Automorphism, h: Automorphi
     if not is_in_H(r, m):
         raise SupportViolation("witness factor must fix x_1..x_m")
     _require_support(m, n, r, g, h)
-    mapping = _block_mapping(m, n, g)
-    fwd = {m + n + k: substitute(mapping, r.fwd.image(m + k)) for k in range(1, n + 1)}
-    inv = {m + n + k: substitute(mapping, r.inv.image(m + k)) for k in range(1, n + 1)}
+    mapping = _block_mapping(m, n, g.fwd)
+    y_block = range(m + 1, m + n + 1)
+    fwd = {k + n: _substitute_codes(mapping, _image_code(r.fwd, k)) for k in y_block}
+    inv = {k + n: _substitute_codes(mapping, _image_code(r.inv, k)) for k in y_block}
     # built by substitution rather than composition, so the pair is verified
     return _verified_automorphism(fwd, inv)
 

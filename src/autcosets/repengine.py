@@ -37,12 +37,12 @@ import weakref
 
 import numpy as np
 
-from .automorphisms import Automorphism
+from .automorphisms import Automorphism, _image_code
 from .cosets import _block_swap
 from .errors import DEFAULT_MAX_POINTS, MAX_COORDINATES, SupportViolation, check_size
 from .groups import FiniteGroup, Subgroup, _greedy_generators
 from .ratmat import INT64_MAX, RationalMatrix, _absmax
-from .words import Word, _integer
+from .words import Code, _integer
 
 
 def _check_budget(max_points, layer: str, n: int, exp: int, cells: bool = False) -> None:
@@ -78,9 +78,10 @@ def _row_offsets(n: int, m: int) -> np.ndarray:
     return rows
 
 
-def _grid_eval(K: FiniteGroup, w: Word, n_coords: int) -> np.ndarray:
-    """Value of ``w`` at every point of K^n_coords (letters multiply left to
-    right, coordinate i feeds x_i), on a read-only grid with one axis per
+def _grid_eval(K: FiniteGroup, w: Code, n_coords: int) -> np.ndarray:
+    """Value of the code word ``w`` at every point of K^n_coords (letters
+    multiply left to right, coordinate i feeds x_i, and the sign of a code
+    is the sign of its letter), on a read-only grid with one axis per
     coordinate.
 
     Coordinate i runs along axis n_coords - i, so on the full grid the
@@ -97,11 +98,12 @@ def _grid_eval(K: FiniteGroup, w: Word, n_coords: int) -> np.ndarray:
     mul = K.mul_np
     inv = K.inv_np
     acc = None
-    for gen, sign in w:
+    for c in w:
+        gen = c if c > 0 else -c
         if gen > n_coords:
             raise SupportViolation(f"word mentions x{gen} but points have {n_coords} coordinates")
         coord = _coordinate(n, gen)
-        value = coord if sign == 1 else inv[coord]
+        value = coord if c > 0 else inv[coord]
         acc = value if acc is None else mul[acc, value]
     if acc is None:
         acc = np.array(K.identity, dtype=np.int32)
@@ -129,8 +131,9 @@ def _digit_sum(n: int, digits) -> np.ndarray:
 
 
 def _grid_code(K: FiniteGroup, words, n_coords: int) -> np.ndarray:
-    """Base-n number of the tuple of values of ``words`` (the first word
-    gives the least significant digit), on the grid of K^n_coords."""
+    """Base-n number of the tuple of values of the code words ``words``
+    (the first word gives the least significant digit), on the grid of
+    K^n_coords."""
     return _digit_sum(K.order, (_grid_eval(K, w, n_coords) for w in words))
 
 
@@ -180,7 +183,7 @@ def action_map(K: FiniteGroup, g: Automorphism, n_coords: int, max_points=None) 
         )
     n = K.order
     _check_budget(max_points, f"action on {K.name}^{n_coords}", n, n_coords)
-    code = _grid_code(K, [g.image(i) for i in range(1, n_coords + 1)], n_coords)
+    code = _grid_code(K, [_image_code(g.fwd, i) for i in range(1, n_coords + 1)], n_coords)
     table = _full_table(code, n, n_coords)
     # n^N codes in 0..n^N-1 form a bijection exactly when every point is hit
     hit = np.zeros(n ** n_coords, dtype=bool)
@@ -221,7 +224,8 @@ def markov_matrix(
     _check_budget(max_points, f"markov_matrix on {K.name}^{m}", n, m, cells=True)
     dim = n ** m
     # the row of a point is the code of its first m coordinates
-    key = _row_offsets(n, m) + _grid_code(K, [g.image(i) for i in range(1, m + 1)], n_coords)
+    images = [_image_code(g.fwd, i) for i in range(1, m + 1)]
+    key = _row_offsets(n, m) + _grid_code(K, images, n_coords)
     counts = np.bincount(key.ravel(), minlength=dim * dim).reshape(dim, dim)
     # no count exceeds its row's total, the points over one row
     total = key.size // dim

@@ -4,7 +4,8 @@ A letter is a pair ``(index, sign)`` with ``index >= 1`` and ``sign`` either
 ``+1`` or ``-1``.  A word is a tuple of letters with no adjacent
 letter/inverse pair.  Every function here returns freely reduced words, so
 word equality is plain tuple equality and words can be shared without
-copying.
+copying.  Internally the library computes on code words (signed ints, see
+``_encode``); ``Word`` is the one public form.
 """
 
 from __future__ import annotations
@@ -70,27 +71,13 @@ def reduce(letters: Iterable[Letter]) -> Word:
 
 
 def concat(a: Word, b: Word) -> Word:
-    """Product of two reduced words, freely reduced.
-
-    Both words are reduced, so letters can cancel only at the junction: the
-    end of ``a`` against the start of ``b``.  What survives on each side is
-    copied by slicing."""
+    """Product of two reduced words, freely reduced.  A letter wrapper over
+    ``_concat_codes``."""
     if not a:
         return b
     if not b:
         return a
-    n = len(a)
-    k = 0  # letters cancelled on each side
-    for gen, sign in b:
-        if k == n:
-            break
-        top = a[n - 1 - k]
-        if top[0] != gen or top[1] != -sign:
-            break
-        k += 1
-    if not k:
-        return a + b
-    return a[: n - k] + b[k:]
+    return _decode(_concat_codes(_encode(a), _encode(b)))
 
 
 def invert_word(a: Word) -> Word:
@@ -103,43 +90,105 @@ def substitute(images: Mapping[int, Word], w: Word) -> Word:
     mapping stay fixed.
 
     This is the homomorphism sending x_i to ``images[i]``; the result is
-    reduced.  Image words must themselves be reduced.
+    reduced.  Image words must themselves be reduced.  A letter wrapper
+    over ``_substitute_codes``: the images of the generators ``w`` names
+    are encoded, and the result is decoded.
+    """
+    w = _encode(w)
+    get = images.get
+    codes: dict[int, Code] = {}
+    for c in w:
+        gen = c if c > 0 else -c
+        if gen not in codes:
+            img = get(gen)
+            if img is not None:
+                codes[gen] = _encode(img)
+    return _decode(_substitute_codes(codes, w))
 
-    Everything is folded onto one output stack: a fixed letter goes straight
-    on, and an inverse letter walks its image backwards with signs flipped
-    inline, so no inverted image word is ever built.
+
+# --- code words -------------------------------------------------------------
+# Inside the library a reduced word is also carried as a code word: a tuple of
+# nonzero ints, +i for x_i and -i for x_i^-1, so a letter cancels the one
+# before it exactly when the two codes sum to 0.  Codes never leave the
+# library: every public function takes and returns letter words.
+
+Code = tuple[int, ...]
+
+
+def _encode(w: Word) -> Code:
+    """Code word of a reduced letter word."""
+    return tuple([gen * sign for gen, sign in w])
+
+
+def _decode(code: Code) -> Word:
+    """Letter word of a code word; the inverse of ``_encode``."""
+    return tuple([(c, 1) if c > 0 else (-c, -1) for c in code])
+
+
+def _invert_code(code: Code) -> Code:
+    """Inverse code word: codes reversed and negated."""
+    return tuple([-c for c in reversed(code)])
+
+
+def _concat_codes(a: Code, b: Code) -> Code:
+    """Product of two reduced code words, freely reduced.
+
+    Both words are reduced, so codes can cancel only at the junction: the
+    end of ``a`` against the start of ``b``.  What survives on each side is
+    copied by slicing."""
+    n = len(a)
+    k = 0  # codes cancelled on each side
+    for c in b:
+        if k == n or a[n - 1 - k] != -c:
+            break
+        k += 1
+    if not k:
+        return a + b
+    return a[: n - k] + b[k:]
+
+
+def _substitute_codes(images: dict[int, Code], w: Code) -> Code:
+    """Rewrite the code word ``w`` through a code map; the one substitution
+    algorithm of the library.
+
+    ``images`` holds the reduced image of x_i under +i for each generator
+    x_i it moves; a positive code absent from it is a fixed letter.  The
+    map fills in as it is read: the first time a code -i is met, it stores
+    under -i the inverse word of x_i's image, or (-i,) for a fixed x_i,
+    so an inverse word is built once per map and only if it is used.
+
+    Everything is folded onto one output stack.  A fixed letter cancels
+    the top or goes on.  An image is reduced, so it can cancel the stack
+    only at its junction: its first codes are popped against the top while
+    they cancel, and the rest is copied on with one ``extend``.
     """
     get = images.get
-    stack: list[Letter] = []
-    append = stack.append
-    pop = stack.pop
-    for gen, sign in w:
-        img = get(gen)
+    out: list[int] = []
+    pop = out.pop
+    append = out.append
+    extend = out.extend
+    for c in w:
+        img = get(c)
         if img is None:
-            if stack:
-                top = stack[-1]
-                if top[0] == gen and top[1] == -sign:
+            if c > 0:
+                if out and out[-1] == -c:
                     pop()
-                    continue
-            append((gen, sign))
-        elif sign == 1:
-            for letter in img:
-                if stack:
-                    top = stack[-1]
-                    if top[0] == letter[0] and top[1] == -letter[1]:
-                        pop()
-                        continue
-                append(letter)
+                else:
+                    append(c)
+                continue
+            img = get(-c)
+            img = images[c] = (c,) if img is None else _invert_code(img)
+        if out and img and out[-1] == -img[0]:
+            pop()
+            k = 1
+            n = len(img)
+            while k < n and out and out[-1] == -img[k]:
+                pop()
+                k += 1
+            extend(img[k:])
         else:
-            # pushing (g, -s) cancels a top of (g, s)
-            for g, s in reversed(img):
-                if stack:
-                    top = stack[-1]
-                    if top[0] == g and top[1] == s:
-                        pop()
-                        continue
-                append((g, -s))
-    return tuple(stack)
+            extend(img)
+    return tuple(out)
 
 
 _TOKEN = re.compile(r"x([0-9]+)(\^-1)?\Z")

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+import json
 import time
 
 import pytest
@@ -28,6 +30,7 @@ from autcosets.automorphisms import (
     random_automorphism,
     verify_inverse_pair,
 )
+from autcosets.cosets import coset_product, product_formula_direct
 from autcosets.ratmat import RationalMatrix
 
 
@@ -441,3 +444,95 @@ def test_second_names_are_gone():
         for name in names:
             assert not hasattr(owner, name), name
     assert "identity_endomorphism" not in autcosets.__all__
+
+
+# --- the letter boundary ----------------------------------------------------
+# Maps compute on code words inside the library; letters appear only where
+# they enter and leave.  A map built from letters and the same map built by
+# composition must agree, and the letter views must be the ones pinned below.
+
+
+def _boundary_text(a: Automorphism) -> str:
+    """Every letter view of ``a``: repr, images, image(i) up to one past the
+    support, and the compact JSON form."""
+    parts = []
+    for e in (a.fwd, a.inv):
+        parts.append(repr(e))
+        parts.append(repr(sorted(e.images.items())))
+        parts.append(repr([e.image(i) for i in range(1, e.support_bound() + 2)]))
+    parts.append(repr(a))
+    parts.append(json.dumps(automorphism_to_dict(a), separators=(",", ":")))
+    return "\n".join(parts)
+
+
+def _boundary_family(seed: int) -> list[Automorphism]:
+    g = random_automorphism(0, 5, 12, seed)
+    h = random_automorphism(1, 6, 9, seed + 10)
+    rep = coset_product(1, g, h)
+    return [g, compose(g, h), rep.rep, product_formula_direct(1, rep.block, g, h)]
+
+
+# SHA-256 of the joined _boundary_text of each family, as the letter-word
+# implementation printed them
+BOUNDARY_DIGESTS = {
+    0: "3298f37df8d1bc0f3c094f06e189172606666be63b7a0b360755509551fa5a6b",
+    1: "44bc05ac670726baa2c8874d66309169e5f0668c9cb5ef35f30497b204ffce0a",
+    2: "182732a84a5b380e47bbbbb227a89cd02a5bb0f45422b7865f2ee1dee0dcec24",
+    3: "81d2941f64f56afbdf1da3dadaec954fa009818d2be096df0d0fb25f5f8ea180",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(BOUNDARY_DIGESTS))
+def test_letter_views_are_pinned(seed):
+    text = "\n".join(_boundary_text(a) for a in _boundary_family(seed))
+    assert hashlib.sha256(text.encode()).hexdigest() == BOUNDARY_DIGESTS[seed]
+
+
+def test_letter_views_of_a_small_map():
+    a = random_automorphism(0, 3, 5, 1)
+    assert repr(a) == (
+        "Automorphism(Endomorphism(x1 -> x3^-1, x2 -> x2^-1, x3 -> x1), "
+        "Endomorphism(x1 -> x3, x2 -> x2^-1, x3 -> x1^-1))"
+    )
+    assert a.fwd.images == {1: ((3, -1),), 2: ((2, -1),), 3: ((1, 1),)}
+    assert a.image(3) == ((1, 1),) and a.image(4) == ((4, 1),)
+    assert json.dumps(automorphism_to_dict(a), separators=(",", ":")) == (
+        '{"images":{"1":[[3,-1]],"2":[[2,-1]],"3":[[1,1]]},'
+        '"inverse_images":{"1":[[3,1]],"2":[[2,-1]],"3":[[1,-1]]}}'
+    )
+    # letters are plain (int, int) tuples, as the constructor makes them
+    for word in a.fwd.images.values():
+        for letter in word:
+            assert type(letter) is tuple and list(map(type, letter)) == [int, int]
+
+
+@given(aut_st, aut_st)
+def test_letter_built_and_composed_maps_agree(a, b):
+    ab = compose(a, b)
+    for built in (
+        Automorphism(ab.fwd.images, ab.inv.images),
+        automorphism_from_dict(json.loads(json.dumps(automorphism_to_dict(ab)))),
+    ):
+        assert built == ab and hash(built) == hash(ab)
+        assert built.fwd == ab.fwd and hash(built.fwd) == hash(ab.fwd)
+        assert built.inv == ab.inv and hash(built.inv) == hash(ab.inv)
+        assert repr(built) == repr(ab)
+        assert automorphism_to_dict(built) == automorphism_to_dict(ab)
+
+
+def test_verify_inverse_pair_refuses_non_endomorphisms():
+    a = nielsen_right_mult(1, 2)
+    need = "^verify_inverse_pair needs two Endomorphisms, got"
+    with pytest.raises(TypeError, match=f"{need} dict and Endomorphism$"):
+        verify_inverse_pair({1: ((1, 1), (2, 1))}, a.inv)
+    with pytest.raises(TypeError, match=f"{need} Automorphism and Automorphism$"):
+        verify_inverse_pair(a, a.inverse())
+    with pytest.raises(TypeError, match="got Endomorphism and Automorphism$"):
+        verify_inverse_pair(a.fwd, a.inverse())
+
+
+def test_is_in_H_refuses_a_non_automorphism():
+    cases = [(Endomorphism({2: [(2, -1)]}), "Endomorphism"), ({}, "dict"), (None, "NoneType")]
+    for value, kind in cases:
+        with pytest.raises(TypeError, match=f"^is_in_H needs an Automorphism, got {kind}$"):
+            is_in_H(value, 1)

@@ -53,7 +53,7 @@ from autcosets.verify import (
     left_witness_absorbs,
     right_witness_absorbs,
 )
-from autcosets.words import generator_word
+from autcosets.words import _encode, generator_word
 from coset_oracle import triple_product_disjoint
 
 
@@ -430,7 +430,7 @@ def test_closed_products_preserve_the_inverse_pair(m, j, s1, l1, s2, l2, s3, l3)
 
 # a pair that is not mutually inverse, smuggled past the verifying
 # constructor: the boundaries that verify must still catch it
-BROKEN = _closed_automorphism({2: ((2, 1), (3, 1))}, {})
+BROKEN = _closed_automorphism({2: _encode(((2, 1), (3, 1)))}, {})
 
 
 def test_direct_formula_verifies_its_pair():

@@ -32,19 +32,22 @@ from autcosets.cosets import (
     witness_right,
 )
 from autcosets.errors import SupportViolation
-from autcosets.words import invert_word, substitute
+from autcosets.words import _decode, _encode, invert_word
+from substitute_oracle import letter_substitute
 
 # --- the two-sided oracle ---------------------------------------------------
 # The check as it stood before the one-sided version: both composites in
-# full, each filled and then cleared of x_i -> x_i entries.
+# full, each filled and then cleared of x_i -> x_i entries, on letter words
+# through the letter-by-letter substitution oracle.
 
 
 def oracle_compose(a: Endomorphism, b: Endomorphism) -> dict:
+    a_images, b_images = a.images, b.images
     images = {}
-    for key, word in b._images.items():
-        images[key] = substitute(a._images, word)
-    for key, word in a._images.items():
-        if key not in b._images:
+    for key, word in b_images.items():
+        images[key] = letter_substitute(a_images, word)
+    for key, word in a_images.items():
+        if key not in b_images:
             images[key] = word
     return {key: word for key, word in images.items() if word != ((key, 1),)}
 
@@ -136,11 +139,13 @@ def test_one_sided_check_stops_at_the_first_wrong_image(monkeypatch):
     g = Endomorphism({k: [(k, -1)] for k in range(1, 6)})
     calls = []
 
+    real = automorphisms._substitute_codes
+
     def counting(images, word):
         calls.append(word)
-        return substitute(images, word)
+        return real(images, word)
 
-    monkeypatch.setattr(automorphisms, "substitute", counting)
+    monkeypatch.setattr(automorphisms, "_substitute_codes", counting)
     assert not verify_inverse_pair(f, g)
     assert len(calls) == 1
     # a generator f moves and g fixes is refused before any substitution
@@ -154,7 +159,7 @@ def test_compose_endomorphisms_matches_the_two_pass_build(a, b):
     got = compose_endomorphisms(a, b)
     want = oracle_compose(a, b)
     # same images in the same order, and no x_i -> x_i entry
-    assert list(got._images.items()) == list(want.items())
+    assert list(got.images.items()) == list(want.items())
     assert got == Endomorphism(got.images)
 
 
@@ -166,16 +171,20 @@ M = 1
 N = block_size(M, G, H, R)
 
 
-def _wrong(images: dict) -> dict:
-    """``images`` with its first image replaced by its inverse word: still
-    reduced, and a map it forms sends that generator to the inverse of its
-    true image, so no pair holding it is mutually inverse."""
-    key = next(iter(images))
-    return {**images, key: invert_word(images[key])}
+def _wrong(codes: dict) -> dict:
+    """The code map ``codes`` with its first image replaced by its inverse
+    word: still reduced, and a map it forms sends that generator to the
+    inverse of its true image, so no pair holding it is mutually inverse."""
+    key = next(iter(codes))
+    return {**codes, key: _encode(invert_word(_decode(codes[key])))}
+
+
+def _codes(images: dict) -> dict:
+    return {key: _encode(word) for key, word in images.items()}
 
 
 def test_verified_automorphism_refuses_a_wrong_inverse():
-    fwd, inv = dict(G.fwd._images), dict(G.inv._images)
+    fwd, inv = _codes(G.fwd.images), _codes(G.inv.images)
     assert _verified_automorphism(fwd, inv) == G
     with pytest.raises(InverseVerificationError, match="do not compose to the identity"):
         _verified_automorphism(fwd, _wrong(inv))

@@ -79,7 +79,9 @@ def test_no_substitution_or_composition(monkeypatch):
         return wrapper
 
     for module in (automorphisms, words):
-        monkeypatch.setattr(module, "substitute", counted("substitute", module.substitute))
+        monkeypatch.setattr(
+            module, "_substitute_codes", counted("_substitute_codes", module._substitute_codes)
+        )
     monkeypatch.setattr(
         automorphisms,
         "compose_endomorphisms",

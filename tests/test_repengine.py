@@ -51,7 +51,7 @@ from autcosets.repengine import (
     weak_limit_check,
 )
 from autcosets.verify import _bijective, compressed_product_agrees, matrix_product_agrees, product_matrices
-from autcosets.words import parse_word
+from autcosets.words import _encode, parse_word
 from cylinder_oracle import (
     CylinderFunction,
     cylinder_inner_product,
@@ -140,7 +140,7 @@ def test_grid_eval_matches_eval_word_at_every_point(case):
     name, n_coords, word = case
     K = builtin_group(name)
     n = K.order
-    grid = _grid_eval(K, word, n_coords)
+    grid = _grid_eval(K, _encode(word), n_coords)
     assert not grid.flags.writeable
     assert grid.dtype == np.int32 and grid.ndim <= (n_coords if n > 1 else 0)
     # coordinate i runs along axis n_coords - i of the full grid
@@ -170,7 +170,7 @@ def test_row_offsets_are_read_only_point_index_times_dim(name, m):
 
 def test_grid_eval_refuses_a_letter_beyond_the_coordinates():
     with pytest.raises(SupportViolation, match="word mentions x3 but points have 2 coordinates"):
-        _grid_eval(C3, ((1, -1), (3, 1)), 2)
+        _grid_eval(C3, _encode(((1, -1), (3, 1))), 2)
 
 
 class ImageMap:
@@ -245,7 +245,7 @@ def test_action_map_bijections():
 def test_a_point_map_that_misses_a_point_is_refused():
     # x1 -> x1 x1 is an endomorphism of the free group, not an automorphism:
     # over c2 it sends both points to the unit, so the unit is hit twice
-    square = _closed_automorphism({1: ((1, 1), (1, 1))}, {})
+    square = _closed_automorphism({1: _encode(((1, 1), (1, 1)))}, {})
     with pytest.raises(ValueError, match="^induced point map is not a bijection$"):
         action_map(C2, square, 1)
     assert not _bijective(C2, square, 1)

@@ -5,12 +5,16 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from autcosets.words import (
     EMPTY,
     WordSyntaxError,
+    _decode,
+    _encode,
+    _invert_code,
+    _substitute_codes,
     concat,
     format_word,
     generator_word,
@@ -20,6 +24,7 @@ from autcosets.words import (
     reduce,
     substitute,
 )
+from substitute_oracle import letter_substitute
 
 
 def naive_reduce(letters):
@@ -228,6 +233,93 @@ def test_substitute_is_a_homomorphism(a, b):
         substitute(images, wa), substitute(images, wb)
     )
     assert substitute(images, invert_word(wa)) == invert_word(substitute(images, wa))
+
+
+# --- the code-word kernel --------------------------------------------------
+# ``substitute`` runs on ``_substitute_codes``, which cancels only at the
+# junction of each image; the letter-by-letter loop it replaced is the oracle.
+
+short_word_st = st.lists(
+    st.tuples(st.integers(1, 3), st.sampled_from((1, -1))), max_size=5
+).map(reduce)
+JUNCTION_KINDS = ("empty", "identity", "random", "inverse", "suffix", "prefix")
+
+
+@st.composite
+def junction_maps(draw):
+    """Reduced image maps on x1..x5 whose images are empty, the identity,
+    random, or built against an earlier image so that substituting x_a x_b
+    or x_a^-1 x_b cancels part or all of the earlier one at the junction:
+    its inverse word, the inverse of one of its suffixes, or one of its
+    prefixes, each followed by a random tail."""
+    images = {}
+    keys = draw(st.permutations(range(1, 6)))
+    for key in keys[: draw(st.integers(0, 5))]:
+        kind = draw(st.sampled_from(JUNCTION_KINDS))
+        earlier = [word for word in images.values() if word]
+        if kind == "empty":
+            images[key] = ()
+        elif kind == "identity":
+            images[key] = ((key, 1),)
+        elif kind == "random" or not earlier:
+            images[key] = draw(short_word_st)
+        else:
+            other = draw(st.sampled_from(earlier))
+            cut = draw(st.integers(0, len(other)))
+            tail = draw(short_word_st)
+            if kind == "inverse":
+                images[key] = invert_word(other)
+            elif kind == "suffix":
+                images[key] = concat(invert_word(other[cut:]), tail)
+            else:
+                images[key] = concat(other[:cut], tail)
+    return images
+
+
+word_over_keys_st = st.lists(st.tuples(st.integers(1, 6), st.sampled_from((1, -1))), max_size=12)
+
+
+def code_map(images, inverses):
+    """The kernel's map: each image under +i and, with ``inverses``, its
+    inverse word under -i filled in advance."""
+    codes = {}
+    for key, word in images.items():
+        codes[key] = _encode(word)
+        if inverses:
+            codes[-key] = _encode(invert_word(word))
+    return codes
+
+
+@given(junction_maps(), word_over_keys_st)
+@example({1: (), 2: ((2, 1),)}, [(1, 1), (2, -1), (1, -1), (3, 1)])
+@example({1: ((2, 1), (3, 1)), 2: ((3, -1), (2, -1))}, [(1, 1), (2, 1), (4, 1)])
+@example({1: ((2, 1), (3, 1)), 2: ((3, -1), (1, 1))}, [(1, 1), (2, 1)])
+@example({1: ((2, 1), (3, 1)), 2: ((2, 1), (1, 1))}, [(1, -1), (2, 1)])
+@example({1: ((2, 1),), 2: ((2, -1), (3, 1))}, [(2, -1), (1, 1), (2, 1)])
+def test_kernel_matches_the_letter_loop(images, seq):
+    want = letter_substitute(images, seq)
+    assert substitute(images, seq) == want
+    w = reduce(seq)
+    assert substitute(images, w) == letter_substitute(images, w)
+    for inverses in (False, True):
+        codes = code_map(images, inverses)
+        assert _decode(_substitute_codes(codes, _encode(w))) == letter_substitute(images, w)
+        # the map filled in only inverse words: x_i^-1's under -i, or -i if x_i is fixed
+        for key, code in codes.items():
+            word = images.get(abs(key), ((abs(key), 1),))
+            assert _decode(code) == (word if key > 0 else invert_word(word))
+        # and a filled map gives the same result again
+        assert _decode(_substitute_codes(codes, _encode(w))) == letter_substitute(images, w)
+
+
+@given(letters_st)
+def test_code_words_round_trip(seq):
+    w = reduce(seq)
+    code = _encode(w)
+    assert type(code) is tuple and 0 not in code
+    assert _decode(code) == w and _encode(_decode(code)) == code
+    assert _invert_code(code) == _encode(invert_word(w))
+    assert _decode(_invert_code(code)) == invert_word(w)
 
 
 def test_helpers():
