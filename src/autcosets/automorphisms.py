@@ -7,23 +7,30 @@ a certified inverse, so invertibility never has to be decided after the fact.
 
 Inverse pairs are verified where data comes in: the public
 ``Automorphism(fwd, inv)`` constructor and ``automorphism_from_dict`` (hence
-every JSON load), which validate keys and reduce every image first.  Closed
-operations -- composition, inversion, the identity, Nielsen moves,
-permutations and random products of moves -- build their results from pairs
-that are already verified, so they preserve the invariant by construction
-and go through the private ``_closed_automorphism``, which skips both
-reduction and verification.  In ``cosets``, ``product_formula_direct`` and
-the witnesses build their pairs by substitution and verify them, as part of
-the cross-checks they provide; their words are reduced already, so they go
-through the private ``_verified_automorphism``, which verifies without
-re-reducing.
+every JSON load), which validate keys and reduce every image first.
+
+Each class has one unchecked constructor, used by every map the library
+builds itself.  ``_endomorphism(codes)`` takes a code map of reduced images
+under valid generator keys and drops its x_i -> x_i entries; the public
+``Endomorphism(images)`` checks and encodes its letters, then sets its slots
+the same way.  ``_closed_automorphism(fwd, inv)`` pairs two Endomorphisms,
+or a forward map with a composite's pending factor pair, and skips
+verification.  Closed operations -- composition, inversion, Nielsen moves,
+permutations and random products of moves -- build their results from
+pairs that are already verified, so they preserve the invariant by
+construction and go through it.  Every permutation, including the
+identity, the Nielsen swap and the block swaps of ``cosets``, is built by
+``_permutation``, and an involution keeps one Endomorphism for both halves.
+In ``cosets``, ``product_formula_direct`` and the witnesses build their
+pairs by substitution and verify them through ``Automorphism(fwd, inv)``,
+as part of the cross-checks they provide.
 
 Images are stored as code words, signed ints (``words._encode``), and
 every internal rewrite -- composition, verification, the coset patterns --
 runs on the one kernel ``words._substitute_codes``.  Letter words appear
-only at the boundary: the constructor and JSON load reduce letters and
-encode them once, and ``images``, ``image``, ``repr`` and
-``automorphism_to_dict`` decode on demand.
+only at the boundary: the public constructor, which JSON load also goes
+through, reduces letters and encodes them once, and ``images``,
+``image``, ``repr`` and ``automorphism_to_dict`` decode on demand.
 
 Verification computes one composite, f . g, and stops at its first wrong
 image: free groups of finite rank are Hopfian, so f . g = id forces
@@ -80,9 +87,19 @@ class Endomorphism:
         if images:
             for key, img in images.items():
                 key = _integer(key, "generator index", 1)
-                code = _encode(reduce(img))
-                if code != (key,):
-                    codes[key] = code
+                try:
+                    codes[key] = _encode(reduce(img))
+                except ValueError as err:
+                    raise ValueError(f"{err}, in the image of x{key}") from None
+        self._set(codes)
+
+    def _set(self, codes: dict[int, Code]) -> None:
+        """Set every slot from a fresh code map, dropping its x_i -> x_i
+        entries.  The map is taken, not copied, unless it holds one."""
+        for key, code in codes.items():
+            if len(code) == 1 and code[0] == key:
+                codes = {key: code for key, code in codes.items() if code != (key,)}
+                break
         self._codes = codes
         self._bound = None
         self._map = None
@@ -133,14 +150,13 @@ class Endomorphism:
         return f"Endomorphism({body})"
 
 
-def _code_endomorphism(codes: dict[int, Code]) -> Endomorphism:
-    """Endomorphism from code words of reduced images under valid generator
-    keys; drops x_i -> x_i entries as the constructor does, but neither
-    re-checks keys nor re-reduces."""
+def _endomorphism(codes: dict[int, Code]) -> Endomorphism:
+    """Endomorphism from a fresh code map of reduced images under valid
+    generator keys, the one unchecked constructor: drops x_i -> x_i entries
+    as the public constructor does, but neither re-checks keys nor
+    re-reduces."""
     e = Endomorphism.__new__(Endomorphism)
-    e._codes = {key: code for key, code in codes.items() if code != (key,)}
-    e._bound = None
-    e._map = None
+    e._set(codes)
     return e
 
 
@@ -162,22 +178,13 @@ def _image_code(e: Endomorphism, index: int) -> Code:
 
 def compose_endomorphisms(a: Endomorphism, b: Endomorphism) -> Endomorphism:
     """Endomorphism sending x_i to a(b(x_i))."""
-    a_codes = a._codes
     b_codes = b._codes
     a_map = _code_map(a)
-    codes: dict[int, Code] = {}
-    for key, code in b_codes.items():
-        code = _substitute_codes(a_map, code)
-        if code != (key,):
-            codes[key] = code
-    for key, code in a_codes.items():
+    codes = {key: _substitute_codes(a_map, code) for key, code in b_codes.items()}
+    for key, code in a._codes.items():
         if key not in b_codes:
             codes[key] = code
-    e = Endomorphism.__new__(Endomorphism)
-    e._codes = codes
-    e._bound = None
-    e._map = None
-    return e
+    return _endomorphism(codes)
 
 
 def verify_inverse_pair(f: Endomorphism, g: Endomorphism) -> bool:
@@ -269,31 +276,20 @@ class Automorphism:
         return f"Automorphism({self.fwd!r}, {self.inv!r})"
 
 
-def _closed_automorphism(fwd, inv) -> Automorphism:
-    """Automorphism from a pair that is mutually inverse by construction.
+def _closed_automorphism(fwd: Endomorphism, inv) -> Automorphism:
+    """Automorphism from a pair that is mutually inverse by construction,
+    the one unchecked constructor.
 
-    For results of closed operations only: ``fwd`` and ``inv`` are
-    Endomorphisms, or maps to code words of reduced images, built from
-    verified pairs.  Skips reduction and inverse-pair verification; input
-    from outside goes through ``Automorphism(fwd, inv)`` instead.
+    For results of closed operations only: ``fwd`` is an Endomorphism and
+    ``inv`` its inverse Endomorphism, or, for a composite, the pending
+    factor pair that ``_force_inverse`` turns into it.  Skips reduction and
+    inverse-pair verification; input from outside goes through
+    ``Automorphism(fwd, inv)`` instead.
     """
     a = Automorphism.__new__(Automorphism)
-    a.fwd = fwd if isinstance(fwd, Endomorphism) else _code_endomorphism(fwd)
-    a._inv = inv if isinstance(inv, Endomorphism) else _code_endomorphism(inv)
+    a.fwd = fwd
+    a._inv = inv
     return a
-
-
-def _verified_automorphism(fwd: dict[int, Code], inv: dict[int, Code]) -> Automorphism:
-    """Automorphism from code maps the library built itself, verified.
-
-    For pairs built by substitution: ``fwd`` and ``inv`` map valid generator
-    keys to code words that ``_substitute_codes`` returned or an
-    Endomorphism holds, hence already reduced, so keys are not re-checked
-    and words are not re-reduced.  The pair is verified as the public
-    constructor verifies it, and a wrong pair raises the same
-    InverseVerificationError.
-    """
-    return Automorphism(_code_endomorphism(fwd), _code_endomorphism(inv))
 
 
 def _force_inverse(root: Automorphism) -> Endomorphism:
@@ -334,10 +330,7 @@ def compose(a, b):
     until it is first read.
     """
     if isinstance(a, Automorphism) and isinstance(b, Automorphism):
-        c = Automorphism.__new__(Automorphism)
-        c.fwd = compose_endomorphisms(a.fwd, b.fwd)
-        c._inv = (b, a)
-        return c
+        return _closed_automorphism(compose_endomorphisms(a.fwd, b.fwd), (b, a))
     if isinstance(a, Endomorphism) and isinstance(b, Endomorphism):
         return compose_endomorphisms(a, b)
     raise TypeError("compose expects two Endomorphisms or two Automorphisms")
@@ -351,7 +344,7 @@ def invert(a: Automorphism) -> Automorphism:
 
 
 def identity_automorphism() -> Automorphism:
-    return _closed_automorphism({}, {})
+    return _permutation({})
 
 
 def nielsen_swap(i: int, j: int) -> Automorphism:
@@ -359,14 +352,14 @@ def nielsen_swap(i: int, j: int) -> Automorphism:
     i, j = _integer(i, "generator index", 1), _integer(j, "generator index", 1)
     if i == j:
         raise ValueError("swap needs two distinct indices")
-    return permutation_automorphism({i: j, j: i})
+    return _permutation({i: j, j: i})
 
 
 def nielsen_invert(i: int) -> Automorphism:
     """x_i -> x_i^-1, all other generators fixed.  Self-inverse."""
     i = _integer(i, "generator index", 1)
-    images = {i: (-i,)}
-    return _closed_automorphism(images, images)
+    e = _endomorphism({i: (-i,)})
+    return _closed_automorphism(e, e)
 
 
 def nielsen_right_mult(i: int, j: int) -> Automorphism:
@@ -374,7 +367,7 @@ def nielsen_right_mult(i: int, j: int) -> Automorphism:
     i, j = _integer(i, "generator index", 1), _integer(j, "generator index", 1)
     if i == j:
         raise ValueError("right multiplication needs two distinct indices")
-    return _closed_automorphism({i: (i, j)}, {i: (i, -j)})
+    return _closed_automorphism(_endomorphism({i: (i, j)}), _endomorphism({i: (i, -j)}))
 
 
 def permutation_automorphism(mapping: Mapping[int, int]) -> Automorphism:
@@ -393,9 +386,18 @@ def permutation_automorphism(mapping: Mapping[int, int]) -> Automorphism:
     values = set(moved.values())
     if len(values) != len(moved) or values != set(moved):
         raise ValueError("mapping is not a permutation of its moved generators")
-    fwd = {k: (v,) for k, v in moved.items()}
-    inv = {v: (k,) for k, v in moved.items()}
-    return _closed_automorphism(fwd, inv)
+    return _permutation(moved)
+
+
+def _permutation(mapping: Mapping[int, int]) -> Automorphism:
+    """Automorphism renaming x_k to x_mapping[k], the one permutation
+    builder, unchecked: ``mapping`` maps valid generator indices to valid
+    generator indices and permutes its keys; fixed points are dropped.  An
+    involution keeps one Endomorphism for both halves."""
+    codes = {k: (v,) for k, v in mapping.items()}
+    inverse = {v: (k,) for k, v in mapping.items()}
+    fwd = _endomorphism(codes)
+    return _closed_automorphism(fwd, fwd if inverse == codes else _endomorphism(inverse))
 
 
 def is_in_H(a: Automorphism, m: int) -> bool:
@@ -484,7 +486,7 @@ def random_automorphism(m_fix: int, max_index: int, length: int, seed: int) -> A
     generator = {k: ((k,), (-k,)) for k in names}
     fwd = _right_fold(reversed(moves), generator, inverse=False)
     inv = _right_fold(moves, generator, inverse=True)
-    return _closed_automorphism(fwd, inv)
+    return _closed_automorphism(_endomorphism(fwd), _endomorphism(inv))
 
 
 def _right_fold(moves, generator: dict[int, tuple[Code, Code]], inverse: bool) -> dict[int, Code]:
@@ -526,12 +528,13 @@ def automorphism_to_dict(a: Automorphism) -> dict:
 def _endo_from_dict(data, field: str) -> Endomorphism:
     # Keys must be real ints or digit strings; two keys naming one generator
     # ("1" and "01") are refused, not merged.  Only the shape of each letter
-    # is checked here: ``reduce`` applies the one integer rule to its parts,
-    # so JSON true/false and floats such as 1.7 are refused, not truncated,
-    # and its message gains the field and the image the letter came from.
+    # is checked here: the public constructor reduces every image, and
+    # ``reduce`` applies the one integer rule to its parts, so JSON true/false
+    # and floats such as 1.7 are refused, not truncated; its message names
+    # the image, and the field is added here.
     if not isinstance(data, dict):
         raise ValueError(f"{field} must be an object mapping indices to letter lists")
-    images: dict[int, Code] = {}
+    images: dict[int, list] = {}
     for key, letters in data.items():
         if not (type(key) is int or (isinstance(key, str) and key.isascii() and key.isdigit())):
             raise ValueError(f"bad generator key {key!r} in {field}")
@@ -543,12 +546,11 @@ def _endo_from_dict(data, field: str) -> Endomorphism:
         for item in letters:
             if not isinstance(item, (list, tuple)) or len(item) != 2:
                 raise ValueError(f"bad letter {item!r} in image of x{index}")
-        _integer(index, "generator index", 1)
-        try:
-            images[index] = _encode(reduce(letters))
-        except ValueError as err:
-            raise ValueError(f"{err}, in the image of x{index} in {field}") from None
-    return _code_endomorphism(images)
+        images[_integer(index, "generator index", 1)] = letters
+    try:
+        return Endomorphism(images)
+    except ValueError as err:
+        raise ValueError(f"{err} in {field}") from None
 
 
 def automorphism_from_dict(data) -> Automorphism:

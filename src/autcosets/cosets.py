@@ -24,7 +24,13 @@ Block layout used throughout, for given m and N:
 Every block swap is built by ``_block_swap(base, size, offset)``:
 ``theta(m, N)`` swaps y and z, ``stability_witness`` swaps the padding
 with the block above it, and ``repengine.weak_limit_check`` swaps the pairs
-of theta it reads.
+of theta it reads.  It names the renaming and hands it to
+``automorphisms._permutation``, the one permutation builder, which
+``stability_witness`` also uses for its renaming pi; a swap is an
+involution, so both its halves are one Endomorphism.  The pairs that
+``product_formula_direct`` and the witnesses build by substitution are
+code maps; they become Endomorphisms through ``_endomorphism`` and are
+verified by the public ``Automorphism(fwd, inv)``.
 """
 
 from __future__ import annotations
@@ -34,13 +40,12 @@ from dataclasses import dataclass, field
 from .automorphisms import (
     Automorphism,
     Endomorphism,
-    _closed_automorphism,
+    _endomorphism,
     _image_code,
-    _verified_automorphism,
+    _permutation,
     compose,
     identity_automorphism,
     is_in_H,
-    permutation_automorphism,
 )
 from .errors import MAX_BLOCK_SIZE, SupportViolation, check_size
 from .words import Code, _integer, _substitute_codes
@@ -54,11 +59,11 @@ def _block_swap(base: int, size: int, offset: int) -> Automorphism:
     images would not be an automorphism."""
     if offset < size:
         raise ValueError(f"blocks of {size} generators at offset {offset} overlap")
-    images: dict[int, Code] = {}
+    swap: dict[int, int] = {}
     for k in range(base + 1, base + size + 1):
-        images[k] = (k + offset,)
-        images[k + offset] = (k,)
-    return _closed_automorphism(images, images)
+        swap[k] = k + offset
+        swap[k + offset] = k
+    return _permutation(swap)
 
 
 def theta(m: int, j: int) -> Automorphism:
@@ -177,7 +182,7 @@ def product_formula_direct(m: int, n: int, g: Automorphism, h: Automorphism) -> 
     _require_support(m, n, g, h)
     fwd = _pattern_images(m, n, g.fwd, h.fwd)
     inv = _pattern_images(m, n, h.inv, g.inv)
-    return _verified_automorphism(fwd, inv)
+    return Automorphism(_endomorphism(fwd), _endomorphism(inv))
 
 
 def witness_left(m: int, n: int, r: Automorphism, g: Automorphism, h: Automorphism) -> Automorphism:
@@ -200,7 +205,7 @@ def witness_left(m: int, n: int, r: Automorphism, g: Automorphism, h: Automorphi
     fwd = {k + n: _substitute_codes(mapping, _image_code(r.fwd, k)) for k in y_block}
     inv = {k + n: _substitute_codes(mapping, _image_code(r.inv, k)) for k in y_block}
     # built by substitution rather than composition, so the pair is verified
-    return _verified_automorphism(fwd, inv)
+    return Automorphism(_endomorphism(fwd), _endomorphism(inv))
 
 
 def witness_right(m: int, n: int, q: Automorphism, g: Automorphism, h: Automorphism) -> Automorphism:
@@ -238,7 +243,7 @@ def stability_witness(
         rename[m + n + t] = m + 2 * n + t
     for k in range(1, n + 1):
         rename[m + n + p + k] = m + n + k
-    pi = permutation_automorphism(rename)
+    pi = _permutation(rename)
     return pi, s
 
 

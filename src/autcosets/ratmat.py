@@ -143,8 +143,7 @@ class RationalMatrix:
     def _abs_bound(self) -> int:
         """An int >= max|num|: the bound the matrix was built with, or a
         scan of the numerators, stored on first use."""
-        # a matrix assembled through __new__ has no bound slot set
-        bound = getattr(self, "_bound", None)
+        bound = self._bound
         if bound is None:
             bound = self._bound = _absmax(self.num)
         return bound

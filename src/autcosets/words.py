@@ -90,11 +90,12 @@ def substitute(images: Mapping[int, Word], w: Word) -> Word:
     mapping stay fixed.
 
     This is the homomorphism sending x_i to ``images[i]``; the result is
-    reduced.  Image words must themselves be reduced.  A letter wrapper
-    over ``_substitute_codes``: the images of the generators ``w`` names
-    are encoded, and the result is decoded.
+    reduced.  A letter wrapper over ``_substitute_codes``, which needs
+    reduced code words: ``w`` and the images of the generators it names
+    go through ``reduce``, which also refuses a malformed letter, before
+    they are encoded, and the result is decoded.
     """
-    w = _encode(w)
+    w = _encode(reduce(w))
     get = images.get
     codes: dict[int, Code] = {}
     for c in w:
@@ -102,7 +103,7 @@ def substitute(images: Mapping[int, Word], w: Word) -> Word:
         if gen not in codes:
             img = get(gen)
             if img is not None:
-                codes[gen] = _encode(img)
+                codes[gen] = _encode(reduce(img))
     return _decode(_substitute_codes(codes, w))
 
 

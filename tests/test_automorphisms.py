@@ -64,6 +64,16 @@ def test_endomorphism_rejects_bad_keys():
         Endomorphism({0: [(1, 1)]})
 
 
+def test_endomorphism_names_the_image_of_a_bad_letter():
+    # a key error names the key; a letter error gains the image it sits in
+    with pytest.raises(ValueError, match=r"^generator index must be >= 1, got 0$"):
+        Endomorphism({0: [(1, 1)]})
+    with pytest.raises(ValueError, match=r"^letter sign must be \+1 or -1, got 2, in the image of x3$"):
+        Endomorphism({1: [(2, 1)], 3: [(1, 2)]})
+    with pytest.raises(ValueError, match=r"^generator index must be >= 1, got 0, in the image of x1$"):
+        Automorphism({1: [(0, 1)]}, {})
+
+
 @pytest.mark.parametrize("key", [1.7, 1.0, True, "1"])
 def test_constructors_refuse_non_integer_keys(key):
     # a float key used to be truncated: {1.7: ...} became an image of x1
@@ -179,6 +189,25 @@ def test_permutation_automorphism():
         permutation_automorphism({1: 2, 3: 2})
     with pytest.raises(ValueError):
         permutation_automorphism({0: 1, 1: 0})
+
+
+def test_involutions_share_one_endomorphism():
+    # an involution is its own inverse, so both halves are one map
+    for a in [
+        identity_automorphism(),
+        nielsen_swap(2, 5),
+        nielsen_invert(3),
+        permutation_automorphism({1: 4, 4: 1, 2: 3, 3: 2, 5: 5}),
+    ]:
+        assert a.fwd is a.inv
+        assert_closed_result(a)
+
+
+def test_a_three_cycle_has_two_halves():
+    cyc = permutation_automorphism({1: 2, 2: 3, 3: 1})
+    assert cyc.fwd is not cyc.inv and cyc.fwd != cyc.inv
+    assert verify_inverse_pair(cyc.fwd, cyc.inv) and verify_inverse_pair(cyc.inv, cyc.fwd)
+    assert cyc.inv.images == {2: ((1, 1),), 3: ((2, 1),), 1: ((3, 1),)}
 
 
 @given(aut_st, aut_st, aut_st)

@@ -16,6 +16,7 @@ from autcosets.automorphisms import (
     Automorphism,
     InverseVerificationError,
     _closed_automorphism,
+    _endomorphism,
     compose,
     identity_automorphism,
     invert,
@@ -430,7 +431,7 @@ def test_closed_products_preserve_the_inverse_pair(m, j, s1, l1, s2, l2, s3, l3)
 
 # a pair that is not mutually inverse, smuggled past the verifying
 # constructor: the boundaries that verify must still catch it
-BROKEN = _closed_automorphism({2: _encode(((2, 1), (3, 1)))}, {})
+BROKEN = _closed_automorphism(_endomorphism({2: _encode(((2, 1), (3, 1)))}), _endomorphism({}))
 
 
 def test_direct_formula_verifies_its_pair():
@@ -538,3 +539,15 @@ def test_block_swap_refuses_overlapping_blocks():
 def test_block_swap_of_size_zero_is_the_identity(base, offset):
     swap = _block_swap(base, 0, offset)
     assert swap.is_identity() and swap.inv.is_identity()
+
+
+@given(st.integers(0, 3), st.integers(0, 5), st.integers(0, 3))
+def test_block_swaps_share_one_endomorphism(m, n, p):
+    # every block swap is an involution: one map serves as both halves
+    th = theta(m, n)
+    assert th.fwd is th.inv
+    swap = _block_swap(m, n, n + p)
+    assert swap.fwd is swap.inv
+    e = identity_automorphism()
+    _, s = stability_witness(m, n, p, e, e)
+    assert s.fwd is s.inv

@@ -14,9 +14,10 @@ import autcosets.automorphisms as automorphisms
 import autcosets.cosets as cosets
 import autcosets.words as words
 from autcosets.automorphisms import (
+    Automorphism,
     Endomorphism,
     InverseVerificationError,
-    _verified_automorphism,
+    _endomorphism,
     compose,
     compose_endomorphisms,
     random_automorphism,
@@ -183,24 +184,35 @@ def _codes(images: dict) -> dict:
     return {key: _encode(word) for key, word in images.items()}
 
 
-def test_verified_automorphism_refuses_a_wrong_inverse():
+def test_built_pair_refuses_a_wrong_inverse():
+    # the cosets call sites hand code maps to _endomorphism and verify the
+    # pair through the public constructor
     fwd, inv = _codes(G.fwd.images), _codes(G.inv.images)
-    assert _verified_automorphism(fwd, inv) == G
+    assert Automorphism(_endomorphism(fwd), _endomorphism(inv)) == G
     with pytest.raises(InverseVerificationError, match="do not compose to the identity"):
-        _verified_automorphism(fwd, _wrong(inv))
+        Automorphism(_endomorphism(fwd), _endomorphism(_wrong(inv)))
     with pytest.raises(InverseVerificationError, match="do not compose to the identity"):
-        _verified_automorphism(_wrong(fwd), inv)
+        Automorphism(_endomorphism(_wrong(fwd)), _endomorphism(inv))
 
 
 def test_call_sites_verify_what_they_build(monkeypatch):
-    real = cosets._verified_automorphism
-    monkeypatch.setattr(cosets, "_verified_automorphism", lambda fwd, inv: real(fwd, _wrong(inv)))
+    # every pair cosets builds by substitution goes through Automorphism(...);
+    # corrupting its inverse half there must surface as a refusal
+    real = cosets.Automorphism
+    seen = []
+
+    def wrong_inverse(fwd, inv):
+        seen.append(inv)
+        return real(fwd, _endomorphism(_wrong(inv._codes)))
+
+    monkeypatch.setattr(cosets, "Automorphism", wrong_inverse)
     with pytest.raises(InverseVerificationError):
         product_formula_direct(M, N, G, H)
     with pytest.raises(InverseVerificationError):
         witness_left(M, N, R, G, H)
     with pytest.raises(InverseVerificationError):
         witness_right(M, N, R, G, H)
+    assert len(seen) == 3
 
 
 def test_direct_formula_verifies_a_wrong_pattern(monkeypatch):

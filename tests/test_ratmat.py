@@ -143,6 +143,7 @@ def object_numerators(M: RationalMatrix) -> RationalMatrix:
     keeps for numerators that fit in int64."""
     out = RationalMatrix.__new__(RationalMatrix)
     out.num, out.den, out.rows, out.cols = M.num.astype(object), M.den, M.rows, M.cols
+    out._bound = None
     return out
 
 

@@ -27,6 +27,7 @@ from autcosets import cli
 from autcosets.automorphisms import (
     Endomorphism,
     _closed_automorphism,
+    _endomorphism,
     automorphism_to_dict,
     compose,
     identity_automorphism,
@@ -245,7 +246,7 @@ def test_action_map_bijections():
 def test_a_point_map_that_misses_a_point_is_refused():
     # x1 -> x1 x1 is an endomorphism of the free group, not an automorphism:
     # over c2 it sends both points to the unit, so the unit is hit twice
-    square = _closed_automorphism({1: _encode(((1, 1), (1, 1)))}, {})
+    square = _closed_automorphism(_endomorphism({1: _encode(((1, 1), (1, 1)))}), _endomorphism({}))
     with pytest.raises(ValueError, match="^induced point map is not a bijection$"):
         action_map(C2, square, 1)
     assert not _bijective(C2, square, 1)

@@ -312,6 +312,31 @@ def test_kernel_matches_the_letter_loop(images, seq):
         assert _decode(_substitute_codes(codes, _encode(w))) == letter_substitute(images, w)
 
 
+# image words as callers may pass them: unreduced, over a small alphabet
+unreduced_images_st = st.dictionaries(
+    st.integers(1, 5),
+    st.lists(st.tuples(st.integers(1, 3), st.sampled_from((1, -1))), max_size=6).map(tuple),
+    max_size=5,
+)
+
+
+@given(unreduced_images_st, word_over_keys_st)
+@example({1: ((1, 1), (1, -1))}, [(1, 1)])
+@example({1: ((2, 1), (2, -1), (3, 1))}, [(3, -1), (1, 1)])
+def test_substitute_reduces_unreduced_images(images, seq):
+    # the images are reduced before the kernel reads them
+    assert substitute(images, seq) == letter_substitute(images, seq)
+
+
+def test_substitute_reduces_and_checks_its_images():
+    assert substitute({1: ((1, 1), (1, -1))}, ((1, 1),)) == ()
+    # encoded without reduce, (1, 2) would be the code 2, that is x2
+    with pytest.raises(ValueError, match=r"^letter sign must be \+1 or -1, got 2$"):
+        substitute({1: ((1, 2),)}, ((1, 1),))
+    with pytest.raises(ValueError, match=r"^letter sign must be \+1 or -1, got 2$"):
+        substitute({}, ((1, 2),))
+
+
 @given(letters_st)
 def test_code_words_round_trip(seq):
     w = reduce(seq)
