@@ -336,10 +336,18 @@ def compose(a, b):
     raise TypeError("compose expects two Endomorphisms or two Automorphisms")
 
 
+def _require_automorphism(a, layer: str) -> None:
+    """Refuse an ``a`` that is not a verified ``Automorphism`` (TypeError
+    naming ``layer`` and the type): any object with ``image`` and
+    ``support_bound`` would otherwise be evaluated, and any other object
+    would fail on its first attribute."""
+    if not isinstance(a, Automorphism):
+        raise TypeError(f"{layer} needs an Automorphism, got {type(a).__name__}")
+
+
 def invert(a: Automorphism) -> Automorphism:
     """Inverse automorphism (just swaps the verified pair)."""
-    if not isinstance(a, Automorphism):
-        raise TypeError("invert expects an Automorphism")
+    _require_automorphism(a, "invert")
     return a.inverse()
 
 
@@ -404,8 +412,7 @@ def is_in_H(a: Automorphism, m: int) -> bool:
     """Whether ``a`` fixes each of x_1 .. x_m (membership in the pointwise
     stabilizer of the first m generators).  Raises TypeError unless ``a``
     is an Automorphism."""
-    if not isinstance(a, Automorphism):
-        raise TypeError(f"is_in_H needs an Automorphism, got {type(a).__name__}")
+    _require_automorphism(a, "is_in_H")
     m = _integer(m, "m", 0)
     moved = a.fwd._codes
     return all(i not in moved for i in range(1, m + 1))

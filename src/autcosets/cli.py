@@ -11,9 +11,10 @@ Verbs:
     verify          seeded self-check suites
 
 Automorphism arguments accept a file path, an inline JSON object, or ``-``
-for stdin.  Output is compact JSON by default; ``--text`` switches to a
-human-readable rendering.  Exit codes: 0 success, 1 domain error (bad input,
-support violation, failed verification), 2 usage error.
+for stdin.  Output is compact JSON by default; ``--text``, which every verb
+but ``verify`` takes, switches to a human-readable rendering.  Exit codes:
+0 success, 1 domain error (bad input, support violation, failed
+verification), 2 usage error.
 """
 
 from __future__ import annotations
@@ -85,8 +86,11 @@ def _load_group(spec: str):
     return builtin_group(spec)
 
 
-def _emit(doc) -> int:
-    print(json.dumps(doc, separators=(",", ":")))
+def _emit(args, doc, text) -> int:
+    """Print a verb's result: ``doc()`` as compact JSON, or ``text()`` under
+    ``--text``.  Only the one asked for is called, so ``--text`` never reads
+    a composite's deferred inverse and JSON mode formats no text."""
+    print(json.dumps(doc(), separators=(",", ":")) if not args.text else text())
     return 0
 
 
@@ -103,53 +107,36 @@ def _matrix_text(rows: list[list[str]]) -> str:
 
 
 def _cmd_reduce(args) -> int:
-    word = parse_word(args.word)
-    if args.text:
-        print(format_word(word))
-        return 0
-    return _emit(format_word(word))
+    word = format_word(parse_word(args.word))
+    return _emit(args, lambda: word, lambda: word)
 
 
-def _emit_automorphism(args, result) -> int:
-    if args.text:
-        print(_auto_text(result))
-        return 0
-    return _emit(automorphism_to_dict(result))
-
-
-def _cmd_compose(args) -> int:
-    return _emit_automorphism(args, compose(_load_automorphism(args.g), _load_automorphism(args.h)))
-
-
-def _cmd_invert(args) -> int:
-    return _emit_automorphism(args, invert(_load_automorphism(args.g)))
+def _cmd_automorphism(args) -> int:
+    g = _load_automorphism(args.g)
+    a = compose(g, _load_automorphism(args.h)) if args.verb == "compose" else invert(g)
+    return _emit(args, lambda: automorphism_to_dict(a), lambda: _auto_text(a))
 
 
 def _cmd_pair_product(args) -> int:
     # resolved per call, not bound into the parser, which is built once per process
     product = coset_product if args.verb == "coset-product" else star_product
     prod = product(args.m, _load_automorphism(args.g), _load_automorphism(args.h))
-    if args.text:
-        print(f"m={prod.m} N={prod.block}")
-        print(_auto_text(prod.rep))
-        return 0
-    return _emit({"m": prod.m, "N": prod.block, "rep": automorphism_to_dict(prod.rep)})
+    return _emit(
+        args,
+        lambda: {"m": prod.m, "N": prod.block, "rep": automorphism_to_dict(prod.rep)},
+        lambda: f"m={prod.m} N={prod.block}\n{_auto_text(prod.rep)}",
+    )
 
 
 def _cmd_tuple_product(args) -> int:
     prod = tuple_product(args.m, _load_automorphism_list(args.gs), _load_automorphism_list(args.hs))
-    if args.text:
-        print(f"m={prod.m} N={prod.block}")
-        for i, rep in enumerate(prod.reps, start=1):
-            print(f"component {i}:")
-            print(_auto_text(rep))
-        return 0
     return _emit(
-        {
-            "m": prod.m,
-            "N": prod.block,
-            "reps": [automorphism_to_dict(rep) for rep in prod.reps],
-        }
+        args,
+        lambda: {"m": prod.m, "N": prod.block, "reps": [automorphism_to_dict(r) for r in prod.reps]},
+        lambda: "\n".join(
+            [f"m={prod.m} N={prod.block}"]
+            + [f"component {i}:\n{_auto_text(r)}" for i, r in enumerate(prod.reps, start=1)]
+        ),
     )
 
 
@@ -181,10 +168,7 @@ def _cmd_rep_matrix(args) -> int:
             group, Subgroup(group, members), args.m, matrix, max_points=max_points
         )
     rows = matrix.to_strings()
-    if args.text:
-        print(_matrix_text(rows))
-        return 0
-    return _emit(rows)
+    return _emit(args, lambda: rows, lambda: _matrix_text(rows))
 
 
 def _cmd_verify(args) -> int:
@@ -207,33 +191,29 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("reduce", help="freely reduce a word like 'x1 x2^-1 x2'")
     p.add_argument("word")
-    p.add_argument("--text", action="store_true", help="plain text instead of JSON")
     p.set_defaults(func=_cmd_reduce)
 
-    for name, fn, help_text in (
-        ("compose", _cmd_compose, "compose two automorphisms (second acts first)"),
-        ("invert", _cmd_invert, "invert an automorphism"),
+    for name, help_text in (
+        ("compose", "compose two automorphisms (second acts first)"),
+        ("invert", "invert an automorphism"),
     ):
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--g", required=True, help="automorphism: path, inline JSON, or -")
         if name == "compose":
             p.add_argument("--h", required=True, help="automorphism applied first")
-        p.add_argument("--text", action="store_true")
-        p.set_defaults(func=fn)
+        p.set_defaults(func=_cmd_automorphism)
 
     for name in ("coset-product", "star-product"):
         p = sub.add_parser(name, help=f"{name.replace('-', ' ')} of two automorphisms")
         p.add_argument("--m", type=int, required=True, help="size of the fixed base block")
         p.add_argument("--g", required=True)
         p.add_argument("--h", required=True)
-        p.add_argument("--text", action="store_true")
         p.set_defaults(func=_cmd_pair_product)
 
     p = sub.add_parser("tuple-product", help="coordinatewise product of automorphism tuples")
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--gs", required=True, help="JSON array of automorphisms: path, inline, or -")
     p.add_argument("--hs", required=True)
-    p.add_argument("--text", action="store_true")
     p.set_defaults(func=_cmd_tuple_product)
 
     p = sub.add_parser("rep-matrix", help="exact averaged-action matrix over a finite group")
@@ -243,8 +223,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--u", help="comma-separated subgroup elements; compress onto orbit averages")
     p.add_argument("--truncation", type=int, help="evaluate over K^truncation instead of the minimum")
     p.add_argument("--max-points", type=int, dest="max_points", help="enumeration budget override")
-    p.add_argument("--text", action="store_true")
     p.set_defaults(func=_cmd_rep_matrix)
+
+    # the one --text, for every verb but verify; added last, so usage ends in [--text]
+    for p in sub.choices.values():
+        p.add_argument("--text", action="store_true", help="plain text instead of JSON")
 
     p = sub.add_parser("verify", help="run seeded self-check suites")
     p.add_argument("--suite", default="all", choices=(*SUITES, "all"))

@@ -43,6 +43,7 @@ from .automorphisms import (
     _endomorphism,
     _image_code,
     _permutation,
+    _require_automorphism,
     compose,
     identity_automorphism,
     is_in_H,
@@ -79,10 +80,12 @@ def theta(m: int, j: int) -> Automorphism:
 def block_size(m: int, *autos: Automorphism) -> int:
     """Smallest N >= 0 such that every argument is supported on 1..m+N.
 
-    Raises SizeLimitError for N over MAX_BLOCK_SIZE, before any block swap
-    is built."""
+    Raises TypeError for an argument that is not an Automorphism, and
+    SizeLimitError for N over MAX_BLOCK_SIZE, before any block swap is
+    built."""
     m = top = _integer(m, "m", 0)
     for a in autos:
+        _require_automorphism(a, "block_size")
         bound = a.support_bound()
         if bound > top:
             top = bound
@@ -91,8 +94,11 @@ def block_size(m: int, *autos: Automorphism) -> int:
     return n
 
 
-def _require_support(m: int, n: int, *autos: Automorphism) -> None:
+def _require_support(layer: str, m: int, n: int, *autos: Automorphism) -> None:
+    """Refuse, for ``layer``, an argument that is not an Automorphism
+    (TypeError) or that moves a generator above m + n (SupportViolation)."""
     for a in autos:
+        _require_automorphism(a, layer)
         if a.support_bound() > m + n:
             raise SupportViolation(
                 f"automorphism moves generators above {m + n} "
@@ -179,7 +185,7 @@ def product_formula_direct(m: int, n: int, g: Automorphism, h: Automorphism) -> 
     the cross-check.
     """
     m, n = _integer(m, "m", 0), _integer(n, "n", 0)
-    _require_support(m, n, g, h)
+    _require_support("product_formula_direct", m, n, g, h)
     fwd = _pattern_images(m, n, g.fwd, h.fwd)
     inv = _pattern_images(m, n, h.inv, g.inv)
     return Automorphism(_endomorphism(fwd), _endomorphism(inv))
@@ -199,7 +205,7 @@ def witness_left(m: int, n: int, r: Automorphism, g: Automorphism, h: Automorphi
     m, n = _integer(m, "m", 0), _integer(n, "n", 0)
     if not is_in_H(r, m):
         raise SupportViolation("witness factor must fix x_1..x_m")
-    _require_support(m, n, r, g, h)
+    _require_support("witness_left", m, n, r, g, h)
     mapping = _block_mapping(m, n, g.fwd)
     y_block = range(m + 1, m + n + 1)
     fwd = {k + n: _substitute_codes(mapping, _image_code(r.fwd, k)) for k in y_block}
@@ -220,6 +226,8 @@ def witness_right(m: int, n: int, q: Automorphism, g: Automorphism, h: Automorph
     three arguments fit in 1..m+n; an inverse has the support bound of its
     map, and the last argument enters only that check, so g is passed in
     place of g^-1 and a composite g's deferred inverse is not forced."""
+    for a in (q, g, h):
+        _require_automorphism(a, "witness_right")
     return witness_left(m, n, q.inverse(), h.inverse(), g)
 
 
@@ -236,7 +244,7 @@ def stability_witness(
     MAX_BLOCK_SIZE."""
     m, n, p = _integer(m, "m", 0), _integer(n, "n", 0), _integer(p, "p", 0)
     check_size("stability witness", n + p, "generators per block", MAX_BLOCK_SIZE)
-    _require_support(m, n, g, h)
+    _require_support("stability_witness", m, n, g, h)
     s = _block_swap(m + n, p, n + p)
     rename: dict[int, int] = {}
     for t in range(1, p + 1):

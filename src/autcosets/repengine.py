@@ -37,7 +37,7 @@ import weakref
 
 import numpy as np
 
-from .automorphisms import Automorphism, _image_code
+from .automorphisms import Automorphism, _image_code, _require_automorphism
 from .cosets import _block_swap
 from .errors import DEFAULT_MAX_POINTS, MAX_COORDINATES, SupportViolation, check_size
 from .groups import FiniteGroup, Subgroup, _greedy_generators
@@ -142,14 +142,6 @@ def _full_table(code: np.ndarray, n: int, n_coords: int) -> np.ndarray:
     order (coordinate 1 is the least significant base-n digit)."""
     shape = (n,) * n_coords if n > 1 else ()
     return (code if code.shape == shape else np.broadcast_to(code, shape)).ravel()
-
-
-def _require_automorphism(g, layer: str) -> None:
-    """Refuse a ``g`` that is not a verified ``Automorphism`` (TypeError
-    naming its type): any object with ``image`` and ``support_bound`` would
-    otherwise be evaluated."""
-    if not isinstance(g, Automorphism):
-        raise TypeError(f"{layer} needs an Automorphism, got {type(g).__name__}")
 
 
 class ActionMap:

@@ -565,3 +565,9 @@ def test_is_in_H_refuses_a_non_automorphism():
     for value, kind in cases:
         with pytest.raises(TypeError, match=f"^is_in_H needs an Automorphism, got {kind}$"):
             is_in_H(value, 1)
+
+
+@pytest.mark.parametrize("value", [Endomorphism({2: [(2, -1)]}), 3, None])
+def test_invert_refuses_a_non_automorphism(value):
+    with pytest.raises(TypeError, match=f"^invert needs an Automorphism, got {type(value).__name__}$"):
+        invert(value)

@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from autcosets import cli
+from autcosets import automorphisms, cli
 from autcosets.automorphisms import automorphism_to_dict, identity_automorphism, nielsen_swap
 from autcosets.cli import main
 from autcosets.cosets import theta
@@ -167,6 +167,44 @@ def test_tuple_product_single_matches_coset(capsys):
     single = json.loads(capsys.readouterr().out)
     assert tup["N"] == single["N"]
     assert tup["reps"] == [single["rep"]]
+
+
+def test_compose_text_leaves_the_inverse_deferred(capsys, monkeypatch):
+    # a composite's inverse is built when first read: --text never reads it
+    def forced(root):
+        raise AssertionError("the deferred inverse was forced")
+
+    monkeypatch.setattr(automorphisms, "_force_inverse", forced)
+    assert main(["compose", "--g", G_JSON, "--h", H_JSON, "--text"]) == 0
+    assert capsys.readouterr().out == "x1 -> x1 x2\nx2 -> x2 x1 x2\n"
+    with pytest.raises(AssertionError, match="deferred inverse"):
+        main(["compose", "--g", G_JSON, "--h", H_JSON])  # JSON prints the inverse
+
+
+def test_two_component_tuple_product_text(capsys):
+    argv = ["tuple-product", "--m", "1", "--gs", f"[{G_JSON},{H_JSON}]", "--hs", f"[{H_JSON},{G_JSON}]"]
+    assert main([*argv, "--text"]) == 0
+    assert capsys.readouterr().out == (
+        "m=1 N=1\ncomponent 1:\nx1 -> x1 x2\nx2 -> x3 x1 x2\nx3 -> x2\n"
+        "component 2:\nx1 -> x1 x3\nx2 -> x3\nx3 -> x2 x1\n"
+    )
+
+
+def test_text_is_an_option_of_every_verb_but_verify(capsys):
+    verbs = ("reduce", "compose", "invert", "coset-product", "star-product", "tuple-product")
+    verbs += ("rep-matrix", "verify")
+    with pytest.raises(SystemExit):
+        main(["--help"])
+    assert "{" + ",".join(verbs) + "}" in capsys.readouterr().out
+    for verb in verbs:
+        with pytest.raises(SystemExit) as exc:
+            main([verb, "--help"])
+        assert exc.value.code == 0
+        assert ("[--text]" in capsys.readouterr().out) == (verb != "verify")
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--text"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.endswith("error: unrecognized arguments: --text\n")
 
 
 def test_rep_matrix_text(capsys):

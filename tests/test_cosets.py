@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from autcosets.automorphisms import (
     Automorphism,
+    Endomorphism,
     InverseVerificationError,
     _closed_automorphism,
     _endomorphism,
@@ -551,3 +552,31 @@ def test_block_swaps_share_one_endomorphism(m, n, p):
     e = identity_automorphism()
     _, s = stability_witness(m, n, p, e, e)
     assert s.fwd is s.inv
+
+
+# every public function here over its automorphism arguments, the rest fixed
+AUTOMORPHISM_ARGUMENTS = {
+    "block_size": lambda g, h: block_size(1, g, h),
+    "coset_product": lambda g, h: coset_product(1, g, h),
+    "star_product": lambda g, h: star_product(1, g, h),
+    "tuple_product": lambda g, h: tuple_product(1, (g, g), (h, h)),
+    "star_vs_pair_check": lambda g, h: star_vs_pair_check(1, g, h),
+    "product_formula_direct": lambda g, h: product_formula_direct(1, 2, g, h),
+    "witness_left": lambda r, g, h: witness_left(1, 2, r, g, h),
+    "witness_right": lambda q, g, h: witness_right(1, 2, q, g, h),
+    "stability_witness": lambda g, h: stability_witness(1, 2, 1, g, h),
+}
+
+
+@pytest.mark.parametrize(
+    "bad", [None, "x", Endomorphism({2: [(2, -1)]})], ids=["None", "str", "Endomorphism"]
+)
+@pytest.mark.parametrize("name", AUTOMORPHISM_ARGUMENTS)
+def test_cosets_refuse_a_non_automorphism_by_type(name, bad):
+    call = AUTOMORPHISM_ARGUMENTS[name]
+    arity = call.__code__.co_argcount
+    for slot in range(arity):
+        args = [identity_automorphism()] * arity
+        args[slot] = bad
+        with pytest.raises(TypeError, match=f"^\\w+ needs an Automorphism, got {type(bad).__name__}$"):
+            call(*args)
