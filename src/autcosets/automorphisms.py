@@ -27,7 +27,12 @@ as part of the cross-checks they provide.
 
 Images are stored as code words, signed ints (``words._encode``), and
 every internal rewrite -- composition, verification, the coset patterns --
-runs on the one kernel ``words._substitute_codes``.  Letter words appear
+runs on the one kernel ``words._substitute_codes``, except a composition
+whose left factor was built by ``_permutation``: that map carries a signed
+rename table and renames each image letter by letter, since a signed
+permutation of the letters keeps a reduced word reduced.  A permutation
+loaded through the public constructor has no table and runs the kernel, as
+every verification does.  Letter words appear
 only at the boundary: the public constructor, which JSON load also goes
 through, reduces letters and encodes them once, and ``images``,
 ``image``, ``repr`` and ``automorphism_to_dict`` decode on demand.
@@ -59,9 +64,11 @@ from .words import (
     Word,
     _decode,
     _encode,
+    _clip,
     _concat_codes,
     _integer,
     _substitute_codes,
+    _too_many_digits,
     format_word,
     reduce,
 )
@@ -78,9 +85,11 @@ class Endomorphism:
     generators only; ``images``, ``image`` and ``repr`` decode them on
     demand.  The first time the map is a left factor it caches its code
     map (``_code_map``), where the kernel keeps the inverse words it
-    builds."""
+    builds.  A map built by ``_permutation`` also carries its signed
+    rename table (``_rename``), through which it composes on the left;
+    it is None on every other map."""
 
-    __slots__ = ("_codes", "_bound", "_map")
+    __slots__ = ("_codes", "_bound", "_map", "_rename")
 
     def __init__(self, images: Mapping[int, Iterable[Letter]] | None = None):
         codes: dict[int, Code] = {}
@@ -103,6 +112,7 @@ class Endomorphism:
         self._codes = codes
         self._bound = None
         self._map = None
+        self._rename = None
 
     @property
     def images(self) -> dict[int, Word]:
@@ -177,10 +187,21 @@ def _image_code(e: Endomorphism, index: int) -> Code:
 
 
 def compose_endomorphisms(a: Endomorphism, b: Endomorphism) -> Endomorphism:
-    """Endomorphism sending x_i to a(b(x_i))."""
+    """Endomorphism sending x_i to a(b(x_i)).
+
+    When ``a`` renames generators (it carries a rename table), each image
+    of ``b`` is renamed letter by letter: a signed permutation of the
+    letters sends a reduced word to a reduced word, so nothing cancels.
+    Every other ``a`` runs the kernel."""
     b_codes = b._codes
-    a_map = _code_map(a)
-    codes = {key: _substitute_codes(a_map, code) for key, code in b_codes.items()}
+    rename = a._rename
+    if rename is not None:
+        get = rename.get
+        # through a list, sized once: tuple(map(...)) grows its tuple by resizing
+        codes = {key: tuple([*map(get, code, code)]) for key, code in b_codes.items()}
+    else:
+        a_map = _code_map(a)
+        codes = {key: _substitute_codes(a_map, code) for key, code in b_codes.items()}
     for key, code in a._codes.items():
         if key not in b_codes:
             codes[key] = code
@@ -401,11 +422,29 @@ def _permutation(mapping: Mapping[int, int]) -> Automorphism:
     """Automorphism renaming x_k to x_mapping[k], the one permutation
     builder, unchecked: ``mapping`` maps valid generator indices to valid
     generator indices and permutes its keys; fixed points are dropped.  An
-    involution keeps one Endomorphism for both halves."""
+    involution keeps one Endomorphism for both halves.
+
+    Each half carries its signed rename table, {k: v, -k: -v} over the
+    moved generators, for ``compose_endomorphisms``."""
     codes = {k: (v,) for k, v in mapping.items()}
     inverse = {v: (k,) for k, v in mapping.items()}
     fwd = _endomorphism(codes)
-    return _closed_automorphism(fwd, fwd if inverse == codes else _endomorphism(inverse))
+    fwd._rename = _rename_table(fwd)
+    if inverse == codes:
+        return _closed_automorphism(fwd, fwd)
+    inv = _endomorphism(inverse)
+    inv._rename = _rename_table(inv)
+    return _closed_automorphism(fwd, inv)
+
+
+def _rename_table(e: Endomorphism) -> dict[int, int]:
+    """Signed rename table of a permutation ``e``: k -> v and -k -> -v for
+    each x_k -> x_v it moves."""
+    table: dict[int, int] = {}
+    for k, (v,) in e._codes.items():
+        table[k] = v
+        table[-k] = -v
+    return table
 
 
 def is_in_H(a: Automorphism, m: int) -> bool:
@@ -545,7 +584,12 @@ def _endo_from_dict(data, field: str) -> Endomorphism:
     for key, letters in data.items():
         if not (type(key) is int or (isinstance(key, str) and key.isascii() and key.isdigit())):
             raise ValueError(f"bad generator key {key!r} in {field}")
-        index = int(key)
+        try:
+            index = int(key)
+        except ValueError:
+            raise ValueError(
+                f"generator key {_clip(key)} in {field} has {_too_many_digits(key)}"
+            ) from None
         if index in images:
             raise ValueError(f"generator key {key!r} in {field} names x{index} a second time")
         if not isinstance(letters, (list, tuple)):

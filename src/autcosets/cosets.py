@@ -27,7 +27,10 @@ with the block above it, and ``repengine.weak_limit_check`` swaps the pairs
 of theta it reads.  It names the renaming and hands it to
 ``automorphisms._permutation``, the one permutation builder, which
 ``stability_witness`` also uses for its renaming pi; a swap is an
-involution, so both its halves are one Endomorphism.  The pairs that
+involution, so both its halves are one Endomorphism.  Each swap is built
+once per (base, size, offset) and shared through a 32-shape LRU cache, and
+as a left factor it composes by renaming, not through the substitution
+kernel.  The pairs that
 ``product_formula_direct`` and the witnesses build by substitution are
 code maps; they become Endomorphisms through ``_endomorphism`` and are
 verified by the public ``Automorphism(fwd, inv)``.
@@ -35,6 +38,7 @@ verified by the public ``Automorphism(fwd, inv)``.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 from .automorphisms import (
@@ -52,12 +56,20 @@ from .errors import MAX_BLOCK_SIZE, SupportViolation, check_size
 from .words import Code, _integer, _substitute_codes
 
 
+# 32 shapes: a pass of each benchmark workload meets at most 19, and a
+# smaller cache would evict within the cli workload's cycle of shapes
+@functools.lru_cache(maxsize=32)
 def _block_swap(base: int, size: int, offset: int) -> Automorphism:
     """Involution swapping x_{base+k} <-> x_{base+offset+k} for k = 1..size,
     every other generator fixed.  The one constructor of block swaps.
 
+    Built once per shape and shared: the swap is immutable, and it
+    composes on the left through its rename table, which passes fixed
+    letters through without storing them, so what it keeps does not grow.
+
     The two blocks must not overlap (offset >= size): an overlapping pair of
-    images would not be an automorphism."""
+    images would not be an automorphism.  The refusal is raised on every
+    call, since the cache keeps no exceptions."""
     if offset < size:
         raise ValueError(f"blocks of {size} generators at offset {offset} overlap")
     swap: dict[int, int] = {}

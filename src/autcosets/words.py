@@ -5,13 +5,16 @@ A letter is a pair ``(index, sign)`` with ``index >= 1`` and ``sign`` either
 letter/inverse pair.  Every function here returns freely reduced words, so
 word equality is plain tuple equality and words can be shared without
 copying.  Internally the library computes on code words (signed ints, see
-``_encode``); ``Word`` is the one public form.
+``_encode``); ``Word`` is the one public form.  ``_substitute_codes`` is the
+one substitution kernel; a one-letter word returns its image from the map
+as it stands.
 """
 
 from __future__ import annotations
 
 import numbers
 import re
+import sys
 from typing import Iterable, Mapping
 
 Letter = tuple[int, int]
@@ -158,12 +161,23 @@ def _substitute_codes(images: dict[int, Code], w: Code) -> Code:
     under -i the inverse word of x_i's image, or (-i,) for a fixed x_i,
     so an inverse word is built once per map and only if it is used.
 
-    Everything is folded onto one output stack.  A fixed letter cancels
-    the top or goes on.  An image is reduced, so it can cancel the stack
-    only at its junction: its first codes are popped against the top while
-    they cancel, and the rest is copied on with one ``extend``.
+    A one-letter word returns its image from the map as it stands, filled
+    the same way for -i; a fixed +i returns ``w``.  Otherwise everything
+    is folded onto one output stack.  A fixed letter cancels the top or
+    goes on.  An image is reduced, so it can cancel the stack only at its
+    junction: its first codes are popped against the top while they
+    cancel, and the rest is copied on with one ``extend``.
     """
     get = images.get
+    if len(w) == 1:
+        c = w[0]
+        img = get(c)
+        if img is None:
+            if c > 0:
+                return w
+            img = get(-c)
+            img = images[c] = w if img is None else _invert_code(img)
+        return img
     out: list[int] = []
     pop = out.pop
     append = out.append
@@ -206,11 +220,29 @@ def parse_word(text: str) -> Word:
         match = _TOKEN.match(token)
         if match is None:
             raise WordSyntaxError(f"bad word token {token!r}")
-        index = int(match.group(1))
+        digits = match.group(1)
+        try:
+            index = int(digits)
+        except ValueError:
+            raise WordSyntaxError(
+                f"generator index in {_clip(token)} has {_too_many_digits(digits)}"
+            ) from None
         if index < 1:
             raise WordSyntaxError(f"generator index must be >= 1 in {token!r}")
         letters.append((index, -1 if match.group(2) else 1))
     return reduce(letters)
+
+
+def _clip(text: str) -> str:
+    """``repr`` of ``text`` for echoing input in a message, cut to its
+    first 24 characters when longer."""
+    return repr(text) if len(text) <= 24 else f"{text[:24]!r}..."
+
+
+def _too_many_digits(digits: str) -> str:
+    """Why ``int(digits)`` refused a digit string: its length against the
+    interpreter's limit on integer string conversion."""
+    return f"{len(digits)} digits, over the limit of {sys.get_int_max_str_digits()}"
 
 
 def format_word(w: Word) -> str:

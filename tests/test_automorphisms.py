@@ -30,7 +30,7 @@ from autcosets.automorphisms import (
     random_automorphism,
     verify_inverse_pair,
 )
-from autcosets.cosets import coset_product, product_formula_direct
+from autcosets.cosets import coset_product, product_formula_direct, stability_witness, theta
 from autcosets.ratmat import RationalMatrix
 
 
@@ -210,6 +210,56 @@ def test_a_three_cycle_has_two_halves():
     assert cyc.inv.images == {2: ((1, 1),), 3: ((2, 1),), 1: ((3, 1),)}
 
 
+def _three_cycle(order):
+    a, b, c = order[:3]
+    return permutation_automorphism({a: b, b: c, c: a})
+
+
+def _witness_half(m, n, p, half):
+    e = identity_automorphism()
+    return stability_witness(m, n, p, e, e)[half]
+
+
+# every way the library builds a permutation: each carries a rename table
+renaming_st = st.one_of(
+    st.permutations(range(1, 7)).map(_three_cycle),
+    st.lists(st.integers(1, 8), min_size=2, max_size=2, unique=True).map(
+        lambda ij: nielsen_swap(*ij)
+    ),
+    st.builds(identity_automorphism),
+    st.builds(theta, st.integers(0, 3), st.integers(0, 4)),
+    st.builds(
+        _witness_half, st.integers(0, 2), st.integers(0, 3), st.integers(0, 3), st.sampled_from((0, 1))
+    ),
+)
+
+
+@given(renaming_st, aut_st)
+def test_renaming_composes_like_the_kernel(pi, x):
+    # rebuilt by the public constructor, the same map has no rename table,
+    # so it composes through the substitution kernel
+    rebuilt = Automorphism(pi.fwd.images, pi.inv.images)
+    assert rebuilt.fwd._rename is None and rebuilt.inv._rename is None
+    assert pi.fwd._rename is not None and pi.inv._rename is not None
+    # on the right, pi's inverse half is the left factor of the forced .inv
+    for got, want in ((compose(pi, x), compose(rebuilt, x)), (compose(x, pi), compose(x, rebuilt))):
+        assert got.fwd.images == want.fwd.images
+        assert got.inv.images == want.inv.images
+    # fixed letters pass through without being stored
+    for half in (pi.fwd, pi.inv):
+        assert len(half._rename) == 2 * len(half._codes)
+
+
+def test_loaded_maps_carry_no_rename_table():
+    swap = nielsen_swap(1, 2)
+    for built in (
+        Automorphism(swap.fwd.images, swap.inv.images),
+        automorphism_from_dict(automorphism_to_dict(swap)),
+    ):
+        assert built == swap
+        assert built.fwd._rename is None and built.inv._rename is None
+
+
 @given(aut_st, aut_st, aut_st)
 def test_composition_associative(a, b, c):
     assert compose(compose(a, b), c) == compose(a, compose(b, c))
@@ -313,6 +363,18 @@ def test_json_rejects_malformed(doc):
 def test_json_accepts_only_real_ints(images, inverse_images):
     with pytest.raises(ValueError):
         automorphism_from_dict({"images": images, "inverse_images": inverse_images})
+
+
+def test_json_names_a_key_over_the_digit_limit(int_digit_limit):
+    # the refusal names the key, cut short, and its field
+    key = "9" * (int_digit_limit + 700)
+    doc = {"images": {"1": [[1, -1]]}, "inverse_images": {key: [[1, 1]]}}
+    with pytest.raises(ValueError) as exc:
+        automorphism_from_dict(doc)
+    assert str(exc.value) == (
+        f"generator key {key[:24]!r}... in inverse_images has {len(key)} digits, "
+        f"over the limit of {int_digit_limit}"
+    )
 
 
 def test_json_int_keys_still_load():

@@ -314,6 +314,23 @@ def test_a_refused_letter_names_its_field_and_generator(capsys, doc, message):
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("verb", ["reduce", "invert"])
+def test_an_index_over_the_digit_limit_is_named(capsys, int_digit_limit, verb):
+    digits = "9" * (int_digit_limit + 700)
+    if verb == "reduce":
+        argv = ["reduce", f"x1 x{digits}"]
+        message = f"generator index in {'x' + digits[:23]!r}... has"
+    else:
+        argv = ["invert", "--g", f'{{"images": {{"{digits}": [[1,1]]}}, "inverse_images": {{}}}}']
+        message = f"generator key {digits[:24]!r}... in images has"
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: {message} {len(digits)} digits, over the limit of {int_digit_limit}\n"
+    )
+
+
 @pytest.mark.parametrize(
     "env, u, message",
     [

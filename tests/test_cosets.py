@@ -554,6 +554,22 @@ def test_block_swaps_share_one_endomorphism(m, n, p):
     assert s.fwd is s.inv
 
 
+@given(st.integers(0, 3), st.integers(0, 5), st.integers(0, 3))
+def test_block_swaps_are_built_once_per_shape(m, n, p):
+    assert theta(m, n) is theta(m, n)
+    e = identity_automorphism()
+    _, s = stability_witness(m, n, p, e, e)
+    assert s is _block_swap(m + n, p, n + p)
+    assert _block_swap.cache_info().maxsize == 32
+
+
+def test_an_overlapping_block_swap_is_refused_on_every_call():
+    # the cache keeps no exceptions
+    for _ in range(2):
+        with pytest.raises(ValueError, match="overlap"):
+            _block_swap(2, 3, 2)
+
+
 # every public function here over its automorphism arguments, the rest fixed
 AUTOMORPHISM_ARGUMENTS = {
     "block_size": lambda g, h: block_size(1, g, h),

@@ -169,6 +169,18 @@ def test_parse_rejects_bad_tokens(text):
         parse_word(text)
 
 
+def test_parse_names_an_index_over_the_digit_limit(int_digit_limit):
+    # a WordSyntaxError naming the token, cut short
+    digits = "9" * (int_digit_limit + 700)
+    for token in ("x" + digits, "x" + digits + "^-1"):
+        with pytest.raises(WordSyntaxError) as exc:
+            parse_word("x1 " + token)
+        assert str(exc.value) == (
+            f"generator index in {token[:24]!r}... has {len(digits)} digits, "
+            f"over the limit of {int_digit_limit}"
+        )
+
+
 @given(letters_st)
 def test_format_parse_roundtrip(seq):
     w = reduce(seq)
@@ -296,6 +308,13 @@ def code_map(images, inverses):
 @example({1: ((2, 1), (3, 1)), 2: ((3, -1), (1, 1))}, [(1, 1), (2, 1)])
 @example({1: ((2, 1), (3, 1)), 2: ((2, 1), (1, 1))}, [(1, -1), (2, 1)])
 @example({1: ((2, 1),), 2: ((2, -1), (3, 1))}, [(2, -1), (1, 1), (2, 1)])
+# one-letter words: +i moved, +i fixed, -i moved, -i fixed, empty images
+@example({1: ((2, 1), (3, -1))}, [(1, 1)])
+@example({1: ((2, 1),)}, [(2, 1)])
+@example({1: ((2, 1), (3, -1))}, [(1, -1)])
+@example({1: ((2, 1),)}, [(3, -1)])
+@example({1: ()}, [(1, 1)])
+@example({1: ()}, [(1, -1)])
 def test_kernel_matches_the_letter_loop(images, seq):
     want = letter_substitute(images, seq)
     assert substitute(images, seq) == want
