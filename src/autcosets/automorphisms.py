@@ -55,6 +55,13 @@ x_i to ``a(b(x_i))``, i.e. ``b`` acts first.
 
 from __future__ import annotations
 
+__all__ = [
+    "Automorphism", "Endomorphism", "InverseVerificationError", "automorphism_from_dict",
+    "automorphism_to_dict", "compose", "identity_automorphism", "invert", "is_in_H",
+    "nielsen_invert", "nielsen_right_mult", "nielsen_swap", "permutation_automorphism",
+    "random_automorphism", "verify_inverse_pair",
+]
+
 import random
 from typing import Iterable, Mapping
 
@@ -99,7 +106,7 @@ class Endomorphism:
                 try:
                     codes[key] = _encode(reduce(img))
                 except ValueError as err:
-                    raise ValueError(f"{err}, in the image of x{key}") from None
+                    raise ValueError(f"{err}, in the image of x{_clip(key)}") from None
         self._set(codes)
 
     def _set(self, codes: dict[int, Code]) -> None:
@@ -410,7 +417,7 @@ def permutation_automorphism(mapping: Mapping[int, int]) -> Automorphism:
         key, val = _integer(key, "generator index", 1), _integer(val, "generator index", 1)
         if key != val:
             if key in moved:
-                raise ValueError(f"duplicate image for generator {key}")
+                raise ValueError(f"duplicate image for generator {_clip(key)}")
             moved[key] = val
     values = set(moved.values())
     if len(values) != len(moved) or values != set(moved):
@@ -583,7 +590,7 @@ def _endo_from_dict(data, field: str) -> Endomorphism:
     images: dict[int, list] = {}
     for key, letters in data.items():
         if not (type(key) is int or (isinstance(key, str) and key.isascii() and key.isdigit())):
-            raise ValueError(f"bad generator key {key!r} in {field}")
+            raise ValueError(f"bad generator key {_clip(key)} in {field}")
         try:
             index = int(key)
         except ValueError:
@@ -591,12 +598,14 @@ def _endo_from_dict(data, field: str) -> Endomorphism:
                 f"generator key {_clip(key)} in {field} has {_too_many_digits(key)}"
             ) from None
         if index in images:
-            raise ValueError(f"generator key {key!r} in {field} names x{index} a second time")
+            raise ValueError(
+                f"generator key {_clip(key)} in {field} names x{_clip(index)} a second time"
+            )
         if not isinstance(letters, (list, tuple)):
-            raise ValueError(f"image of x{index} in {field} must be a list of letters")
+            raise ValueError(f"image of x{_clip(index)} in {field} must be a list of letters")
         for item in letters:
             if not isinstance(item, (list, tuple)) or len(item) != 2:
-                raise ValueError(f"bad letter {item!r} in image of x{index}")
+                raise ValueError(f"bad letter {_clip(item)} in image of x{_clip(index)}")
         images[_integer(index, "generator index", 1)] = letters
     try:
         return Endomorphism(images)

@@ -35,7 +35,7 @@ from .cosets import coset_product, star_product, tuple_product
 from .groups import Subgroup, builtin_group, group_from_dict
 from .repengine import compress_to_invariants, markov_matrix
 from .verify import SUITES, run_suites
-from .words import format_word, parse_word
+from .words import _clip, _too_many_digits, format_word, parse_word
 
 
 def _read_payload(spec: str) -> str:
@@ -56,16 +56,36 @@ def _unique_keys(pairs: list) -> dict:
         seen = set()
         for key, _ in pairs:
             if key in seen:
-                raise ValueError(f"JSON object repeats the key {key!r}")
+                raise ValueError(f"JSON object repeats the key {_clip(key)}")
             seen.add(key)
     return obj
 
 
-def _load_json(spec: str):
+def _json_int(digits: str) -> int:
+    """``int(digits)`` for a JSON integer, refusing one over the
+    interpreter's limit on integer string conversion by its digit count."""
     try:
-        return json.loads(_read_payload(spec), object_pairs_hook=_unique_keys)
+        return int(digits)
+    except ValueError:
+        raise ValueError(
+            f"JSON integer {_clip(digits)} has {_too_many_digits(digits.lstrip('-'))}"
+        ) from None
+
+
+def _load_json(spec: str):
+    text = _read_payload(spec)
+    try:
+        return json.loads(text, object_pairs_hook=_unique_keys)
     except RecursionError:
         raise ValueError("JSON input is nested too deeply") from None
+    except json.JSONDecodeError:
+        raise
+    except ValueError:
+        pass
+    # a plain ValueError came from ``_unique_keys`` or from an integer over the
+    # digit limit: parsing again through ``_json_int``, only on this path,
+    # raises the first of them again, an integer by its digit count
+    return json.loads(text, object_pairs_hook=_unique_keys, parse_int=_json_int)
 
 
 def _load_automorphism(spec: str):
@@ -152,7 +172,7 @@ def _parse_int(text: str, what: str) -> int:
     try:
         return int(text)
     except ValueError:
-        raise ValueError(f"{what}, got {text!r}") from None
+        raise ValueError(f"{what}, got {_clip(text)}") from None
 
 
 def _cmd_rep_matrix(args) -> int:

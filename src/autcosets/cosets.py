@@ -38,6 +38,12 @@ verified by the public ``Automorphism(fwd, inv)``.
 
 from __future__ import annotations
 
+__all__ = [
+    "ConjClassRep", "DoubleCosetRep", "TupleRep", "block_size", "coset_product",
+    "product_formula_direct", "stability_witness", "star_product", "star_vs_pair_check", "theta",
+    "tuple_product", "witness_left", "witness_right",
+]
+
 import functools
 from dataclasses import dataclass, field
 

@@ -4,6 +4,8 @@ Every size a request asks for is compared with its limit by ``check_size``,
 and every refusal reads ``<layer> needs <size> <unit>, over the limit of
 <limit>``.  Only the point budget can be set per call (``max_points``)."""
 
+__all__ = ["DEFAULT_MAX_POINTS", "SizeLimitError", "SupportViolation"]
+
 # points, or matrix / table cells, one request may build
 DEFAULT_MAX_POINTS = 10_000_000
 # multiply-adds (rows x inner x cols) one exact matrix product may run: a

@@ -3,6 +3,8 @@ and the built-in groups."""
 
 from __future__ import annotations
 
+__all__ = ["FiniteGroup", "GroupAxiomError", "Subgroup", "builtin_group", "group_from_dict"]
+
 import functools
 import itertools
 from typing import Iterable, Iterator, Sequence
@@ -10,7 +12,7 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from .errors import DEFAULT_MAX_POINTS, check_size
-from .words import _integer
+from .words import _clip, _integer
 
 
 class GroupAxiomError(ValueError):
@@ -257,7 +259,7 @@ def builtin_group(name: str) -> FiniteGroup:
         return _cyclic(int(digits))
     if key in _FIXED_GROUPS:
         return _fixed_group(key)
-    raise ValueError(f"unknown builtin group {name!r}")
+    raise ValueError(f"unknown builtin group {_clip(name)}")
 
 
 def group_from_dict(data) -> FiniteGroup:
@@ -273,8 +275,3 @@ def group_from_dict(data) -> FiniteGroup:
         raise GroupAxiomError("'order' does not match the table size")
     name = data.get("name")
     return FiniteGroup(mul, data.get("unit", 0), name=name if isinstance(name, str) else None)
-
-
-def group_to_dict(k: FiniteGroup) -> dict:
-    return {"order": k.order, "mul": k.mul_np.tolist(), "unit": k.identity}
-

@@ -22,6 +22,8 @@ the matrix itself (``repengine.compress_to_invariants``).
 
 from __future__ import annotations
 
+__all__ = ["RationalMatrix"]
+
 import math
 import numbers
 

@@ -32,6 +32,11 @@ checked on the generators, and columns are summed by orbit.
 
 from __future__ import annotations
 
+__all__ = [
+    "ActionMap", "action_map", "compress_to_invariants", "markov_matrix", "projection_matrix",
+    "weak_limit_check",
+]
+
 import functools
 import weakref
 

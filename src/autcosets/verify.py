@@ -14,6 +14,8 @@ checked on one list of cases.
 
 from __future__ import annotations
 
+__all__ = ["CheckResult", "run_suites"]
+
 import random
 from dataclasses import dataclass
 
@@ -39,7 +41,7 @@ from .cosets import (
 from .groups import Subgroup, builtin_group
 from .ratmat import RationalMatrix
 from .repengine import action_map, compress_to_invariants, markov_matrix, weak_limit_check
-from .words import format_word, invert_word, concat, parse_word, reduce
+from .words import _clip, concat, format_word, invert_word, parse_word, reduce
 
 
 @dataclass(frozen=True)
@@ -240,6 +242,6 @@ def run_suites(name: str = "all", seed: int = 0) -> list[CheckResult]:
     """Run one named suite (or all of them, each from a fresh
     ``random.Random(seed)``) and return the check results."""
     if name != "all" and name not in SUITES:
-        raise ValueError(f"unknown suite {name!r}; choose from {', '.join(SUITES)} or all")
+        raise ValueError(f"unknown suite {_clip(name)}; choose from {', '.join(SUITES)} or all")
     names = SUITES if name == "all" else (name,)
     return [res for suite in names for res in SUITES[suite](random.Random(seed))]

@@ -12,6 +12,11 @@ as it stands.
 
 from __future__ import annotations
 
+__all__ = [
+    "EMPTY", "Letter", "Word", "WordSyntaxError", "concat", "format_word", "invert_word",
+    "parse_word", "reduce", "substitute",
+]
+
 import numbers
 import re
 import sys
@@ -40,10 +45,10 @@ def _integer(value, what: str, floor: int | None = None) -> int:
     case pays no call."""
     if type(value) is not int:
         if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-            raise ValueError(f"{what} must be an integer, got {value!r}")
+            raise ValueError(f"{what} must be an integer, got {_clip(value)}")
         value = int(value)
     if floor is not None and value < floor:
-        raise ValueError(f"{what} must be >= {floor}, got {value}")
+        raise ValueError(f"{what} must be >= {floor}, got {_clip(value)}")
     return value
 
 
@@ -63,7 +68,7 @@ def reduce(letters: Iterable[Letter]) -> Word:
         if type(sign) is not int:
             sign = _integer(sign, "letter sign")
         if sign != 1 and sign != -1:
-            raise ValueError(f"letter sign must be +1 or -1, got {sign!r}")
+            raise ValueError(f"letter sign must be +1 or -1, got {_clip(sign)}")
         if stack:
             top = stack[-1]
             if top[0] == gen and top[1] == -sign:
@@ -219,7 +224,7 @@ def parse_word(text: str) -> Word:
     for token in text.split():
         match = _TOKEN.match(token)
         if match is None:
-            raise WordSyntaxError(f"bad word token {token!r}")
+            raise WordSyntaxError(f"bad word token {_clip(token)}")
         digits = match.group(1)
         try:
             index = int(digits)
@@ -228,15 +233,20 @@ def parse_word(text: str) -> Word:
                 f"generator index in {_clip(token)} has {_too_many_digits(digits)}"
             ) from None
         if index < 1:
-            raise WordSyntaxError(f"generator index must be >= 1 in {token!r}")
+            raise WordSyntaxError(f"generator index must be >= 1 in {_clip(token)}")
         letters.append((index, -1 if match.group(2) else 1))
     return reduce(letters)
 
 
-def _clip(text: str) -> str:
-    """``repr`` of ``text`` for echoing input in a message, cut to its
-    first 24 characters when longer."""
-    return repr(text) if len(text) <= 24 else f"{text[:24]!r}..."
+def _clip(value) -> str:
+    """``repr`` of ``value`` for echoing input in a message: the one rule
+    for every echo of outside input.  A string over 24 characters is cut to
+    its first 24 before ``repr``; any other value's ``repr`` over 24
+    characters is cut to its first 24.  A cut ends in ``...``."""
+    if isinstance(value, str):
+        return repr(value) if len(value) <= 24 else f"{value[:24]!r}..."
+    text = repr(value)
+    return text if len(text) <= 24 else f"{text[:24]}..."
 
 
 def _too_many_digits(digits: str) -> str:
@@ -251,13 +261,3 @@ def format_word(w: Word) -> str:
     The empty word renders as the empty string.
     """
     return " ".join(f"x{gen}" if sign == 1 else f"x{gen}^-1" for gen, sign in w)
-
-
-def generator_word(index: int) -> Word:
-    """The one-letter word x_index."""
-    return ((_integer(index, "generator index", 1), 1),)
-
-
-def max_generator(w: Word) -> int:
-    """Largest generator index occurring in ``w``; 0 for the empty word."""
-    return max((gen for gen, _ in w), default=0)

@@ -1,7 +1,8 @@
 """Scalar word evaluation and point indexing: the point-by-point oracles for
 the broadcast grid ``repengine._grid_eval``, the point order of its flat
-tables, and every matrix built on them; and the Fraction entries of an exact
-matrix, in and out."""
+tables, and every matrix built on them; the Fraction entries of an exact
+matrix, in and out; and a group's JSON form, the round-trip fixture for
+``groups.group_from_dict``."""
 
 from __future__ import annotations
 
@@ -109,3 +110,8 @@ class TupleIndex:
         if not 1 <= coord <= self.d:
             raise ValueError(f"coordinate {coord} out of range 1..{self.d}")
         return (index // self.n ** (coord - 1)) % self.n
+
+
+def group_to_dict(k: FiniteGroup) -> dict:
+    """The JSON form ``groups.group_from_dict`` reads: order, table and unit."""
+    return {"order": k.order, "mul": k.mul_np.tolist(), "unit": k.identity}

@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import hashlib
+import importlib
 import json
 import time
+import types
 
 import pytest
 from hypothesis import given
@@ -429,6 +431,53 @@ def test_closed_operations_preserve_the_inverse_pair(a, b, perm, i, j):
 def test_closed_constructor_is_private():
     # _closed_automorphism skips verification, so it must stay internal
     assert not any(name.startswith("_") for name in autcosets.__all__)
+
+
+# the public names, by home module; each is listed once, in that module's __all__
+PUBLIC = {
+    "words": {
+        "EMPTY", "Letter", "Word", "WordSyntaxError", "concat", "format_word", "invert_word",
+        "parse_word", "reduce", "substitute",
+    },
+    "automorphisms": {
+        "Automorphism", "Endomorphism", "InverseVerificationError", "automorphism_from_dict",
+        "automorphism_to_dict", "compose", "identity_automorphism", "invert", "is_in_H",
+        "nielsen_invert", "nielsen_right_mult", "nielsen_swap", "permutation_automorphism",
+        "random_automorphism", "verify_inverse_pair",
+    },
+    "cosets": {
+        "ConjClassRep", "DoubleCosetRep", "TupleRep", "block_size", "coset_product",
+        "product_formula_direct", "stability_witness", "star_product", "star_vs_pair_check",
+        "theta", "tuple_product", "witness_left", "witness_right",
+    },
+    "errors": {"DEFAULT_MAX_POINTS", "SizeLimitError", "SupportViolation"},
+    "groups": {"FiniteGroup", "GroupAxiomError", "Subgroup", "builtin_group", "group_from_dict"},
+    "ratmat": {"RationalMatrix"},
+    "repengine": {
+        "ActionMap", "action_map", "compress_to_invariants", "markov_matrix", "projection_matrix",
+        "weak_limit_check",
+    },
+    "verify": {"CheckResult", "run_suites"},
+}
+
+
+def test_public_names_are_each_modules_export_list():
+    names = autcosets.__all__
+    assert len(names) == len(set(names)) == 55
+    assert set(names) == set().union(*PUBLIC.values())
+    star: dict = {}
+    exec("from autcosets import *", star)
+    del star["__builtins__"]
+    assert sorted(star) == sorted(names)
+    for layer, public in PUBLIC.items():
+        module = importlib.import_module(f"autcosets.{layer}")
+        assert sorted(module.__all__) == sorted(public), layer
+        for name in module.__all__:
+            obj = getattr(module, name)
+            assert getattr(autcosets, name) is obj
+            # a class or function is exported by the module that defines it
+            if callable(obj) and not isinstance(obj, types.GenericAlias):
+                assert obj.__module__ == module.__name__, name
 
 
 # --- deferred inverses of composites ---------------------------------------

@@ -353,6 +353,38 @@ def test_bad_integer_inputs_are_named(capsys, monkeypatch, env, u, message):
     assert captured.err == f"error: {message}\n"
 
 
+def _invert(images: str) -> list[str]:
+    return ["invert", "--g", f'{{"images": {{{images}}}, "inverse_images": {{}}}}']
+
+
+NINES = "9" * 5000
+# each echoes outside input of thousands of characters in its message
+LONG_INPUTS = {
+    "word token": ["reduce", "x1 y" + NINES],
+    "generator key": _invert(f'"y{NINES}": []'),
+    "letter": _invert(f'"1": [[{", ".join(["1"] * 3000)}]]'),
+    "string index": _invert(f'"1": [["{"a" * 5000}", 1]]'),
+    "sign": _invert(f'"1": [[1, {NINES[:4000]}]]'),
+    "index below its floor": _invert(f'"1": [[-{NINES[:4000]}, 1]]'),
+    "--u member": ["rep-matrix", "--group", "s3", "--m", "1", "--g", G_JSON, "--u", "0,y" + NINES],
+    "--group name": ["rep-matrix", "--group", "z" * 5000, "--m", "1", "--g", G_JSON],
+    "JSON integer": _invert(f'"1": [[{NINES}, 1]]'),
+    "generator index": _invert(f'"{NINES[:4000]}": 1'),
+    "repeated JSON key": ["invert", "--g", f'{{"y{NINES}": 1, "y{NINES}": 1}}'],
+}
+
+
+@pytest.mark.parametrize("case", LONG_INPUTS)
+def test_long_input_gets_a_short_error(capsys, request, case):
+    if case == "JSON integer":
+        request.getfixturevalue("int_digit_limit")
+    assert main(LONG_INPUTS[case]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert len(captured.err.encode()) <= 120, captured.err
+
+
 @pytest.mark.parametrize(
     "g, message",
     [

@@ -55,7 +55,7 @@ from autcosets.verify import (
     left_witness_absorbs,
     right_witness_absorbs,
 )
-from autcosets.words import _encode, generator_word
+from autcosets.words import _encode
 from coset_oracle import triple_product_disjoint
 
 
@@ -328,7 +328,6 @@ INTEGER_ARGUMENTS = [
     (stability_witness, (1, 1, 1, _G, _H), {"m": 0, "n": 1, "p": 2}, {"m": 0, "n": 0, "p": 0}),
     (is_in_H, (_G, 1), {"m": 1}, {"m": 0}),
     (Automorphism.image, (_G, 1), {"generator index": 1}, {"generator index": 1}),
-    (generator_word, (2,), {"generator index": 0}, {"generator index": 1}),
 ]
 
 

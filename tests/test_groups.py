@@ -21,9 +21,8 @@ from autcosets.groups import (
     Subgroup,
     builtin_group,
     group_from_dict,
-    group_to_dict,
 )
-from eval_oracle import TupleIndex
+from eval_oracle import TupleIndex, group_to_dict
 
 
 def brute_check_axioms(mul, identity):

@@ -38,7 +38,7 @@ from autcosets.automorphisms import (
 )
 from autcosets.cosets import coset_product, theta
 from autcosets.errors import MAX_COORDINATES, SizeLimitError, SupportViolation
-from autcosets.groups import Subgroup, builtin_group, group_from_dict, group_to_dict
+from autcosets.groups import Subgroup, builtin_group, group_from_dict
 from autcosets.ratmat import INT64_MAX, RationalMatrix, int_matmul
 from autcosets.repengine import (
     _coordinate,
@@ -62,7 +62,14 @@ from cylinder_oracle import (
     translate_by_permutation,
 )
 from coset_oracle import triple_product_disjoint
-from eval_oracle import TupleIndex, entries, eval_word, fraction_matrix, scan_int_matmul
+from eval_oracle import (
+    TupleIndex,
+    entries,
+    eval_word,
+    fraction_matrix,
+    group_to_dict,
+    scan_int_matmul,
+)
 
 C2 = builtin_group("c2")
 C3 = builtin_group("c3")
@@ -805,8 +812,6 @@ def test_orbit_cache_keeps_no_group_alive():
 
 
 def test_equal_groups_built_apart_compress_alike():
-    from autcosets.groups import group_from_dict, group_to_dict
-
     again = group_from_dict(group_to_dict(S3))
     assert again is not S3 and again == S3 and hash(again) == hash(S3)
     g = rand_aut(11, 6, max_index=3)

@@ -17,9 +17,7 @@ from autcosets.words import (
     _substitute_codes,
     concat,
     format_word,
-    generator_word,
     invert_word,
-    max_generator,
     parse_word,
     reduce,
     substitute,
@@ -364,11 +362,3 @@ def test_code_words_round_trip(seq):
     assert _decode(code) == w and _encode(_decode(code)) == code
     assert _invert_code(code) == _encode(invert_word(w))
     assert _decode(_invert_code(code)) == invert_word(w)
-
-
-def test_helpers():
-    assert generator_word(4) == ((4, 1),)
-    with pytest.raises(ValueError):
-        generator_word(0)
-    assert max_generator(()) == 0
-    assert max_generator(((3, 1), (7, -1), (2, 1))) == 7
