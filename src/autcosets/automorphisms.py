@@ -460,8 +460,9 @@ def is_in_H(a: Automorphism, m: int) -> bool:
     is an Automorphism."""
     _require_automorphism(a, "is_in_H")
     m = _integer(m, "m", 0)
+    # the moved generators, not 1..m: m may be far larger than the support
     moved = a.fwd._codes
-    return all(i not in moved for i in range(1, m + 1))
+    return not moved or min(moved) > m
 
 
 # move kinds as random_automorphism draws them below 3; kind 2 is x_i -> x_i x_j

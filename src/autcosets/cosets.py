@@ -59,7 +59,7 @@ from .automorphisms import (
     is_in_H,
 )
 from .errors import MAX_BLOCK_SIZE, SupportViolation, check_size
-from .words import Code, _integer, _substitute_codes
+from .words import Code, _int_text, _integer, _substitute_codes
 
 
 # 32 shapes: a pass of each benchmark workload meets at most 19, and a
@@ -119,8 +119,8 @@ def _require_support(layer: str, m: int, n: int, *autos: Automorphism) -> None:
         _require_automorphism(a, layer)
         if a.support_bound() > m + n:
             raise SupportViolation(
-                f"automorphism moves generators above {m + n} "
-                f"(support bound {a.support_bound()})"
+                f"automorphism moves generators above {_int_text(m + n)} "
+                f"(support bound {_int_text(a.support_bound())})"
             )
 
 
@@ -168,9 +168,11 @@ def coset_product(m: int, g: Automorphism, h: Automorphism) -> DoubleCosetRep:
 
 def _block_mapping(m: int, n: int, outer: Endomorphism) -> dict[int, Code]:
     """Code map sending x_j (j <= m) to outer's x_j-image and renaming the
-    y block to the z block; an x_j that outer fixes is left out, as fixed."""
+    y block to the z block; an x_j that outer fixes is left out, as fixed.
+    Only the moved keys <= m are read, in ascending order, so the cost
+    follows the generators outer moves, not m."""
     codes = outer._codes
-    mapping = {i: codes[i] for i in range(1, m + 1) if i in codes}
+    mapping = {i: codes[i] for i in sorted(codes) if i <= m}
     for t in range(m + 1, m + n + 1):
         mapping[t] = (t + n,)
     return mapping
@@ -181,11 +183,14 @@ def _pattern_images(m: int, n: int, outer: Endomorphism, inner: Endomorphism) ->
 
     The inner factor's images on the x and y blocks are rewritten by
     ``_block_mapping``; the z block then receives the outer factor's
-    y-images verbatim.
+    y-images verbatim.  An x_j that neither factor moves is fixed, so the
+    x block visits only the keys <= m that either factor moves, in
+    ascending order: the images keep the keys and order of a walk over
+    1..m, less the fixed ones, which the Endomorphism drops anyway.
     """
     mapping = _block_mapping(m, n, outer)
     images: dict[int, Code] = {}
-    for i in range(1, m + 1):
+    for i in sorted({i for e in (outer, inner) for i in e._codes if i <= m}):
         images[i] = _substitute_codes(mapping, _image_code(inner, i))
     for k in range(m + 1, m + n + 1):
         images[k] = _substitute_codes(mapping, _image_code(inner, k))

@@ -6,6 +6,8 @@ and every refusal reads ``<layer> needs <size> <unit>, over the limit of
 
 __all__ = ["DEFAULT_MAX_POINTS", "SizeLimitError", "SupportViolation"]
 
+from .words import _int_text
+
 # points, or matrix / table cells, one request may build
 DEFAULT_MAX_POINTS = 10_000_000
 # multiply-adds (rows x inner x cols) one exact matrix product may run: a
@@ -37,12 +39,13 @@ def check_size(layer: str, size: int, unit: str, limit: int, exp: int = 1) -> No
     naming ``layer``: the one place a size is compared with its limit.
 
     A power far over the limit is neither built nor printed: the message
-    then writes it as size^exp."""
+    then writes it as size^exp.  Every int is printed by ``_int_text``."""
     # size^exp >= 2^(exp * (bit_length(size) - 1)), which then exceeds limit^2
     if exp > 1 and exp * (size.bit_length() - 1) > 2 * limit.bit_length():
-        shown = f"{size}^{exp}"
+        shown = f"{_int_text(size)}^{_int_text(exp)}"
     else:
         shown = size**exp
         if shown <= limit:
             return
-    raise SizeLimitError(f"{layer} needs {shown} {unit}, over the limit of {limit}")
+        shown = _int_text(shown)
+    raise SizeLimitError(f"{layer} needs {shown} {unit}, over the limit of {_int_text(limit)}")

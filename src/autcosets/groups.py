@@ -12,7 +12,7 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from .errors import DEFAULT_MAX_POINTS, check_size
-from .words import _clip, _integer
+from .words import _clip, _integer, _too_many_digits
 
 
 class GroupAxiomError(ValueError):
@@ -256,7 +256,11 @@ def builtin_group(name: str) -> FiniteGroup:
     key = name.strip().lower()
     digits = key[1:]
     if key[:1] == "c" and digits.isascii() and digits.isdigit():
-        return _cyclic(int(digits))
+        try:
+            order = int(digits)
+        except ValueError:
+            raise ValueError(f"cyclic order in {_clip(name)} has {_too_many_digits(digits)}") from None
+        return _cyclic(order)
     if key in _FIXED_GROUPS:
         return _fixed_group(key)
     raise ValueError(f"unknown builtin group {_clip(name)}")

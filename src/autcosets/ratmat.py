@@ -8,16 +8,19 @@ on its inputs proves that no partial sum can overflow; otherwise it runs on
 an object array of Python ints.  No float ever enters.  A product of more
 than ``errors.MAX_MATMUL_WORK`` multiply-adds is refused before any work.
 
-The bound travels with the matrix: a matrix the library builds carries an
-integer ``_bound`` >= max|num| (not necessarily tight) from what built it --
-a product's is bound_a * bound_b * inner, a Markov matrix's is its row
-total, a compression's is its input's bound times the points summed -- and
-lowest terms divide it by the cancelled gcd.  An operation tries that bound
-first and scans the numerators only when it cannot prove int64, so the
-int64-versus-Python-int choice is the one an exact scan would make.  A
-matrix from outside has no bound until its first use scans one.  A
-compression over a central subgroup, whose orbits are single points, is
-the matrix itself (``repengine.compress_to_invariants``).
+The bound travels with the matrix: every matrix carries an integer
+``_bound`` >= max|num| (not necessarily tight) from what built it -- the
+constructor's is one scan of its input, a product's is bound_a * bound_b *
+inner, a Markov matrix's is its row total, a compression's is its input's
+bound times its column count -- and lowest terms divide it by the cancelled
+gcd.  Only this module chooses between int64 and Python ints: an operation
+tries the bound first and scans the numerators only when it cannot prove
+int64, so the choice is the one an exact scan would make.  ``int_matmul``
+proves a product from its two arrays, and ``_summable`` proves every sum of
+one array's entries, for ``is_doubly_stochastic`` and the orbit sums of
+``_sum_column_groups``.  A compression over a central subgroup, whose
+orbits are single points, is the matrix itself
+(``repengine.compress_to_invariants``).
 """
 
 from __future__ import annotations
@@ -53,6 +56,17 @@ def int_matmul(a: np.ndarray, b: np.ndarray, bound_a: int, bound_b: int) -> np.n
     return a.astype(object) @ b.astype(object)
 
 
+def _summable(arr: np.ndarray, bound: int, terms: int) -> np.ndarray:
+    """``arr``, as Python ints unless int64 holds every sum of ``terms`` of
+    its entries, given an int ``bound`` >= max|arr|.
+
+    Such a sum stays in int64 when max|arr| * terms <= 2^63 - 1: the bound
+    is tried first, and the array is scanned only when it cannot prove it."""
+    if arr.dtype == object or bound * terms <= INT64_MAX or _absmax(arr) * terms <= INT64_MAX:
+        return arr
+    return arr.astype(object)
+
+
 class _FractionStrings(dict):
     """str(Fraction(p, den)) for numerators p, formatted on first lookup."""
 
@@ -69,19 +83,6 @@ class _FractionStrings(dict):
         return text
 
 
-def _over_common_denominator(arr: np.ndarray, den: int) -> tuple[np.ndarray, int]:
-    """Python-int numerators and denominator of arr / den, for an object
-    array of ints, numpy integers and Fractions."""
-    parts = []
-    for x in arr.flat:
-        if isinstance(x, bool) or not isinstance(x, numbers.Rational):
-            raise TypeError(f"matrix entries must be integers or Fractions, got {type(x).__name__}")
-        parts.append((int(x), 1) if isinstance(x, numbers.Integral) else (x.numerator, x.denominator))
-    scale = math.lcm(*(q for _, q in parts))
-    num = np.array([p * (scale // q) for p, q in parts], dtype=object)
-    return num.reshape(arr.shape), den * scale
-
-
 class RationalMatrix:
     """Immutable matrix of exact rationals supporting exact product and
     equality: ``RationalMatrix(num, den)`` is num / den for a non-empty 2-D
@@ -92,36 +93,35 @@ class RationalMatrix:
     __slots__ = ("rows", "cols", "num", "den", "_bound")
 
     def __init__(self, num, den: int = 1):
-        # nested lists stay Python objects, so a bool or float among ints
-        # is seen before numpy would convert it
-        arr = np.array(num) if isinstance(num, np.ndarray) else np.array(num, dtype=object)
+        # every input becomes one array of Python objects, so an ndarray's
+        # integers are Python ints and a bool, float or string is refused by
+        # its type; the entries are brought over one common denominator, and
+        # _set narrows the numerators to int64 when every one fits
+        arr = np.array(num, dtype=object)
         den = _integer(den, "denominator", 1)
         if arr.ndim != 2 or 0 in arr.shape:
             raise ValueError(f"numerators must be a non-empty 2-D array, got shape {arr.shape}")
-        if arr.dtype == object:
-            if not all(type(x) is int for x in arr.flat):
-                arr, den = _over_common_denominator(arr, den)
-        elif arr.dtype.kind not in "iu":
-            raise TypeError(f"numerators must be integers, got dtype {arr.dtype}")
-        elif arr.dtype == np.uint64 or (arr.dtype == np.int64 and arr.min() == -INT64_MAX - 1):
-            arr = arr.astype(object)
-        else:
-            arr = arr.astype(np.int64)
-        self._set(arr, den)
+        parts = []
+        for x in arr.flat:
+            if isinstance(x, bool) or not isinstance(x, numbers.Rational):
+                raise TypeError(f"matrix entries must be integers or Fractions, got {type(x).__name__}")
+            parts.append((int(x), 1) if isinstance(x, numbers.Integral) else (x.numerator, x.denominator))
+        scale = math.lcm(*(q for _, q in parts))
+        num = np.array([p * (scale // q) for p, q in parts], dtype=object).reshape(arr.shape)
+        self._set(num, den * scale, _absmax(num))
 
-    def _set(self, num: np.ndarray, den: int, bound: int | None = None) -> None:
+    def _set(self, num: np.ndarray, den: int, bound: int) -> None:
         """Store num/den in lowest terms and the narrowest exact dtype, with
-        ``bound`` >= max|num| (None: unknown) divided by the cancelled gcd."""
+        the int ``bound`` >= max|num| divided by the cancelled gcd."""
         if den != 1:
             g = math.gcd(den, int(np.gcd.reduce(num.ravel())))
             if g != 1:
                 num = num // g
                 den //= g
-                if bound is not None:
-                    bound //= g
+                bound //= g
         if num.dtype == object:
             # int64 when every entry has |x| <= INT64_MAX, else Python ints
-            if bound is None or bound > INT64_MAX:
+            if bound > INT64_MAX:
                 bound = _absmax(num)
             if bound <= INT64_MAX:
                 num = num.astype(np.int64)
@@ -132,23 +132,15 @@ class RationalMatrix:
         self.rows, self.cols = num.shape
 
     @classmethod
-    def _exact(cls, num: np.ndarray, den: int, bound: int | None = None) -> "RationalMatrix":
+    def _exact(cls, num: np.ndarray, den: int, bound: int) -> "RationalMatrix":
         """num / den from integer parts the library built itself: a fresh
         non-empty 2-D int64 array with no entry -2^63, or an object array of
-        Python ints, an int den >= 1 and, if known, an int ``bound`` >=
-        max|num|.  It skips the constructor's checks and copies, which are
-        for outside input; ``num`` is taken, not copied, and made read-only."""
+        Python ints, an int den >= 1 and an int ``bound`` >= max|num|.  It
+        skips the constructor's checks and copies, which are for outside
+        input; ``num`` is taken, not copied, and made read-only."""
         out = cls.__new__(cls)
         out._set(num, den, bound)
         return out
-
-    def _abs_bound(self) -> int:
-        """An int >= max|num|: the bound the matrix was built with, or a
-        scan of the numerators, stored on first use."""
-        bound = self._bound
-        if bound is None:
-            bound = self._bound = _absmax(self.num)
-        return bound
 
     @property
     def data(self) -> tuple[tuple, ...]:
@@ -170,9 +162,8 @@ class RationalMatrix:
             raise ValueError(f"shape mismatch: {self.rows}x{self.cols} @ {other.rows}x{other.cols}")
         layer = f"matmul {self.rows}x{self.cols} @ {other.rows}x{other.cols}"
         check_size(layer, self.rows * self.cols * other.cols, "multiply-adds", MAX_MATMUL_WORK)
-        bound_a, bound_b = self._abs_bound(), other._abs_bound()
-        num = int_matmul(self.num, other.num, bound_a, bound_b)
-        return RationalMatrix._exact(num, self.den * other.den, bound_a * bound_b * self.cols)
+        num = int_matmul(self.num, other.num, self._bound, other._bound)
+        return RationalMatrix._exact(num, self.den * other.den, self._bound * other._bound * self.cols)
 
     def __eq__(self, other):
         if not isinstance(other, RationalMatrix):
@@ -186,20 +177,23 @@ class RationalMatrix:
 
     def is_doubly_stochastic(self) -> bool:
         """Square, entrywise non-negative, every row and column summing to 1."""
-        if self.rows != self.cols:
+        if self.rows != self.cols or self.num.min() < 0:
             return False
-        num = self.num
-        if num.min() < 0:
-            return False
-        # a sum of cols entries in [0, max] stays in int64 when max * cols
-        # does; entries are non-negative, so the largest is the largest |x|
-        cols = self.cols
-        if num.dtype != object and self._abs_bound() * cols > INT64_MAX:
-            if int(num.max()) * cols > INT64_MAX:
-                num = num.astype(object)
+        num = _summable(self.num, self._bound, self.cols)
         # Python-int lists compare exactly against a den of any size
-        ones = [self.den] * cols
+        ones = [self.den] * self.cols
         return num.sum(axis=1).tolist() == ones and num.sum(axis=0).tolist() == ones
+
+    def _sum_column_groups(self, rows: np.ndarray, order: np.ndarray, starts: np.ndarray):
+        """The matrix over the same denominator whose entry [s][t] sums row
+        ``rows[s]`` over the columns ``order[starts[t]:starts[t + 1]]`` (the
+        last group runs to the end of ``order``), by ``np.add.reduceat``.
+
+        A sum has at most ``cols`` terms, so ``_summable`` proves it and the
+        result's bound is this matrix's bound times ``cols``."""
+        bound, cols = self._bound, self.cols
+        block = _summable(self.num[rows[:, None], order], bound, cols)
+        return RationalMatrix._exact(np.add.reduceat(block, starts, axis=1), self.den, bound * cols)
 
     def to_strings(self) -> list[list[str]]:
         """Entries in lowest terms as 'p/q' (or 'p') strings, row by row.

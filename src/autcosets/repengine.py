@@ -46,18 +46,20 @@ from .automorphisms import Automorphism, _image_code, _require_automorphism
 from .cosets import _block_swap
 from .errors import DEFAULT_MAX_POINTS, MAX_COORDINATES, SupportViolation, check_size
 from .groups import FiniteGroup, Subgroup, _greedy_generators
-from .ratmat import INT64_MAX, RationalMatrix, _absmax
-from .words import Code, _integer
+from .ratmat import RationalMatrix
+from .words import Code, _int_text, _integer
 
 
-def _check_budget(max_points, layer: str, n: int, exp: int, cells: bool = False) -> None:
-    """Refuse n^exp points, or with ``cells`` an n^exp x n^exp matrix, over
-    the point budget (DEFAULT_MAX_POINTS unless ``max_points`` is given),
-    and then exp over MAX_COORDINATES.  A matrix's n^(2 exp) cells bound
-    its n^exp points too, so a charge for its cells needs no points charge."""
+def _check_budget(max_points, what: str, K: FiniteGroup, exp: int, cells: bool = False) -> None:
+    """Refuse n^exp points of K^exp, or with ``cells`` an n^exp x n^exp
+    matrix, over the point budget (DEFAULT_MAX_POINTS unless ``max_points``
+    is given), and then exp over MAX_COORDINATES, for the layer named
+    ``<what> <K>^<exp>``.  A matrix's n^(2 exp) cells bound its n^exp
+    points too, so a charge for its cells needs no points charge."""
     budget = DEFAULT_MAX_POINTS if max_points is None else _integer(max_points, "max_points", 1)
+    layer = f"{what} {K.name}^{_int_text(exp)}"
     unit, total = ("cells", 2 * exp) if cells else ("points", exp)
-    check_size(layer, n, unit, budget, total)
+    check_size(layer, K.order, unit, budget, total)
     # under a budget below 2^MAX_COORDINATES, only order 1 passes with exp over it
     check_size(layer, exp, "coordinates", MAX_COORDINATES)
 
@@ -176,10 +178,11 @@ def action_map(K: FiniteGroup, g: Automorphism, n_coords: int, max_points=None) 
     n_coords = _integer(n_coords, "n_coords", 0)
     if g.support_bound() > n_coords:
         raise SupportViolation(
-            f"automorphism moves x{g.support_bound()} but points have {n_coords} coordinates"
+            f"automorphism moves x{_int_text(g.support_bound())} but points have "
+            f"{_int_text(n_coords)} coordinates"
         )
     n = K.order
-    _check_budget(max_points, f"action on {K.name}^{n_coords}", n, n_coords)
+    _check_budget(max_points, "action on", K, n_coords)
     code = _grid_code(K, [_image_code(g.fwd, i) for i in range(1, n_coords + 1)], n_coords)
     table = _full_table(code, n, n_coords)
     # n^N codes in 0..n^N-1 form a bijection exactly when every point is hit
@@ -215,10 +218,12 @@ def markov_matrix(
     bound = max(g.support_bound(), m)
     n_coords = bound if truncation is None else _integer(truncation, "truncation")
     if n_coords < bound:
-        raise SupportViolation(f"truncation {truncation} is below the required bound {bound}")
+        raise SupportViolation(
+            f"truncation {_int_text(n_coords)} is below the required bound {_int_text(bound)}"
+        )
     n = K.order
-    _check_budget(max_points, f"averaging over {K.name}^{n_coords}", n, n_coords)
-    _check_budget(max_points, f"markov_matrix on {K.name}^{m}", n, m, cells=True)
+    _check_budget(max_points, "averaging over", K, n_coords)
+    _check_budget(max_points, "markov_matrix on", K, m, cells=True)
     dim = n ** m
     # the row of a point is the code of its first m coordinates
     images = [_image_code(g.fwd, i) for i in range(1, m + 1)]
@@ -237,7 +242,7 @@ def projection_matrix(K: FiniteGroup, m: int, n_coords: int, max_points=None) ->
     if n_coords < m:
         raise ValueError("need 0 <= m <= n_coords")
     n = K.order
-    _check_budget(max_points, f"projection_matrix on {K.name}^{n_coords}", n, n_coords, cells=True)
+    _check_budget(max_points, "projection_matrix on", K, n_coords, cells=True)
     npts = n ** n_coords
     head = np.arange(npts, dtype=np.int64) % n ** m
     same_head = (head[:, None] == head[None, :]).astype(np.int64)
@@ -320,7 +325,8 @@ def compress_to_invariants(K: FiniteGroup, u, m: int, matrix: RationalMatrix, ma
 
     Commuting means M[u.a][u.b] = M[a][b], so every row of orbit_s has the same
     sum over orbit_t: C[s][t] is that sum in the row of orbit_s's smallest
-    point, taken by ``np.add.reduceat`` over the columns grouped by orbit.
+    point, summed over the columns grouped by orbit by
+    ``RationalMatrix._sum_column_groups``, which keeps the sums exact.
     When U is central in K (trivial, say, or K abelian), or m = 0, every
     orbit is a single point, the fixed vectors are the whole space, and the
     matrix itself is returned once the checks above have passed.
@@ -329,7 +335,7 @@ def compress_to_invariants(K: FiniteGroup, u, m: int, matrix: RationalMatrix, ma
         raise ValueError(f"subgroup of {u.parent.name} does not act on {K.name}")
     members = u.members if isinstance(u, Subgroup) else Subgroup(K, u).members
     m = _integer(m, "m", 0)
-    _check_budget(max_points, f"compress_to_invariants on {K.name}^{m}", K.order, m, cells=True)
+    _check_budget(max_points, "compress_to_invariants on", K, m, cells=True)
     dim = K.order ** m
     if not (matrix.rows == dim and matrix.cols == dim):
         raise ValueError(f"matrix must be {dim}x{dim} for m={m}, got {matrix.rows}x{matrix.cols}")
@@ -341,14 +347,7 @@ def compress_to_invariants(K: FiniteGroup, u, m: int, matrix: RationalMatrix, ma
             raise ValueError(f"matrix does not commute with conjugation by element {elem}")
     if len(reps) == dim:
         return matrix
-    block = num[reps[:, None], order]
-    # a sum of at most dim entries stays in int64 when max|x| * dim does
-    bound = matrix._abs_bound()
-    if block.dtype != object and bound * dim > INT64_MAX:
-        bound = _absmax(block)
-        if bound * dim > INT64_MAX:
-            block = block.astype(object)
-    return RationalMatrix._exact(np.add.reduceat(block, starts, axis=1), matrix.den, bound * dim)
+    return matrix._sum_column_groups(reps, order, starts)
 
 
 def weak_limit_check(K: FiniteGroup, m: int, m_cyl: int, j: int, max_points=None) -> bool:
@@ -370,10 +369,9 @@ def weak_limit_check(K: FiniteGroup, m: int, m_cyl: int, j: int, max_points=None
     output cells.
     """
     m, m_cyl, j = _integer(m, "m", 0), _integer(m_cyl, "m_cyl", 0), _integer(j, "j", 0)
-    n = K.order
     level = m + m_cyl
     n_coords = m + j + m_cyl
-    _check_budget(max_points, f"weak limit over {K.name}^{n_coords}", n, n_coords)
+    _check_budget(max_points, "weak limit over", K, n_coords)
     swap = _block_swap(m, min(j, m_cyl), j)
     lhs = markov_matrix(K, swap, level, truncation=n_coords, max_points=max_points)
     return lhs == projection_matrix(K, m, level, max_points=max_points)

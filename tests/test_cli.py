@@ -368,6 +368,7 @@ LONG_INPUTS = {
     "index below its floor": _invert(f'"1": [[-{NINES[:4000]}, 1]]'),
     "--u member": ["rep-matrix", "--group", "s3", "--m", "1", "--g", G_JSON, "--u", "0,y" + NINES],
     "--group name": ["rep-matrix", "--group", "z" * 5000, "--m", "1", "--g", G_JSON],
+    "--group cyclic order": ["rep-matrix", "--group", "c" + NINES, "--m", "1", "--g", G_JSON],
     "JSON integer": _invert(f'"1": [[{NINES}, 1]]'),
     "generator index": _invert(f'"{NINES[:4000]}": 1'),
     "repeated JSON key": ["invert", "--g", f'{{"y{NINES}": 1, "y{NINES}": 1}}'],
@@ -376,7 +377,7 @@ LONG_INPUTS = {
 
 @pytest.mark.parametrize("case", LONG_INPUTS)
 def test_long_input_gets_a_short_error(capsys, request, case):
-    if case == "JSON integer":
+    if case in ("JSON integer", "--group cyclic order"):
         request.getfixturevalue("int_digit_limit")
     assert main(LONG_INPUTS[case]) == 1
     captured = capsys.readouterr()

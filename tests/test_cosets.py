@@ -194,6 +194,23 @@ def test_direct_formula_matches_composition_path(m, s1, l1, s2, l2):
     assert product_formula_direct(m, prod.block, g, h) == prod.rep
 
 
+@given(seed_st, len_st)
+def test_base_block_loops_follow_the_moved_generators_not_m(seed, length):
+    """For maps supported below x3, is_in_H and the direct formula (n = 0)
+    at a base block of 10^9 or 10^5000 generators return at once with the
+    result at m = 3: the same images, keyed in ascending order."""
+    g, h = rand_aut(seed, length, max_index=3), rand_aut(seed + 1, length, max_index=3)
+    for k in range(5):
+        assert is_in_H(g, k) == all(g.fwd.image(i) == ((i, 1),) for i in range(1, k + 1))
+    want = product_formula_direct(3, 0, g, h)
+    for m in (10**9, 10**5000):
+        assert is_in_H(g, m) == is_in_H(g, 3)
+        got = product_formula_direct(m, 0, g, h)
+        assert got == want and got == compose(g, h)
+        for got_map, want_map in ((got.fwd, want.fwd), (got.inv, want.inv)):
+            assert list(got_map._codes) == list(want_map._codes) == sorted(want_map._codes)
+
+
 def test_direct_formula_rejects_support_overflow():
     g = rand_aut(0, 6, max_index=5)  # support up to 5
     with pytest.raises(SupportViolation):

@@ -12,8 +12,19 @@ import pytest
 
 import autcosets
 from autcosets import ratmat
-from autcosets.automorphisms import identity_automorphism, nielsen_swap, random_automorphism
-from autcosets.cosets import MAX_BLOCK_SIZE, coset_product, stability_witness, theta
+from autcosets.automorphisms import (
+    automorphism_from_dict,
+    identity_automorphism,
+    nielsen_swap,
+    random_automorphism,
+)
+from autcosets.cosets import (
+    MAX_BLOCK_SIZE,
+    coset_product,
+    product_formula_direct,
+    stability_witness,
+    theta,
+)
 from autcosets.errors import SizeLimitError, check_size
 from autcosets.groups import Subgroup, builtin_group, group_from_dict
 from autcosets.ratmat import RationalMatrix
@@ -24,6 +35,7 @@ from autcosets.repengine import (
     projection_matrix,
     weak_limit_check,
 )
+from autcosets.words import _clip, _int_text
 
 SHAPE = re.compile(r"\S.* needs (\d+|\d+\^\d+) [a-z -]+, over the limit of \d+")
 
@@ -138,3 +150,112 @@ def test_size_limit_errors_are_raised_in_errors_only():
     raising = sorted(p.name for p in package.glob("*.py") if "SizeLimitError(" in p.read_text())
     assert raising == ["errors.py"]
     assert not hasattr(autcosets, "check_size") and "check_size" not in autcosets.__all__
+
+
+# --- ints past the interpreter's digit limit ----------------------------------
+
+BIG = 10**5000  # 5001 digits, over the default limit of 4300
+
+HUGE_INT_PROBES = {
+    "reduce sign": (
+        lambda: autcosets.reduce([(1, BIG)]),
+        "letter sign must be +1 or -1, got <5001-digit int>",
+    ),
+    "reduce index": (
+        lambda: autcosets.reduce([(-BIG, 1)]),
+        "generator index must be >= 1, got -<5001-digit int>",
+    ),
+    "theta j": (
+        lambda: theta(0, BIG),
+        "block swap theta needs <5001-digit int> generators per block, over the limit of 10000",
+    ),
+    "theta m": (lambda: theta(-BIG, 1), "m must be >= 0, got -<5001-digit int>"),
+    "markov_matrix m": (
+        lambda: markov_matrix(C2, E, BIG),
+        "averaging over c2^<5001-digit int> needs 2^<5001-digit int> points, "
+        "over the limit of 10000000",
+    ),
+    "markov_matrix truncation": (
+        lambda: markov_matrix(C2, E, 1, truncation=BIG),
+        "averaging over c2^<5001-digit int> needs 2^<5001-digit int> points, "
+        "over the limit of 10000000",
+    ),
+    "markov_matrix negative truncation": (
+        lambda: markov_matrix(C2, E, 1, truncation=-BIG),
+        "truncation -<5001-digit int> is below the required bound 1",
+    ),
+    "action_map": (
+        lambda: action_map(C2, E, BIG),
+        "action on c2^<5001-digit int> needs 2^<5001-digit int> points, "
+        "over the limit of 10000000",
+    ),
+    "projection_matrix": (
+        lambda: projection_matrix(C2, 0, BIG),
+        "projection_matrix on c2^<5001-digit int> needs 2^<5001-digit int> cells, "
+        "over the limit of 10000000",
+    ),
+    "weak_limit_check": (
+        lambda: weak_limit_check(C2, 0, 1, BIG),
+        "weak limit over c2^<5001-digit int> needs 2^<5001-digit int> points, "
+        "over the limit of 10000000",
+    ),
+    "check_size": (
+        lambda: check_size("x", BIG, "u", 10),
+        "x needs <5001-digit int> u, over the limit of 10",
+    ),
+    "check_size exp 2": (
+        lambda: check_size("x", BIG, "u", 10, 2),
+        "x needs <5001-digit int>^2 u, over the limit of 10",
+    ),
+    "check_size huge limit": (
+        lambda: check_size("x", 2, "u", BIG, 10**6),
+        "x needs 2^1000000 u, over the limit of <5001-digit int>",
+    ),
+    "action_map support": (
+        lambda: action_map(C2, nielsen_swap(1, BIG), 1),
+        "automorphism moves x<5001-digit int> but points have 1 coordinates",
+    ),
+    "markov_matrix support": (
+        lambda: markov_matrix(C2, nielsen_swap(1, BIG), 1, truncation=2),
+        "truncation 2 is below the required bound <5001-digit int>",
+    ),
+    "product_formula_direct support": (
+        lambda: product_formula_direct(1, 0, nielsen_swap(1, BIG), E),
+        "automorphism moves generators above 1 (support bound <5001-digit int>)",
+    ),
+    "coset_product block size": (
+        lambda: coset_product(1, nielsen_swap(1, BIG), E),
+        "block size of the coset product needs <5000-digit int> generators per block, "
+        "over the limit of 10000",
+    ),
+    "order-1 coordinates": (
+        lambda: markov_matrix(C1, E, BIG),
+        "averaging over c1^<5001-digit int> needs <5001-digit int> coordinates, "
+        "over the limit of 10000",
+    ),
+}
+
+
+@pytest.mark.parametrize("probe", HUGE_INT_PROBES)
+def test_an_int_past_the_digit_limit_is_named_by_its_size(int_digit_limit, probe):
+    build, message = HUGE_INT_PROBES[probe]
+    with pytest.raises(ValueError) as exc:
+        build()
+    assert str(exc.value) == message
+    assert "-digit int>" in message and len(message) < 120
+
+
+def test_int_text_is_str_within_the_limit_and_counts_digits_past_it(int_digit_limit):
+    limit = int_digit_limit
+    for n in (0, 7, -7, 10**30, -(10**30), 10**limit - 1, -(10**limit - 1)):
+        assert _int_text(n) == str(n)
+    # the digit count is exact at every power of ten around the limit
+    for k in range(limit + 1, limit + 40):
+        assert _int_text(10 ** (k - 1)) == f"<{k}-digit int>"
+        assert _int_text(10**k - 1) == f"<{k}-digit int>"
+        assert _int_text(-(10**k - 1)) == f"-<{k}-digit int>"
+    # a value whose repr meets such an int is named by its type
+    assert _clip([BIG, 1, 1]) == "<list with a long int>"
+    with pytest.raises(ValueError, match=r"^bad letter <list with a long int> in image of x1$"):
+        automorphism_from_dict({"images": {"1": [[BIG, 1, 1]]}, "inverse_images": {}})
+    assert _clip(BIG) == "<5001-digit int>" and _clip(2**100) == "126765060022822940149670..."

@@ -133,6 +133,16 @@ def test_builtin_cyclic_order_takes_ascii_digits_only(name):
     assert str(exc.value) == f"unknown builtin group {name!r}"
 
 
+def test_builtin_cyclic_order_over_the_digit_limit_is_named(int_digit_limit):
+    digits = "9" * (int_digit_limit + 700)
+    with pytest.raises(ValueError) as exc:
+        builtin_group("c" + digits)
+    assert str(exc.value) == (
+        f"cyclic order in 'c99999999999999999999999'... has {len(digits)} digits, "
+        f"over the limit of {int_digit_limit}"
+    )
+
+
 def test_cyclic_builtins_are_cheap_and_bounded():
     start = time.perf_counter()
     assert builtin_group("c800").order == 800

@@ -3,6 +3,7 @@ the Fraction entries of ``eval_oracle.entries``."""
 
 from __future__ import annotations
 
+import math
 import subprocess
 import sys
 import warnings
@@ -114,7 +115,7 @@ def test_matmul_work_over_the_limit_is_refused_before_any_work(monkeypatch):
     # each factor's 3162^2 cells fit the point budget; their product does not
     # fit the work limit.  Broadcast views keep the test from allocating them.
     side = 3162
-    ones = RationalMatrix._exact(np.broadcast_to(np.int64(1), (side, side)), 1)
+    ones = RationalMatrix._exact(np.broadcast_to(np.int64(1), (side, side)), 1, 1)
     with pytest.raises(SizeLimitError) as exc:
         ones @ ones
     assert str(exc.value) == (
@@ -143,14 +144,14 @@ def object_numerators(M: RationalMatrix) -> RationalMatrix:
     keeps for numerators that fit in int64."""
     out = RationalMatrix.__new__(RationalMatrix)
     out.num, out.den, out.rows, out.cols = M.num.astype(object), M.den, M.rows, M.cols
-    out._bound = None
+    out._bound = M._bound
     return out
 
 
-def test_a_matrix_without_a_bound_is_scanned_on_first_use():
+def test_a_matrix_gets_its_bound_from_one_scan_at_construction():
     bare = object_numerators(RationalMatrix([[1, -(2**40), 3], [4, 5, 6]]))
     prod = bare @ RationalMatrix([[1], [1], [1]])
-    assert bare._abs_bound() == 2**40
+    assert bare._bound == 2**40
     # the carried 2^40 * 1 * 3 proves the Python-int product fits int64
     assert prod == RationalMatrix([[4 - 2**40], [15]]) and prod.num.dtype == np.int64
     assert prod._bound == 3 * 2**40
@@ -290,6 +291,34 @@ def test_canonical_form():
         assert other.den == first.den and other.num.dtype == np.int64
     zero = RationalMatrix([[0, 0]], 9)
     assert zero.den == 1 and zero == RationalMatrix([[0, 0]])
+
+
+EXTREMES = (-(2**63), 2**63 - 1, 2**64 - 1)
+
+
+@pytest.mark.parametrize(
+    "dtype",
+    [np.int8, np.int16, np.int32, np.int64, np.uint8, np.uint16, np.uint32, np.uint64, object],
+)
+def test_constructor_dtype_rule(dtype):
+    """Numerators of any integer dtype, and Python ints, are int64 exactly
+    when every |x| fits, hold the nested-list matrix, and carry a bound."""
+    if dtype is object:
+        lo, hi = min(EXTREMES), max(EXTREMES)
+    else:
+        lo, hi = int(np.iinfo(dtype).min), int(np.iinfo(dtype).max)
+    extremes = sorted({lo, hi} | {x for x in EXTREMES if lo <= x <= hi})
+    cases = [[[x, 1], [0, 2]] for x in extremes]
+    cases += [[extremes, [0] * len(extremes)], [[1, 2], [0, 3]]]
+    for rows in cases:
+        for den in (1, 6):
+            M = RationalMatrix(np.array(rows, dtype=dtype), den)
+            assert M == RationalMatrix(rows, den)
+            g = math.gcd(den, *(x for row in rows for x in row))
+            assert M.den == den // g and M.num.tolist() == [[x // g for x in row] for row in rows]
+            top = max(abs(x) // g for row in rows for x in row)
+            assert M.num.dtype == (np.int64 if top <= 2**63 - 1 else object)
+            assert M._bound >= top
 
 
 def test_numerators_are_never_floats():

@@ -1112,12 +1112,10 @@ def test_matrix_laws_fail_on_a_wrong_product():
 
 # --- carried int64 bounds -------------------------------------------------
 
-def assert_bound_holds(M, carried=True):
-    """M's bound is an int >= max|num|; a matrix the library built carries
-    it from what built it, one from outside has it scanned on first use."""
-    if carried:
-        assert M._bound is not None
-    bound = M._abs_bound()
+def assert_bound_holds(M):
+    """M's bound is an int >= max|num|: a matrix the library built carries
+    it from what built it, one from outside from a scan at construction."""
+    bound = M._bound
     assert type(bound) is int and bound >= int(np.abs(M.num).max())
 
 
@@ -1125,7 +1123,7 @@ def assert_product_matches_scan(a, b):
     """The product's values and dtype are those of a product that scans both
     factors for its int64 bound, before and after lowest terms."""
     want = scan_int_matmul(a.num, b.num)
-    got = int_matmul(a.num, b.num, a._abs_bound(), b._abs_bound())
+    got = int_matmul(a.num, b.num, a._bound, b._bound)
     assert got.dtype == want.dtype and np.array_equal(got, want)
     prod = a @ b
     ref = RationalMatrix(want, a.den * b.den)
@@ -1160,12 +1158,12 @@ big_int_st = st.one_of(st.integers(-9, 9), st.integers(-(2**70), 2**70))
     st.lists(st.lists(big_int_st, min_size=2, max_size=2), min_size=3, max_size=3),
     st.integers(1, 2**65),
 )
-def test_constructed_matrices_get_a_bound_on_first_use(rows_a, rows_b, den):
+def test_constructed_matrices_get_a_bound_at_construction(rows_a, rows_b, den):
     a = RationalMatrix(rows_a, den)
     b = RationalMatrix(np.array(rows_b, dtype=object))
     small = RationalMatrix(np.array([[x % 7 for x in row] for row in rows_b], dtype=np.int64))
     for M in (a, b, small):
-        assert_bound_holds(M, carried=False)
+        assert_bound_holds(M)
     for x, y in ((a, b), (a, small)):
         assert_bound_holds(assert_product_matches_scan(x, y))
 
