@@ -159,12 +159,14 @@ class Endomorphism:
         return hash(frozenset(self._codes.items()))
 
     def __repr__(self):
-        if not self._codes:
-            return "Endomorphism(identity)"
-        body = ", ".join(
-            f"x{k} -> {format_word(_decode(w)) or '1'}" for k, w in sorted(self._codes.items())
-        )
-        return f"Endomorphism({body})"
+        return f"Endomorphism({', '.join(_image_lines(self)) or 'identity'})"
+
+
+def _image_lines(e: Endomorphism) -> list[str]:
+    """The text form of a map: ``x<k> -> <word>`` for each generator ``e``
+    moves, in ascending order, an empty image written ``1``.  ``repr``
+    joins the lines with commas and the CLI's ``--text`` with newlines."""
+    return [f"x{k} -> {format_word(_decode(w)) or '1'}" for k, w in sorted(e._codes.items())]
 
 
 def _endomorphism(codes: dict[int, Code]) -> Endomorphism:
@@ -575,7 +577,9 @@ def _endo_to_dict(e: Endomorphism) -> dict:
 
 def automorphism_to_dict(a: Automorphism) -> dict:
     """JSON-ready form: {"images": {...}, "inverse_images": {...}} with
-    letter lists [index, sign] and string generator keys."""
+    letter lists [index, sign] and string generator keys.  Raises
+    TypeError unless ``a`` is an Automorphism."""
+    _require_automorphism(a, "automorphism_to_dict")
     return {"images": _endo_to_dict(a.fwd), "inverse_images": _endo_to_dict(a.inv)}
 
 

@@ -26,6 +26,7 @@ import os
 import sys
 
 from .automorphisms import (
+    _image_lines,
     automorphism_from_dict,
     automorphism_to_dict,
     compose,
@@ -115,10 +116,7 @@ def _emit(args, doc, text) -> int:
 
 
 def _auto_text(a) -> str:
-    images = a.fwd.images
-    if not images:
-        return "identity"
-    return "\n".join(f"x{k} -> {format_word(w)}" for k, w in sorted(images.items()))
+    return "\n".join(_image_lines(a.fwd)) or "identity"
 
 
 def _matrix_text(rows: list[list[str]]) -> str:
@@ -164,26 +162,49 @@ def _resolve_max_points(args):
     if args.max_points is not None:
         return args.max_points
     env = os.environ.get("COSET_MAX_POINTS")
-    return _parse_int(env, "COSET_MAX_POINTS must be an integer") if env else None
+    if not env:
+        return None
+    return _parse_int(env, "COSET_MAX_POINTS", "COSET_MAX_POINTS must be an integer, got ")
 
 
-def _parse_int(text: str, what: str) -> int:
-    """``int(text)``, refusing anything else with ``what`` and the text."""
+def _parse_int(text: str, name: str, refusal: str) -> int:
+    """``int(text)`` for an integer read from the command line or the
+    environment, the one reader of them.  Text that is no integer is
+    refused by ``refusal`` followed by the text cut by ``_clip``; an
+    integer with more digits than the interpreter converts, by ``name``
+    and its digit count against the limit."""
     try:
         return int(text)
     except ValueError:
-        raise ValueError(f"{what}, got {_clip(text)}") from None
+        digits = text.strip()
+        digits = digits[1:] if digits[:1] in ("+", "-") else digits
+        if digits.isascii() and digits.isdigit():
+            raise ValueError(f"{name} has {_too_many_digits(digits)}") from None
+        raise ValueError(f"{refusal}{_clip(text)}") from None
+
+
+def _int_option(text: str) -> int:
+    """The ``type`` of every integer option: ``int`` with the message
+    ``type=int`` gives, but the echo cut by ``_clip`` and an integer past
+    the digit limit named by its digit count."""
+    try:
+        return _parse_int(text, "value", "invalid int value: ")
+    except ValueError as err:
+        raise argparse.ArgumentTypeError(str(err)) from None
 
 
 def _cmd_rep_matrix(args) -> int:
     group = _load_group(args.group)
     g = _load_automorphism(args.g)
     max_points = _resolve_max_points(args)
+    # the members are read before the matrix, which may take long to build
+    members = None if args.u is None else [
+        _parse_int(x.strip(), "--u member", "--u must list integers, got ")
+        for x in args.u.split(",")
+        if x.strip()
+    ]
     matrix = markov_matrix(group, g, args.m, truncation=args.truncation, max_points=max_points)
-    if args.u is not None:
-        members = [
-            _parse_int(x.strip(), "--u must list integers") for x in args.u.split(",") if x.strip()
-        ]
+    if members is not None:
         matrix = compress_to_invariants(
             group, Subgroup(group, members), args.m, matrix, max_points=max_points
         )
@@ -225,24 +246,28 @@ def build_parser() -> argparse.ArgumentParser:
 
     for name in ("coset-product", "star-product"):
         p = sub.add_parser(name, help=f"{name.replace('-', ' ')} of two automorphisms")
-        p.add_argument("--m", type=int, required=True, help="size of the fixed base block")
+        p.add_argument("--m", type=_int_option, required=True, help="size of the fixed base block")
         p.add_argument("--g", required=True)
         p.add_argument("--h", required=True)
         p.set_defaults(func=_cmd_pair_product)
 
     p = sub.add_parser("tuple-product", help="coordinatewise product of automorphism tuples")
-    p.add_argument("--m", type=int, required=True)
+    p.add_argument("--m", type=_int_option, required=True)
     p.add_argument("--gs", required=True, help="JSON array of automorphisms: path, inline, or -")
     p.add_argument("--hs", required=True)
     p.set_defaults(func=_cmd_tuple_product)
 
     p = sub.add_parser("rep-matrix", help="exact averaged-action matrix over a finite group")
     p.add_argument("--group", required=True, help="builtin name (c<n>, s3, d8, q8) or group JSON")
-    p.add_argument("--m", type=int, required=True, help="number of retained coordinates")
+    p.add_argument("--m", type=_int_option, required=True, help="number of retained coordinates")
     p.add_argument("--g", required=True)
     p.add_argument("--u", help="comma-separated subgroup elements; compress onto orbit averages")
-    p.add_argument("--truncation", type=int, help="evaluate over K^truncation instead of the minimum")
-    p.add_argument("--max-points", type=int, dest="max_points", help="enumeration budget override")
+    p.add_argument(
+        "--truncation", type=_int_option, help="evaluate over K^truncation instead of the minimum"
+    )
+    p.add_argument(
+        "--max-points", type=_int_option, dest="max_points", help="enumeration budget override"
+    )
     p.set_defaults(func=_cmd_rep_matrix)
 
     # the one --text, for every verb but verify; added last, so usage ends in [--text]
@@ -251,7 +276,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run seeded self-check suites")
     p.add_argument("--suite", default="all", choices=(*SUITES, "all"))
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_int_option, default=0)
     p.set_defaults(func=_cmd_verify)
 
     return parser

@@ -30,10 +30,13 @@ of theta it reads.  It names the renaming and hands it to
 involution, so both its halves are one Endomorphism.  Each swap is built
 once per (base, size, offset) and shared through a 32-shape LRU cache, and
 as a left factor it composes by renaming, not through the substitution
-kernel.  The pairs that
-``product_formula_direct`` and the witnesses build by substitution are
-code maps; they become Endomorphisms through ``_endomorphism`` and are
-verified by the public ``Automorphism(fwd, inv)``.
+kernel.  The three products take theta's swap from ``_block_swap``
+itself: ``block_size`` has already made the one check ``theta`` would
+repeat.  The pairs that ``product_formula_direct`` and the witnesses
+build by substitution start from a copy of the images of ``theta``'s
+swap (``_block_mapping``), so ``theta`` bounds their n too; they are code
+maps, become Endomorphisms through ``_endomorphism`` and are verified by
+the public ``Automorphism(fwd, inv)``.
 """
 
 from __future__ import annotations
@@ -162,19 +165,22 @@ def coset_product(m: int, g: Automorphism, h: Automorphism) -> DoubleCosetRep:
     Uses the canonical block size N = block_size(m, g, h)."""
     m = _integer(m, "m")
     n = block_size(m, g, h)
-    rep = compose(g, compose(theta(m, n), h))
+    rep = compose(g, compose(_block_swap(m, n, n), h))
     return DoubleCosetRep(m, rep, n)
 
 
 def _block_mapping(m: int, n: int, outer: Endomorphism) -> dict[int, Code]:
     """Code map sending x_j (j <= m) to outer's x_j-image and renaming the
-    y block to the z block; an x_j that outer fixes is left out, as fixed.
-    Only the moved keys <= m are read, in ascending order, so the cost
-    follows the generators outer moves, not m."""
-    codes = outer._codes
-    mapping = {i: codes[i] for i in sorted(codes) if i <= m}
-    for t in range(m + 1, m + n + 1):
-        mapping[t] = (t + n,)
+    y block to the z block, for factors supported on 1..m+n.
+
+    It starts from a copy of the images of the shared swap theta(m, n),
+    whose z -> y half no such factor reads; a copy, because the kernel
+    stores inverse words in the map it reads.  ``theta`` refuses an n over
+    MAX_BLOCK_SIZE, so the cache never keeps a swap larger than that.  Only
+    the keys <= m that outer moves are added, so the cost follows them,
+    not m."""
+    mapping = dict(theta(m, n).fwd._codes)
+    mapping.update((i, code) for i, code in outer._codes.items() if i <= m)
     return mapping
 
 
@@ -226,9 +232,9 @@ def witness_left(m: int, n: int, r: Automorphism, g: Automorphism, h: Automorphi
     x_{m+t} -> x_{m+n+t}; it depends only on r and g, with h entering the
     identity but not the construction."""
     m, n = _integer(m, "m", 0), _integer(n, "n", 0)
+    _require_support("witness_left", m, n, r, g, h)
     if not is_in_H(r, m):
         raise SupportViolation("witness factor must fix x_1..x_m")
-    _require_support("witness_left", m, n, r, g, h)
     mapping = _block_mapping(m, n, g.fwd)
     y_block = range(m + 1, m + n + 1)
     fwd = {k + n: _substitute_codes(mapping, _image_code(r.fwd, k)) for k in y_block}
@@ -283,7 +289,7 @@ def star_product(m: int, g: Automorphism, h: Automorphism) -> ConjClassRep:
     g . theta . h . theta with the canonical block size."""
     m = _integer(m, "m")
     n = block_size(m, g, h)
-    th = theta(m, n)
+    th = _block_swap(m, n, n)
     rep = compose(g, compose(th, compose(h, th)))
     return ConjClassRep(m, rep, n)
 
@@ -301,7 +307,7 @@ def tuple_product(m: int, gs, hs) -> TupleRep:
     if not gs:
         raise ValueError("tuples must have at least one component")
     n = block_size(m, *gs, *hs)
-    th = theta(m, n)
+    th = _block_swap(m, n, n)
     reps = tuple(compose(g, compose(th, h)) for g, h in zip(gs, hs))
     return TupleRep(m, reps, n)
 

@@ -96,7 +96,8 @@ class RationalMatrix:
         # every input becomes one array of Python objects, so an ndarray's
         # integers are Python ints and a bool, float or string is refused by
         # its type; the entries are brought over one common denominator, and
-        # _set narrows the numerators to int64 when every one fits
+        # _set narrows the numerators to int64 when every one fits, which the
+        # one exact scan here decides
         arr = np.array(num, dtype=object)
         den = _integer(den, "denominator", 1)
         if arr.ndim != 2 or 0 in arr.shape:
@@ -112,19 +113,18 @@ class RationalMatrix:
 
     def _set(self, num: np.ndarray, den: int, bound: int) -> None:
         """Store num/den in lowest terms and the narrowest exact dtype, with
-        the int ``bound`` >= max|num| divided by the cancelled gcd."""
+        the int ``bound`` >= max|num| divided by the cancelled gcd.  A bound
+        past int64 must be exact (max|num| itself): it alone decides an
+        object array's dtype, and it stays exact through the division."""
         if den != 1:
             g = math.gcd(den, int(np.gcd.reduce(num.ravel())))
             if g != 1:
                 num = num // g
                 den //= g
                 bound //= g
-        if num.dtype == object:
-            # int64 when every entry has |x| <= INT64_MAX, else Python ints
-            if bound > INT64_MAX:
-                bound = _absmax(num)
-            if bound <= INT64_MAX:
-                num = num.astype(np.int64)
+        # int64 when every entry has |x| <= INT64_MAX, else Python ints
+        if num.dtype == object and bound <= INT64_MAX:
+            num = num.astype(np.int64)
         num.setflags(write=False)
         self.num = num
         self.den = den
@@ -137,7 +137,11 @@ class RationalMatrix:
         non-empty 2-D int64 array with no entry -2^63, or an object array of
         Python ints, an int den >= 1 and an int ``bound`` >= max|num|.  It
         skips the constructor's checks and copies, which are for outside
-        input; ``num`` is taken, not copied, and made read-only."""
+        input; ``num`` is taken, not copied, and made read-only.  A bound
+        from arithmetic may be loose, so past int64 an object array is
+        scanned for the exact one, which then decides its dtype."""
+        if num.dtype == object and bound > INT64_MAX:
+            bound = _absmax(num)
         out = cls.__new__(cls)
         out._set(num, den, bound)
         return out

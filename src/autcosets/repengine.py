@@ -18,9 +18,11 @@ Words are evaluated on a broadcast grid with one axis per coordinate
 (``_grid_eval``): an axis the word does not read has length 1, so a matrix
 counts only the points of the coordinates its rows and the images of
 x_1..x_m actually read, and the other coordinates cancel from the exact
-fraction.  ``weak_limit_check`` compares two such matrices.  The point
-budget still counts the n^N points requested, and every output matrix
-counts its cells against the same budget.
+fraction.  ``action_map`` and ``markov_matrix`` refuse a support above N
+at entry, the one check that every letter has its coordinate, so the grid
+checks no letter.  ``weak_limit_check`` compares two such matrices.  The
+point budget still counts the n^N points requested, and every output
+matrix counts its cells against the same budget.
 
 ``compress_to_invariants`` averages a matrix over the orbits of a subgroup
 U acting on K^m by conjugation.  What it needs of U (the point permutations
@@ -85,17 +87,19 @@ def _row_offsets(n: int, m: int) -> np.ndarray:
     return rows
 
 
-def _grid_eval(K: FiniteGroup, w: Code, n_coords: int) -> np.ndarray:
-    """Value of the code word ``w`` at every point of K^n_coords (letters
-    multiply left to right, coordinate i feeds x_i, and the sign of a code
-    is the sign of its letter), on a read-only grid with one axis per
-    coordinate.
+def _grid_eval(K: FiniteGroup, w: Code) -> np.ndarray:
+    """Value of the code word ``w`` at every point of K^N, for any N at
+    least the highest coordinate ``w`` reads (letters multiply left to
+    right, coordinate i feeds x_i, and the sign of a code is the sign of
+    its letter), on a read-only grid with one axis per coordinate.
 
-    Coordinate i runs along axis n_coords - i, so on the full grid the
-    C-order flat index is the point's index, the base-n number whose least
-    significant digit is coordinate 1.  Only the coordinates ``w``
-    reads are materialized: every other axis has length 1 (or is absent
-    below the highest one read), and the result broadcasts to the full grid.
+    Coordinate i runs along axis N - i, so on the full grid the C-order
+    flat index is the point's index, the base-n number whose least
+    significant digit is coordinate 1.  Only the coordinates ``w`` reads
+    are materialized: every other axis has length 1 (or is absent below
+    the highest one read), and the result broadcasts to the full grid.
+    The callers refuse a support above N at entry, so every letter has its
+    coordinate.
 
     The value starts at the first letter's grid, not at the identity, so a
     word of one positive letter returns the cached coordinate grid itself
@@ -106,10 +110,7 @@ def _grid_eval(K: FiniteGroup, w: Code, n_coords: int) -> np.ndarray:
     inv = K.inv_np
     acc = None
     for c in w:
-        gen = c if c > 0 else -c
-        if gen > n_coords:
-            raise SupportViolation(f"word mentions x{gen} but points have {n_coords} coordinates")
-        coord = _coordinate(n, gen)
+        coord = _coordinate(n, c if c > 0 else -c)
         value = coord if c > 0 else inv[coord]
         acc = value if acc is None else mul[acc, value]
     if acc is None:
@@ -137,11 +138,11 @@ def _digit_sum(n: int, digits) -> np.ndarray:
     return np.zeros((), dtype=np.int64) if code is None else code
 
 
-def _grid_code(K: FiniteGroup, words, n_coords: int) -> np.ndarray:
+def _grid_code(K: FiniteGroup, words) -> np.ndarray:
     """Base-n number of the tuple of values of the code words ``words``
     (the first word gives the least significant digit), on the grid of
-    K^n_coords."""
-    return _digit_sum(K.order, (_grid_eval(K, w, n_coords) for w in words))
+    ``_grid_eval``."""
+    return _digit_sum(K.order, (_grid_eval(K, w) for w in words))
 
 
 def _full_table(code: np.ndarray, n: int, n_coords: int) -> np.ndarray:
@@ -183,7 +184,7 @@ def action_map(K: FiniteGroup, g: Automorphism, n_coords: int, max_points=None) 
         )
     n = K.order
     _check_budget(max_points, "action on", K, n_coords)
-    code = _grid_code(K, [_image_code(g.fwd, i) for i in range(1, n_coords + 1)], n_coords)
+    code = _grid_code(K, [_image_code(g.fwd, i) for i in range(1, n_coords + 1)])
     table = _full_table(code, n, n_coords)
     # n^N codes in 0..n^N-1 form a bijection exactly when every point is hit
     hit = np.zeros(n ** n_coords, dtype=bool)
@@ -227,7 +228,7 @@ def markov_matrix(
     dim = n ** m
     # the row of a point is the code of its first m coordinates
     images = [_image_code(g.fwd, i) for i in range(1, m + 1)]
-    key = _row_offsets(n, m) + _grid_code(K, images, n_coords)
+    key = _row_offsets(n, m) + _grid_code(K, images)
     counts = np.bincount(key.ravel(), minlength=dim * dim).reshape(dim, dim)
     # no count exceeds its row's total, the points over one row
     total = key.size // dim

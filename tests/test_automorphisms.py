@@ -678,6 +678,13 @@ def test_is_in_H_refuses_a_non_automorphism():
             is_in_H(value, 1)
 
 
+@pytest.mark.parametrize("value", ["x", Endomorphism({2: [(2, -1)]}), None])
+def test_automorphism_to_dict_refuses_a_non_automorphism(value):
+    kind = type(value).__name__
+    with pytest.raises(TypeError, match=f"^automorphism_to_dict needs an Automorphism, got {kind}$"):
+        automorphism_to_dict(value)
+
+
 @pytest.mark.parametrize("value", [Endomorphism({2: [(2, -1)]}), 3, None])
 def test_invert_refuses_a_non_automorphism(value):
     with pytest.raises(TypeError, match=f"^invert needs an Automorphism, got {type(value).__name__}$"):

@@ -339,6 +339,7 @@ def test_an_index_over_the_digit_limit_is_named(capsys, int_digit_limit, verb):
         ("0", None, "max_points must be >= 1, got 0"),
         (None, "a", "--u must list integers, got 'a'"),
         (None, "0, 3,x4", "--u must list integers, got 'x4'"),
+        (None, "0,-+5", "--u must list integers, got '-+5'"),
     ],
 )
 def test_bad_integer_inputs_are_named(capsys, monkeypatch, env, u, message):
@@ -351,6 +352,64 @@ def test_bad_integer_inputs_are_named(capsys, monkeypatch, env, u, message):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: {message}\n"
+
+
+def test_a_long_integer_in_u_or_the_environment_is_named_by_its_digits(
+    capsys, monkeypatch, int_digit_limit
+):
+    nines = "9" * 5000
+    argv = ["rep-matrix", "--group", "s3", "--m", "1", "--g", G_JSON]
+    for env, u, name in ((None, f"0,{nines}", "--u member"), (nines, None, "COSET_MAX_POINTS")):
+        if env is None:
+            monkeypatch.delenv("COSET_MAX_POINTS", raising=False)
+        else:
+            monkeypatch.setenv("COSET_MAX_POINTS", env)
+        assert main(argv + (["--u", u] if u is not None else [])) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {name} has 5000 digits, over the limit of {int_digit_limit}\n"
+
+
+def test_rep_matrix_reads_u_before_it_builds_the_matrix(capsys, monkeypatch):
+    def no_matrix(*args, **kwargs):
+        raise AssertionError("the matrix was built before --u was read")
+
+    monkeypatch.setattr(cli, "markov_matrix", no_matrix)
+    assert main(["rep-matrix", "--group", "c2", "--m", "11", "--g", G_JSON, "--u", "x"]) == 1
+    assert capsys.readouterr().err == "error: --u must list integers, got 'x'\n"
+
+
+# every integer option, its value to follow
+INTEGER_OPTIONS = [
+    ["coset-product", "--g", G_JSON, "--h", H_JSON, "--m"],
+    ["star-product", "--g", G_JSON, "--h", H_JSON, "--m"],
+    ["tuple-product", "--gs", f"[{G_JSON}]", "--hs", f"[{H_JSON}]", "--m"],
+    ["rep-matrix", "--group", "c2", "--g", G_JSON, "--m"],
+    ["rep-matrix", "--group", "c2", "--m", "1", "--g", G_JSON, "--truncation"],
+    ["rep-matrix", "--group", "c2", "--m", "1", "--g", G_JSON, "--max-points"],
+    ["verify", "--seed"],
+]
+
+
+@pytest.mark.parametrize("argv", INTEGER_OPTIONS, ids=lambda argv: f"{argv[0]} {argv[-1]}")
+def test_an_integer_option_echoes_its_value_short(capsys, int_digit_limit, argv):
+    option = argv[-1]
+    cases = [
+        # a short value keeps the bytes of argparse's type=int
+        ("abc", "invalid int value: 'abc'"),
+        ("+-5", "invalid int value: '+-5'"),
+        ("y" * 5000, f"invalid int value: {'y' * 24!r}..."),
+        ("9" * 5000, f"value has 5000 digits, over the limit of {int_digit_limit}"),
+    ]
+    for value, message in cases:
+        with pytest.raises(SystemExit) as exc:
+            main(argv + [value])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        last = captured.err.splitlines()[-1]
+        assert last == f"autcosets {argv[0]}: error: argument {option}: {message}"
+        assert len(last.encode()) <= 120
 
 
 def _invert(images: str) -> list[str]:

@@ -117,7 +117,8 @@ def test_block_size_over_the_limit_is_refused_before_theta(monkeypatch):
     def no_theta(*args):
         raise AssertionError("theta built for an over-limit block")
 
-    monkeypatch.setattr("autcosets.cosets.theta", no_theta)
+    # the products take theta's swap from _block_swap itself
+    monkeypatch.setattr("autcosets.cosets._block_swap", no_theta)
     products = [
         lambda: coset_product(m, far, e),
         lambda: star_product(m, e, far),
@@ -136,6 +137,10 @@ def test_theta_and_stability_witness_are_bounded_like_block_size():
     e = identity_automorphism()
     refusals = [
         (lambda: theta(0, 10**9), "block swap theta needs 1000000000"),
+        # the direct formula and the witnesses build on theta's swap
+        (lambda: product_formula_direct(0, 10**9, e, e), "block swap theta needs 1000000000"),
+        (lambda: witness_left(1, 10**9, e, e, e), "block swap theta needs 1000000000"),
+        (lambda: witness_right(1, 10**9, e, e, e), "block swap theta needs 1000000000"),
         (lambda: stability_witness(1, 1, 10**9, e, e), "stability witness needs 1000000001"),
         (lambda: theta(2, MAX_BLOCK_SIZE + 1), f"block swap theta needs {MAX_BLOCK_SIZE + 1}"),
         (
@@ -240,6 +245,24 @@ def test_witness_identities(m, n, s1, l1, s2, l2, s3, l3):
     q_tri = witness_right(m, n, r, g, h)
     assert is_in_H(q_tri, m)
     assert compose(g, compose(r, compose(th, h))) == compose(base, invert(q_tri))
+
+
+@pytest.mark.parametrize("m, n", [(0, 2), (1, 1), (1, 3), (2, 2)])
+def test_the_shared_swap_keeps_its_images_through_the_substitution_patterns(m, n):
+    """``_block_mapping`` starts from the images of the cached swap
+    theta(m, n), and the kernel stores inverse words in the map it reads:
+    the mapping is a copy, so theta still holds only its positive keys and
+    equals a freshly built swap."""
+    th = theta(m, n)
+    fresh = _block_swap.__wrapped__(m, n, n)
+    for seed in range(5):
+        g, h = (rand_aut(seed + i, 10, max_index=m + n) for i in (0, 1))
+        r = rand_aut(seed + 2, 10, m_fix=m, max_index=m + n)
+        product_formula_direct(m, n, g, h)
+        witness_left(m, n, r, g, h)
+        assert theta(m, n) is th
+        assert all(k > 0 for k in th.fwd._codes)
+        assert th.fwd._codes == fresh.fwd._codes
 
 
 def test_witness_rejects_bad_inputs():
@@ -577,6 +600,13 @@ def test_block_swaps_are_built_once_per_shape(m, n, p):
     _, s = stability_witness(m, n, p, e, e)
     assert s is _block_swap(m + n, p, n + p)
     assert _block_swap.cache_info().maxsize == 32
+
+
+def test_witness_left_names_itself_for_a_factor_of_the_wrong_type():
+    # the type is checked before membership in H, which would name is_in_H
+    e = identity_automorphism()
+    with pytest.raises(TypeError, match="^witness_left needs an Automorphism, got str$"):
+        witness_left(1, 2, "x", e, e)
 
 
 def test_an_overlapping_block_swap_is_refused_on_every_call():

@@ -157,6 +157,23 @@ def test_a_matrix_gets_its_bound_from_one_scan_at_construction():
     assert prod._bound == 3 * 2**40
 
 
+def test_construction_scans_once_and_only_an_arithmetic_bound_is_rescanned(monkeypatch):
+    scans = []
+    scan = ratmat._absmax
+    monkeypatch.setattr(ratmat, "_absmax", lambda a: scans.append(a) or scan(a))
+    # the constructor's bound is its one exact scan, past int64 or not
+    for x in (2**60, 2**70, -(2**70)):
+        scans.clear()
+        M = RationalMatrix([[x, 1]])
+        assert len(scans) == 1 and M._bound == abs(x)
+        assert M.num.dtype == (np.int64 if abs(x) <= 2**63 - 1 else object)
+    # a bound from arithmetic past int64 may be loose: the scan decides
+    scans.clear()
+    M = RationalMatrix._exact(np.array([[4, -6]], dtype=object), 2, 2**70)
+    assert len(scans) == 1 and M._bound == 3 and M.num.dtype == np.int64
+    assert M == RationalMatrix([[2, -3]])
+
+
 def test_equality_compares_den_shape_and_entries():
     wide = RationalMatrix([[1, 2, 3], [4, 5, 6]])
     flat = RationalMatrix([[1, 2, 3, 4, 5, 6]])

@@ -148,7 +148,7 @@ def test_grid_eval_matches_eval_word_at_every_point(case):
     name, n_coords, word = case
     K = builtin_group(name)
     n = K.order
-    grid = _grid_eval(K, _encode(word), n_coords)
+    grid = _grid_eval(K, _encode(word))
     assert not grid.flags.writeable
     assert grid.dtype == np.int32 and grid.ndim <= (n_coords if n > 1 else 0)
     # coordinate i runs along axis n_coords - i of the full grid
@@ -174,11 +174,6 @@ def test_row_offsets_are_read_only_point_index_times_dim(name, m):
     assert full.ravel().tolist() == [p * dim for p in range(dim)]
     with pytest.raises(ValueError):
         rows[...] = 0
-
-
-def test_grid_eval_refuses_a_letter_beyond_the_coordinates():
-    with pytest.raises(SupportViolation, match="word mentions x3 but points have 2 coordinates"):
-        _grid_eval(C3, _encode(((1, -1), (3, 1))), 2)
 
 
 class ImageMap:
