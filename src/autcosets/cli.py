@@ -197,17 +197,15 @@ def _cmd_rep_matrix(args) -> int:
     group = _load_group(args.group)
     g = _load_automorphism(args.g)
     max_points = _resolve_max_points(args)
-    # the members are read before the matrix, which may take long to build
-    members = None if args.u is None else [
+    # the subgroup is checked before the matrix, which may take long to build
+    u = None if args.u is None else Subgroup(group, [
         _parse_int(x.strip(), "--u member", "--u must list integers, got ")
         for x in args.u.split(",")
         if x.strip()
-    ]
+    ])
     matrix = markov_matrix(group, g, args.m, truncation=args.truncation, max_points=max_points)
-    if members is not None:
-        matrix = compress_to_invariants(
-            group, Subgroup(group, members), args.m, matrix, max_points=max_points
-        )
+    if u is not None:
+        matrix = compress_to_invariants(group, u, args.m, matrix, max_points=max_points)
     rows = matrix.to_strings()
     return _emit(args, lambda: rows, lambda: _matrix_text(rows))
 

@@ -24,7 +24,8 @@ Block layout used throughout, for given m and N:
 Every block swap is built by ``_block_swap(base, size, offset)``:
 ``theta(m, N)`` swaps y and z, ``stability_witness`` swaps the padding
 with the block above it, and ``repengine.weak_limit_check`` swaps the pairs
-of theta it reads.  It names the renaming and hands it to
+of theta it reads.  Each of them passes two disjoint blocks, so the
+builder checks none.  It names the renaming and hands it to
 ``automorphisms._permutation``, the one permutation builder, which
 ``stability_witness`` also uses for its renaming pi; a swap is an
 involution, so both its halves are one Endomorphism.  Each swap is built
@@ -76,11 +77,11 @@ def _block_swap(base: int, size: int, offset: int) -> Automorphism:
     composes on the left through its rename table, which passes fixed
     letters through without storing them, so what it keeps does not grow.
 
-    The two blocks must not overlap (offset >= size): an overlapping pair of
-    images would not be an automorphism.  The refusal is raised on every
-    call, since the cache keeps no exceptions."""
-    if offset < size:
-        raise ValueError(f"blocks of {size} generators at offset {offset} overlap")
+    Precondition: offset >= size, so the two blocks do not overlap (an
+    overlapping pair of images would not be an automorphism).  Every
+    caller meets it: ``theta`` passes (j, j), the three products (n, n),
+    ``stability_witness`` (p, n + p) and ``repengine.weak_limit_check``
+    (min(j, m_cyl), j)."""
     swap: dict[int, int] = {}
     for k in range(base + 1, base + size + 1):
         swap[k] = k + offset

@@ -104,7 +104,7 @@ class FiniteGroup:
         if arr is None or arr.shape != (n, n) or arr.min() < 0 or arr.max() >= n:
             raise GroupAxiomError("multiplication table must be square over 0..n-1")
         if not 0 <= identity < n:
-            raise GroupAxiomError(f"unit {identity} out of range")
+            raise GroupAxiomError(f"unit {_clip(identity)} out of range")
         arr = arr.astype(np.int32)
         rng = np.arange(n, dtype=np.int32)
         if not (np.array_equal(arr[identity], rng) and np.array_equal(arr[:, identity], rng)):

@@ -20,9 +20,11 @@ counts only the points of the coordinates its rows and the images of
 x_1..x_m actually read, and the other coordinates cancel from the exact
 fraction.  ``action_map`` and ``markov_matrix`` refuse a support above N
 at entry, the one check that every letter has its coordinate, so the grid
-checks no letter.  ``weak_limit_check`` compares two such matrices.  The
-point budget still counts the n^N points requested, and every output
-matrix counts its cells against the same budget.
+checks no letter.  A point map reads every coordinate, so its grid is
+already full and is read flat as it stands.  ``weak_limit_check``
+compares two such matrices.  The point budget still counts the n^N points
+requested, and every output matrix counts its cells against the same
+budget.
 
 ``compress_to_invariants`` averages a matrix over the orbits of a subgroup
 U acting on K^m by conjugation.  What it needs of U (the point permutations
@@ -97,9 +99,11 @@ def _grid_eval(K: FiniteGroup, w: Code) -> np.ndarray:
     flat index is the point's index, the base-n number whose least
     significant digit is coordinate 1.  Only the coordinates ``w`` reads
     are materialized: every other axis has length 1 (or is absent below
-    the highest one read), and the result broadcasts to the full grid.
-    The callers refuse a support above N at entry, so every letter has its
-    coordinate.
+    the highest one read).  Only ``markov_matrix`` broadcasts such a grid
+    against its row offsets; the point maps of ``action_map`` and
+    ``_conjugation_perm`` read every coordinate, so their digit sums have
+    every axis at full length already.  The callers refuse a support
+    above N at entry, so every letter has its coordinate.
 
     The value starts at the first letter's grid, not at the identity, so a
     word of one positive letter returns the cached coordinate grid itself
@@ -145,13 +149,6 @@ def _grid_code(K: FiniteGroup, words) -> np.ndarray:
     return _digit_sum(K.order, (_grid_eval(K, w) for w in words))
 
 
-def _full_table(code: np.ndarray, n: int, n_coords: int) -> np.ndarray:
-    """A grid on K^n_coords broadcast to every point, flat in point-index
-    order (coordinate 1 is the least significant base-n digit)."""
-    shape = (n,) * n_coords if n > 1 else ()
-    return (code if code.shape == shape else np.broadcast_to(code, shape)).ravel()
-
-
 class ActionMap:
     """Bijection of K^n_coords induced by an automorphism, tabulated on
     point indices: ``table[p]`` is the index of the image of point p, where
@@ -174,6 +171,15 @@ def action_map(K: FiniteGroup, g: Automorphism, n_coords: int, max_points=None) 
     Requires the support of g to fit inside the first n_coords generators.
     Composites reverse: the point map of compose(g, h) is the point map of
     g followed by the point map of h.
+
+    The code grid is the full grid on K^n_coords, so its flat form is the
+    table: g maps F_N onto F_N (N = n_coords), and images that never
+    mention x_i generate only words without x_i, so the images of
+    x_1..x_N together read every coordinate 1..N.  For a group of order 1
+    or N = 0 the grid has no axes and ravels to its one point.  A pair
+    that is not an automorphism may read fewer coordinates; its table is
+    then shorter than n^N and misses a point, so it is refused as no
+    bijection.
     """
     _require_automorphism(g, "action_map")
     n_coords = _integer(n_coords, "n_coords", 0)
@@ -185,7 +191,7 @@ def action_map(K: FiniteGroup, g: Automorphism, n_coords: int, max_points=None) 
     n = K.order
     _check_budget(max_points, "action on", K, n_coords)
     code = _grid_code(K, [_image_code(g.fwd, i) for i in range(1, n_coords + 1)])
-    table = _full_table(code, n, n_coords)
+    table = code.ravel()
     # n^N codes in 0..n^N-1 form a bijection exactly when every point is hit
     hit = np.zeros(n ** n_coords, dtype=bool)
     hit[table] = True
@@ -251,10 +257,12 @@ def projection_matrix(K: FiniteGroup, m: int, n_coords: int, max_points=None) ->
 
 
 def _conjugation_perm(K: FiniteGroup, u: int, m: int) -> np.ndarray:
-    """Point permutation of K^m sending each coordinate k to u k u^-1."""
+    """Point permutation of K^m sending each coordinate k to u k u^-1,
+    flat in point-index order: digit i reads coordinate i, so the digit
+    sum has every axis at full length (or none, for m = 0 or order 1)."""
     n = K.order
     conj = K.mul_np[K.mul_np[u], K.inv_np[u]]
-    return _full_table(_digit_sum(n, (conj[_coordinate(n, i)] for i in range(1, m + 1))), n, m)
+    return _digit_sum(n, (conj[_coordinate(n, i)] for i in range(1, m + 1))).ravel()
 
 
 @functools.lru_cache(maxsize=16)
@@ -367,12 +375,14 @@ def weak_limit_check(K: FiniteGroup, m: int, m_cyl: int, j: int, max_points=None
     just the first min(j, m_cyl) pairs of the two blocks, which agree with
     theta(m, j) there and fit in m + j + m_cyl coordinates; the point budget
     bounds n^(m + j + m_cyl), and both sides bound their n^(2(m + m_cyl))
-    output cells.
+    output cells.  That charge covers the left side's own: the swap's
+    support is m + j + min(j, m_cyl) (or 0), so ``markov_matrix`` charges
+    n^max(support, m + m_cyl) points, at most the n^(m + j + m_cyl)
+    already charged, and its matrix does not depend on a truncation.
     """
     m, m_cyl, j = _integer(m, "m", 0), _integer(m_cyl, "m_cyl", 0), _integer(j, "j", 0)
     level = m + m_cyl
-    n_coords = m + j + m_cyl
-    _check_budget(max_points, "weak limit over", K, n_coords)
+    _check_budget(max_points, "weak limit over", K, m + j + m_cyl)
     swap = _block_swap(m, min(j, m_cyl), j)
-    lhs = markov_matrix(K, swap, level, truncation=n_coords, max_points=max_points)
+    lhs = markov_matrix(K, swap, level, max_points=max_points)
     return lhs == projection_matrix(K, m, level, max_points=max_points)

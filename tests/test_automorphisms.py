@@ -124,6 +124,19 @@ def test_compose_order_is_second_acts_first():
     assert compose(b, a).image(1) == ((2, 1),)
 
 
+def test_compose_takes_two_endomorphisms_and_refuses_a_mixed_pair():
+    a, b = nielsen_right_mult(1, 2), nielsen_swap(1, 2)
+    # a(b(x1)) = a(x2) = x2 and a(b(x2)) = a(x1) = x1 x2
+    ab = compose(a.fwd, b.fwd)
+    assert type(ab) is Endomorphism
+    assert ab.images == {1: ((2, 1),), 2: ((1, 1), (2, 1))}
+    assert ab == compose(a, b).fwd
+    for left, right in ((a, b.fwd), (a.fwd, b), ("x1", a)):
+        with pytest.raises(TypeError) as exc:
+            compose(left, right)
+        assert str(exc.value) == "compose expects two Endomorphisms or two Automorphisms"
+
+
 def test_verification_rejects_wrong_inverse():
     with pytest.raises(InverseVerificationError):
         Automorphism({1: [(1, 1), (2, 1)]}, {})
@@ -174,6 +187,9 @@ def test_nielsen_moves_frozen():
         nielsen_swap(2, 2)
     with pytest.raises(ValueError):
         nielsen_right_mult(3, 3)
+    for i, j in ((0, 1), (1, 0)):
+        with pytest.raises(ValueError, match="^generator index must be >= 1, got 0$"):
+            nielsen_right_mult(i, j)
     with pytest.raises(ValueError):
         nielsen_invert(0)
 

@@ -18,10 +18,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from autcosets import automorphisms, cli
+from autcosets import automorphisms, cli, verify
 from autcosets.automorphisms import automorphism_to_dict, identity_automorphism, nielsen_swap
 from autcosets.cli import main
 from autcosets.cosets import theta
+from autcosets.verify import CheckResult, run_suites
 
 G_JSON = '{"images": {"1": [[1,1],[2,1]]}, "inverse_images": {"1": [[1,1],[2,-1]]}}'
 H_JSON = '{"images": {"2": [[2,1],[1,1]]}, "inverse_images": {"2": [[2,1],[1,-1]]}}'
@@ -210,6 +211,9 @@ def test_text_is_an_option_of_every_verb_but_verify(capsys):
 def test_rep_matrix_text(capsys):
     assert main(["rep-matrix", "--group", "c2", "--m", "1", "--g", G_JSON, "--text"]) == 0
     assert capsys.readouterr().out == "1/2 1/2\n1/2 1/2\n"
+    # m = 0: a one-row matrix
+    assert main(["rep-matrix", "--group", "c2", "--m", "0", "--g", G_JSON, "--text"]) == 0
+    assert capsys.readouterr().out == "1\n"
 
 
 def test_rep_matrix_compressed_identity(capsys):
@@ -245,6 +249,27 @@ def test_verify_single_suite(capsys):
     assert main(["verify", "--suite", "words", "--seed", "1"]) == 0
     out = capsys.readouterr().out
     assert "passed" in out and "FAIL" not in out
+
+
+def test_verify_runs_the_automorphisms_suite(capsys):
+    assert main(["verify", "--suite", "automorphisms", "--seed", "0"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert all(line.startswith("ok   automorphisms.") for line in lines[:-1])
+    assert lines[-1] == f"passed {len(lines) - 1}/{len(lines) - 1}"
+
+
+def test_run_suites_defaults_to_seed_0_and_refuses_an_unknown_suite(monkeypatch):
+    # a passing suite reads the same at every seed, so this one reports its first draw
+    monkeypatch.setitem(
+        verify.SUITES, "words", lambda rng: [CheckResult("draw", True, str(rng.random()))]
+    )
+    assert run_suites("words") == run_suites("words", seed=0)
+    assert run_suites("words") != run_suites("words", seed=1)
+    choices = "choose from words, automorphisms, cosets, representation or all"
+    for name, echo in (("nope", "'nope'"), ("n" * 100, f"{'n' * 24!r}...")):
+        with pytest.raises(ValueError) as exc:
+            run_suites(name)
+        assert str(exc.value) == f"unknown suite {echo}; {choices}"
 
 
 def test_verify_reports_a_failing_law(capsys, monkeypatch):
@@ -375,8 +400,12 @@ def test_rep_matrix_reads_u_before_it_builds_the_matrix(capsys, monkeypatch):
         raise AssertionError("the matrix was built before --u was read")
 
     monkeypatch.setattr(cli, "markov_matrix", no_matrix)
-    assert main(["rep-matrix", "--group", "c2", "--m", "11", "--g", G_JSON, "--u", "x"]) == 1
-    assert capsys.readouterr().err == "error: --u must list integers, got 'x'\n"
+    for u, message in (
+        ("x", "--u must list integers, got 'x'"),
+        ("5", "subgroup members out of range"),
+    ):
+        assert main(["rep-matrix", "--group", "c2", "--m", "11", "--g", G_JSON, "--u", u]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
 
 
 # every integer option, its value to follow

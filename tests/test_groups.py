@@ -157,6 +157,21 @@ def test_cyclic_builtins_are_cheap_and_bounded():
         )
 
 
+@pytest.mark.parametrize(
+    "unit, echo", [(5, "5"), (10**30, "100000000000000000000000...")], ids=["5", "10**30"]
+)
+def test_an_out_of_range_unit_is_echoed_clipped(unit, echo):
+    with pytest.raises(GroupAxiomError) as exc:
+        FiniteGroup([[0]], unit)
+    assert str(exc.value) == f"unit {echo} out of range"
+
+
+def test_a_unit_over_the_digit_limit_is_named_by_its_digits(int_digit_limit):
+    with pytest.raises(GroupAxiomError) as exc:
+        FiniteGroup([[0]], 10**5000)
+    assert str(exc.value) == "unit <5001-digit int> out of range"
+
+
 def test_table_validation_rejects_broken_tables():
     good = [[(a + b) % 4 for b in range(4)] for a in range(4)]
     FiniteGroup(good)
