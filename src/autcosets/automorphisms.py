@@ -73,6 +73,7 @@ from .words import (
     _encode,
     _clip,
     _concat_codes,
+    _int_text,
     _integer,
     _substitute_codes,
     _too_many_digits,
@@ -165,8 +166,9 @@ class Endomorphism:
 def _image_lines(e: Endomorphism) -> list[str]:
     """The text form of a map: ``x<k> -> <word>`` for each generator ``e``
     moves, in ascending order, an empty image written ``1``.  ``repr``
-    joins the lines with commas and the CLI's ``--text`` with newlines."""
-    return [f"x{k} -> {format_word(_decode(w)) or '1'}" for k, w in sorted(e._codes.items())]
+    joins the lines with commas and the CLI's ``--text`` with newlines.
+    An index past the interpreter's digit limit is written by ``_int_text``."""
+    return [f"x{_int_text(k)} -> {format_word(_decode(w)) or '1'}" for k, w in sorted(e._codes.items())]
 
 
 def _endomorphism(codes: dict[int, Code]) -> Endomorphism:
@@ -422,7 +424,8 @@ def permutation_automorphism(mapping: Mapping[int, int]) -> Automorphism:
                 raise ValueError(f"duplicate image for generator {_clip(key)}")
             moved[key] = val
     values = set(moved.values())
-    if len(values) != len(moved) or values != set(moved):
+    # the keys of ``moved`` are distinct, so equal sets have equal sizes
+    if values != set(moved):
         raise ValueError("mapping is not a permutation of its moved generators")
     return _permutation(moved)
 
@@ -578,8 +581,16 @@ def _endo_to_dict(e: Endomorphism) -> dict:
 def automorphism_to_dict(a: Automorphism) -> dict:
     """JSON-ready form: {"images": {...}, "inverse_images": {...}} with
     letter lists [index, sign] and string generator keys.  Raises
-    TypeError unless ``a`` is an Automorphism."""
+    TypeError unless ``a`` is an Automorphism, and ValueError, naming its
+    digit count, for an index with more digits than the interpreter
+    converts to text.  The forward map's support bound is the highest
+    index of both halves (see the module docstring)."""
     _require_automorphism(a, "automorphism_to_dict")
+    top = a.support_bound()
+    try:
+        str(top)
+    except ValueError:
+        raise ValueError(f"generator index {_int_text(top)} has more digits than the limit") from None
     return {"images": _endo_to_dict(a.fwd), "inverse_images": _endo_to_dict(a.inv)}
 
 

@@ -62,17 +62,6 @@ def _unique_keys(pairs: list) -> dict:
     return obj
 
 
-def _json_int(digits: str) -> int:
-    """``int(digits)`` for a JSON integer, refusing one over the
-    interpreter's limit on integer string conversion by its digit count."""
-    try:
-        return int(digits)
-    except ValueError:
-        raise ValueError(
-            f"JSON integer {_clip(digits)} has {_too_many_digits(digits.lstrip('-'))}"
-        ) from None
-
-
 def _load_json(spec: str):
     text = _read_payload(spec)
     try:
@@ -84,9 +73,12 @@ def _load_json(spec: str):
     except ValueError:
         pass
     # a plain ValueError came from ``_unique_keys`` or from an integer over the
-    # digit limit: parsing again through ``_json_int``, only on this path,
-    # raises the first of them again, an integer by its digit count
-    return json.loads(text, object_pairs_hook=_unique_keys, parse_int=_json_int)
+    # digit limit: parsing again through ``_parse_int``, only on this path,
+    # raises the first of them again, an integer by its digit count (a JSON
+    # integer token is ASCII digits after at most one "-", so it never meets
+    # ``_parse_int``'s refusal of text that is no integer)
+    return json.loads(text, object_pairs_hook=_unique_keys,
+                      parse_int=lambda d: _parse_int(d, f"JSON integer {_clip(d)}", ""))
 
 
 def _load_automorphism(spec: str):
@@ -168,11 +160,11 @@ def _resolve_max_points(args):
 
 
 def _parse_int(text: str, name: str, refusal: str) -> int:
-    """``int(text)`` for an integer read from the command line or the
-    environment, the one reader of them.  Text that is no integer is
-    refused by ``refusal`` followed by the text cut by ``_clip``; an
-    integer with more digits than the interpreter converts, by ``name``
-    and its digit count against the limit."""
+    """``int(text)`` for an integer read from the command line, the
+    environment or a JSON document, the one reader of them.  Text that is
+    no integer is refused by ``refusal`` followed by the text cut by
+    ``_clip``; an integer with more digits than the interpreter converts,
+    by ``name`` and its digit count against the limit."""
     try:
         return int(text)
     except ValueError:

@@ -105,9 +105,12 @@ def _grid_eval(K: FiniteGroup, w: Code) -> np.ndarray:
     every axis at full length already.  The callers refuse a support
     above N at entry, so every letter has its coordinate.
 
-    The value starts at the first letter's grid, not at the identity, so a
-    word of one positive letter returns the cached coordinate grid itself
-    and costs no gather; the empty word is the identity, with no axes.
+    ``w`` is non-empty: its one caller, ``_grid_code``, passes only images
+    g(x_i) under an ``Automorphism`` g, and g(x_i) = 1 would put x_i in
+    the kernel of a bijection.  With no generator to image (m = 0 or
+    N = 0) there is no word, and ``_digit_sum`` gives the one point.
+    The value starts at the first letter's grid, so a word of one positive
+    letter returns the cached coordinate grid itself and costs no gather.
     """
     n = K.order
     mul = K.mul_np
@@ -117,8 +120,6 @@ def _grid_eval(K: FiniteGroup, w: Code) -> np.ndarray:
         coord = _coordinate(n, c if c > 0 else -c)
         value = coord if c > 0 else inv[coord]
         acc = value if acc is None else mul[acc, value]
-    if acc is None:
-        acc = np.array(K.identity, dtype=np.int32)
     acc.setflags(write=False)
     return acc
 
@@ -152,17 +153,15 @@ def _grid_code(K: FiniteGroup, words) -> np.ndarray:
 class ActionMap:
     """Bijection of K^n_coords induced by an automorphism, tabulated on
     point indices: ``table[p]`` is the index of the image of point p, where
-    coordinate 1 is the least significant base-n digit of an index."""
+    coordinate 1 is the least significant base-n digit of an index.
 
-    __slots__ = ("group", "n_coords", "table")
+    The table is all it holds: every caller reads ``table`` alone, and the
+    group and n_coords are the caller's own arguments to ``action_map``."""
 
-    def __init__(self, group: FiniteGroup, n_coords: int, table: np.ndarray):
-        self.group = group
-        self.n_coords = n_coords
+    __slots__ = ("table",)
+
+    def __init__(self, table: np.ndarray):
         self.table = table
-
-    def __repr__(self):
-        return f"ActionMap({self.group.name!r}, n_coords={self.n_coords})"
 
 
 def action_map(K: FiniteGroup, g: Automorphism, n_coords: int, max_points=None) -> ActionMap:
@@ -177,8 +176,9 @@ def action_map(K: FiniteGroup, g: Automorphism, n_coords: int, max_points=None) 
     mention x_i generate only words without x_i, so the images of
     x_1..x_N together read every coordinate 1..N.  For a group of order 1
     or N = 0 the grid has no axes and ravels to its one point.  A pair
-    that is not an automorphism may read fewer coordinates; its table is
-    then shorter than n^N and misses a point, so it is refused as no
+    that is not an automorphism, but whose images are all non-empty (the
+    precondition of ``_grid_eval``), may read fewer coordinates; its table
+    is then shorter than n^N and misses a point, so it is refused as no
     bijection.
     """
     _require_automorphism(g, "action_map")
@@ -198,7 +198,7 @@ def action_map(K: FiniteGroup, g: Automorphism, n_coords: int, max_points=None) 
     if not hit.all():
         raise ValueError("induced point map is not a bijection")
     table.setflags(write=False)
-    return ActionMap(K, n_coords, table)
+    return ActionMap(table)
 
 
 def markov_matrix(

@@ -277,8 +277,11 @@ def _too_many_digits(digits: str) -> str:
 
 
 def format_word(w: Word) -> str:
-    """Render a word in the same text form parse_word accepts.
+    """Render a word in the text form parse_word accepts, for indices
+    within the interpreter's digit limit.
 
-    The empty word renders as the empty string.
+    The empty word renders as the empty string.  Every index is written by
+    ``_int_text``, so one past the digit limit reads ``x<5001-digit int>``,
+    which parse_word refuses.
     """
-    return " ".join(f"x{gen}" if sign == 1 else f"x{gen}^-1" for gen, sign in w)
+    return " ".join(f"x{_int_text(gen)}" + ("" if sign == 1 else "^-1") for gen, sign in w)

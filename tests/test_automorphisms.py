@@ -194,6 +194,21 @@ def test_nielsen_moves_frozen():
         nielsen_invert(0)
 
 
+def test_permutation_automorphism_refuses_a_generator_listed_twice():
+    class Tag(int):
+        """An int that equals only itself, so a dict keeps it beside 1."""
+
+        __hash__ = object.__hash__
+
+        def __eq__(self, other):
+            return self is other
+
+    mapping = {1: 2, Tag(1): 3, 2: 1, 3: 1}
+    assert len(mapping) == 4
+    with pytest.raises(ValueError, match="^duplicate image for generator 1$"):
+        permutation_automorphism(mapping)
+
+
 def test_permutation_automorphism():
     cyc = permutation_automorphism({1: 2, 2: 3, 3: 1})
     assert cyc.image(1) == ((2, 1),)

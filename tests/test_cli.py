@@ -9,6 +9,7 @@ import contextlib
 import hashlib
 import io
 import json
+import random
 import subprocess
 import sys
 import time
@@ -258,6 +259,25 @@ def test_verify_runs_the_automorphisms_suite(capsys):
     assert lines[-1] == f"passed {len(lines) - 1}/{len(lines) - 1}"
 
 
+def test_run_suites_all_runs_every_suite_and_passes():
+    results = run_suites("all", 0)
+    assert len(results) == 18 and all(res.passed for res in results)
+
+
+def test_the_cosets_suite_draws_pairs_on_the_first_m_plus_2_generators():
+    # each factor moves only x1..x(m+2), and some draw at each m reaches x(m+2)
+    rng = random.Random(0)
+    reached = set()
+    for _ in range(200):
+        m, g, h = verify._pair(rng, 8)
+        assert m in (1, 2)
+        for factor in (g, h):
+            assert factor.support_bound() <= m + 2
+            if factor.support_bound() == m + 2:
+                reached.add(m)
+    assert reached == {1, 2}
+
+
 def test_run_suites_defaults_to_seed_0_and_refuses_an_unknown_suite(monkeypatch):
     # a passing suite reads the same at every seed, so this one reports its first draw
     monkeypatch.setitem(
@@ -490,6 +510,23 @@ def test_repeated_json_keys_exit_1(capsys, g, message):
     assert message in captured.err
     assert main(["tuple-product", "--m", "1", "--gs", f"[{g}]", "--hs", f"[{IDENTITY_JSON}]"]) == 1
     assert message in capsys.readouterr().err
+
+
+def test_a_tuple_argument_that_is_no_array_exit_1(capsys):
+    assert main(["tuple-product", "--m", "1", "--gs", "{}", "--hs", "[]"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: expected a JSON array of automorphisms\n"
+
+
+@pytest.mark.parametrize("sign", ["", "-"])
+def test_a_json_integer_over_the_digit_limit_is_named_by_its_digits(capsys, int_digit_limit, sign):
+    token = sign + "9" * 5000
+    doc = f'{{"images": {{"1": [[{token}, 1]]}}, "inverse_images": {{}}}}'
+    assert main(["invert", "--g", doc]) == 1
+    assert capsys.readouterr().err == (
+        f"error: JSON integer {token[:24]!r}... has 5000 digits, over the limit of {int_digit_limit}\n"
+    )
 
 
 def test_non_inverse_pair_exit_1(capsys):

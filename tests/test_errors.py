@@ -13,8 +13,11 @@ import pytest
 import autcosets
 from autcosets import ratmat
 from autcosets.automorphisms import (
+    _image_lines,
     automorphism_from_dict,
+    automorphism_to_dict,
     identity_automorphism,
+    nielsen_right_mult,
     nielsen_swap,
     random_automorphism,
 )
@@ -35,7 +38,7 @@ from autcosets.repengine import (
     projection_matrix,
     weak_limit_check,
 )
-from autcosets.words import _clip, _int_text
+from autcosets.words import _clip, _int_text, format_word
 
 SHAPE = re.compile(r"\S.* needs (\d+|\d+\^\d+) [a-z -]+, over the limit of \d+")
 
@@ -228,6 +231,14 @@ HUGE_INT_PROBES = {
         "block size of the coset product needs <5000-digit int> generators per block, "
         "over the limit of 10000",
     ),
+    "automorphism_to_dict key": (
+        lambda: automorphism_to_dict(nielsen_swap(1, BIG)),
+        "generator index <5001-digit int> has more digits than the limit",
+    ),
+    "automorphism_to_dict letter": (
+        lambda: automorphism_to_dict(nielsen_right_mult(1, BIG)),
+        "generator index <5001-digit int> has more digits than the limit",
+    ),
     "order-1 coordinates": (
         lambda: markov_matrix(C1, E, BIG),
         "averaging over c1^<5001-digit int> needs <5001-digit int> coordinates, "
@@ -243,6 +254,15 @@ def test_an_int_past_the_digit_limit_is_named_by_its_size(int_digit_limit, probe
         build()
     assert str(exc.value) == message
     assert "-digit int>" in message and len(message) < 120
+
+
+def test_a_map_past_the_digit_limit_renders_its_indices_by_size(int_digit_limit):
+    big = "x<5001-digit int>"
+    swap = nielsen_swap(1, BIG)
+    assert repr(swap.fwd) == f"Endomorphism(x1 -> {big}, {big} -> x1)"
+    assert format_word(swap.fwd.image(1)) == big
+    assert format_word(((2, 1), (BIG, -1), (BIG, 1))) == f"x2 {big}^-1 {big}"
+    assert _image_lines(nielsen_right_mult(BIG, 1).inv) == [f"{big} -> {big} x1^-1"]
 
 
 def test_int_text_is_str_within_the_limit_and_counts_digits_past_it(int_digit_limit):
