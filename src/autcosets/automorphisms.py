@@ -590,7 +590,7 @@ def automorphism_to_dict(a: Automorphism) -> dict:
     try:
         str(top)
     except ValueError:
-        raise ValueError(f"generator index {_int_text(top)} has more digits than the limit") from None
+        raise ValueError(f"generator index {_clip(top)} has more digits than the limit") from None
     return {"images": _endo_to_dict(a.fwd), "inverse_images": _endo_to_dict(a.inv)}
 
 

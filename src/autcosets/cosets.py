@@ -63,7 +63,7 @@ from .automorphisms import (
     is_in_H,
 )
 from .errors import MAX_BLOCK_SIZE, SupportViolation, check_size
-from .words import Code, _int_text, _integer, _substitute_codes
+from .words import Code, _clip, _integer, _substitute_codes
 
 
 # 32 shapes: a pass of each benchmark workload meets at most 19, and a
@@ -123,8 +123,8 @@ def _require_support(layer: str, m: int, n: int, *autos: Automorphism) -> None:
         _require_automorphism(a, layer)
         if a.support_bound() > m + n:
             raise SupportViolation(
-                f"automorphism moves generators above {_int_text(m + n)} "
-                f"(support bound {_int_text(a.support_bound())})"
+                f"automorphism moves generators above {_clip(m + n)} "
+                f"(support bound {_clip(a.support_bound())})"
             )
 
 

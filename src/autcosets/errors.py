@@ -6,7 +6,7 @@ and every refusal reads ``<layer> needs <size> <unit>, over the limit of
 
 __all__ = ["DEFAULT_MAX_POINTS", "SizeLimitError", "SupportViolation"]
 
-from .words import _int_text
+from .words import _clip
 
 # points, or matrix / table cells, one request may build
 DEFAULT_MAX_POINTS = 10_000_000
@@ -39,13 +39,14 @@ def check_size(layer: str, size: int, unit: str, limit: int, exp: int = 1) -> No
     naming ``layer``: the one place a size is compared with its limit.
 
     A power far over the limit is neither built nor printed: the message
-    then writes it as size^exp.  Every int is printed by ``_int_text``."""
+    then writes it as size^exp.  Every int is printed by ``words._clip``,
+    so one over 24 digits is cut to its first 24."""
     # size^exp >= 2^(exp * (bit_length(size) - 1)), which then exceeds limit^2
     if exp > 1 and exp * (size.bit_length() - 1) > 2 * limit.bit_length():
-        shown = f"{_int_text(size)}^{_int_text(exp)}"
+        shown = f"{_clip(size)}^{_clip(exp)}"
     else:
         shown = size**exp
         if shown <= limit:
             return
-        shown = _int_text(shown)
-    raise SizeLimitError(f"{layer} needs {shown} {unit}, over the limit of {_int_text(limit)}")
+        shown = _clip(shown)
+    raise SizeLimitError(f"{layer} needs {shown} {unit}, over the limit of {_clip(limit)}")

@@ -230,7 +230,7 @@ def _cyclic(n: int) -> FiniteGroup:
     axiom check the way closed automorphisms skip verification.  Its n^2
     cells count against the point budget."""
     n = _integer(n, "cyclic order", 1)
-    check_size(f"builtin group c{n}", n, "table cells", DEFAULT_MAX_POINTS, 2)
+    check_size(f"builtin group c{_clip(n)}", n, "table cells", DEFAULT_MAX_POINTS, 2)
     ar = np.arange(n, dtype=np.int32)
     g = FiniteGroup.__new__(FiniteGroup)
     g._fill((ar[:, None] + ar) % np.int32(n), -ar % np.int32(n), 0, f"c{n}")
@@ -267,7 +267,10 @@ def builtin_group(name: str) -> FiniteGroup:
 
 
 def group_from_dict(data) -> FiniteGroup:
-    """Build a verified group from {"order": n, "mul": [[...]], "unit": u}."""
+    """Build a verified group from {"order": n, "mul": [[...]], "unit": u,
+    "name": s}.  Refusals print the name as it stands, so a string name
+    must be at most 24 printable characters; a name that is no string is
+    ignored."""
     if not isinstance(data, dict):
         raise ValueError("group JSON must be an object")
     if "mul" not in data:
@@ -278,4 +281,6 @@ def group_from_dict(data) -> FiniteGroup:
     if "order" in data and _integer(data["order"], "'order'") != len(mul):
         raise GroupAxiomError("'order' does not match the table size")
     name = data.get("name")
+    if isinstance(name, str) and (len(name) > 24 or not name.isprintable()):
+        raise ValueError(f"group name {_clip(name)} must be at most 24 printable characters")
     return FiniteGroup(mul, data.get("unit", 0), name=name if isinstance(name, str) else None)

@@ -51,7 +51,7 @@ from .cosets import _block_swap
 from .errors import DEFAULT_MAX_POINTS, MAX_COORDINATES, SupportViolation, check_size
 from .groups import FiniteGroup, Subgroup, _greedy_generators
 from .ratmat import RationalMatrix
-from .words import Code, _int_text, _integer
+from .words import Code, _clip, _integer
 
 
 def _check_budget(max_points, what: str, K: FiniteGroup, exp: int, cells: bool = False) -> None:
@@ -61,7 +61,7 @@ def _check_budget(max_points, what: str, K: FiniteGroup, exp: int, cells: bool =
     ``<what> <K>^<exp>``.  A matrix's n^(2 exp) cells bound its n^exp
     points too, so a charge for its cells needs no points charge."""
     budget = DEFAULT_MAX_POINTS if max_points is None else _integer(max_points, "max_points", 1)
-    layer = f"{what} {K.name}^{_int_text(exp)}"
+    layer = f"{what} {K.name}^{_clip(exp)}"
     unit, total = ("cells", 2 * exp) if cells else ("points", exp)
     check_size(layer, K.order, unit, budget, total)
     # under a budget below 2^MAX_COORDINATES, only order 1 passes with exp over it
@@ -185,8 +185,8 @@ def action_map(K: FiniteGroup, g: Automorphism, n_coords: int, max_points=None) 
     n_coords = _integer(n_coords, "n_coords", 0)
     if g.support_bound() > n_coords:
         raise SupportViolation(
-            f"automorphism moves x{_int_text(g.support_bound())} but points have "
-            f"{_int_text(n_coords)} coordinates"
+            f"automorphism moves x{_clip(g.support_bound())} but points have "
+            f"{_clip(n_coords)} coordinates"
         )
     n = K.order
     _check_budget(max_points, "action on", K, n_coords)
@@ -226,7 +226,7 @@ def markov_matrix(
     n_coords = bound if truncation is None else _integer(truncation, "truncation")
     if n_coords < bound:
         raise SupportViolation(
-            f"truncation {_int_text(n_coords)} is below the required bound {_int_text(bound)}"
+            f"truncation {_clip(n_coords)} is below the required bound {_clip(bound)}"
         )
     n = K.order
     _check_budget(max_points, "averaging over", K, n_coords)

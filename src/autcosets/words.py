@@ -239,12 +239,13 @@ def parse_word(text: str) -> Word:
 
 
 def _clip(value) -> str:
-    """``repr`` of ``value`` for echoing input in a message: the one rule
-    for every echo of outside input.  A string over 24 characters is cut to
-    its first 24 before ``repr``; any other value's ``repr`` over 24
-    characters is cut to its first 24.  A cut ends in ``...``.  An int past
-    the interpreter's digit limit is rendered by ``_int_text``, and another
-    value whose ``repr`` meets one is named by its type."""
+    """``repr`` of ``value`` for a message: the one rule for every echo of
+    outside input and for every int a refusal prints, so a refusal stays
+    one short line however large its input.  A string over 24 characters
+    is cut to its first 24 before ``repr``; any other value's ``repr`` over
+    24 characters is cut to its first 24.  A cut ends in ``...``.  An int
+    past the interpreter's digit limit is rendered by ``_int_text``, and
+    another value whose ``repr`` meets one is named by its type."""
     if isinstance(value, str):
         return repr(value) if len(value) <= 24 else f"{value[:24]!r}..."
     try:
@@ -255,16 +256,18 @@ def _clip(value) -> str:
 
 
 def _int_text(n: int) -> str:
-    """Decimal text of the int ``n`` for a message: the one rendering of a
-    caller's int.  An int with more digits than the interpreter converts
-    to a string (``sys.get_int_max_str_digits``) is named by its size
-    instead, as ``<5001-digit int>``, after a ``-`` when negative; the
-    digits are counted against powers of ten, not read from a string."""
+    """Decimal text of the int ``n``: the renderers' rule, used by
+    ``format_word``, ``automorphisms._image_lines`` and, past the digit
+    limit, ``_clip``; a refusal prints its ints through ``_clip``.  An int
+    with more digits than the interpreter converts to a string
+    (``sys.get_int_max_str_digits``) is named by its size instead, as
+    ``<5001-digit int>``, after a ``-`` when negative; the digits are
+    counted against powers of ten, not read from a string."""
     try:
         return str(n)
     except ValueError:
-        # |n| has at most bit_length * log10(2) + 1 digits, and 0.30103 > log10(2)
-        digits = int(abs(n).bit_length() * 0.30103) + 1
+        # |n| has at most bit_length * log10(2) + 1 digits, and 30103/100000 > log10(2)
+        digits = abs(n).bit_length() * 30103 // 100000 + 1
         while abs(n) < 10 ** (digits - 1):
             digits -= 1
         return f"{'-' if n < 0 else ''}<{digits}-digit int>"

@@ -494,6 +494,37 @@ def test_long_input_gets_a_short_error(capsys, request, case):
     assert len(captured.err.encode()) <= 120, captured.err
 
 
+# x1 -> x1 x_k for k of 4,300 nines, within the digit limit, so the loader accepts it
+NEAR_LIMIT_JSON = G_JSON.replace("[2,", f"[{NINES[:4300]},")
+# each prints, in a refusal, a size or a group name thousands of characters long
+LONG_SIZES = {
+    "block size": ["coset-product", "--m", "1", "--g", NEAR_LIMIT_JSON, "--h", H_JSON],
+    "point exponent": ["rep-matrix", "--group", "c2", "--m", "1", "--g", NEAR_LIMIT_JSON],
+    "truncation bound": [
+        "rep-matrix", "--group", "c2", "--m", "1", "--g", NEAR_LIMIT_JSON, "--truncation", "3",
+    ],
+    "cyclic order": ["rep-matrix", "--group", "c" + NINES[:4000], "--m", "1", "--g", G_JSON],
+    "--m": ["rep-matrix", "--group", "c2", "--m", NINES[:4000], "--g", G_JSON],
+    "JSON group name": [
+        "rep-matrix", "--group", json.dumps({"mul": [[0, 1], [1, 0]], "name": "A" * 3000}),
+        "--m", "1", "--g", G_JSON, "--max-points", "1",
+    ],
+    "JSON group name with a newline": [
+        "rep-matrix", "--group", json.dumps({"mul": [[0, 1], [1, 0]], "name": "a\nb"}),
+        "--m", "1", "--g", G_JSON, "--max-points", "1",
+    ],
+}
+
+
+@pytest.mark.parametrize("case", LONG_SIZES)
+def test_a_long_size_or_name_gets_a_short_error(capsys, int_digit_limit, case):
+    assert main(LONG_SIZES[case]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert len(captured.err.encode()) < 200, captured.err
+
+
 @pytest.mark.parametrize(
     "g, message",
     [

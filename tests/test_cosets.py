@@ -325,6 +325,16 @@ def test_star_vs_pair(m, s1, l1, s2, l2):
     assert star_vs_pair_check(m, rand_aut(s1, l1), rand_aut(s2, l2))
 
 
+def test_star_vs_pair_refuses_a_second_component_that_moves_the_base(monkeypatch):
+    g, h = rand_aut(31, 4), rand_aut(32, 4)
+    # a faulty tuple product whose second component moves x1
+    monkeypatch.setattr(
+        "autcosets.cosets.tuple_product", lambda m, gs, hs: TupleRep(m, (g, nielsen_swap(1, 2)), 1)
+    )
+    with pytest.raises(SupportViolation, match="^second pair component escaped the stabilizer$"):
+        star_vs_pair_check(1, g, h)
+
+
 def test_tuple_product_single_component_is_coset_product():
     g = rand_aut(21, 6)
     h = rand_aut(22, 6)

@@ -4,6 +4,7 @@ limit of <limit>``."""
 
 from __future__ import annotations
 
+import ast
 import pathlib
 import re
 import time
@@ -68,10 +69,12 @@ def test_a_power_far_over_the_limit_is_neither_built_nor_printed():
     assert str(exc.value) == "x needs 2^1000000000 points, over the limit of 10"
 
 
-def test_a_huge_size_without_a_power_is_printed_in_full():
+def test_a_huge_size_without_a_power_is_cut_to_24_digits():
     with pytest.raises(SizeLimitError) as exc:
         check_size("x", 10**30, "generators per block", 10)
-    assert str(exc.value) == f"x needs {10**30} generators per block, over the limit of 10"
+    assert str(exc.value) == (
+        f"x needs {str(10**30)[:24]}... generators per block, over the limit of 10"
+    )
 
 
 def _matmul_at_a_patched_limit(monkeypatch):
@@ -153,6 +156,76 @@ def test_size_limit_errors_are_raised_in_errors_only():
     raising = sorted(p.name for p in package.glob("*.py") if "SizeLimitError(" in p.read_text())
     assert raising == ["errors.py"]
     assert not hasattr(autcosets, "check_size") and "check_size" not in autcosets.__all__
+
+
+def test_refusals_print_ints_through_clip_alone():
+    # _int_text renders words and maps, and is _clip's rule past the digit limit
+    package = pathlib.Path(autcosets.__file__).parent
+    naming = sorted(p.name for p in package.glob("*.py") if "_int_text" in p.read_text())
+    assert naming == ["automorphisms.py", "words.py"]
+
+
+def test_the_library_has_no_float():
+    # no float or complex constant and no true division in any module
+    package = pathlib.Path(autcosets.__file__).parent
+    found = []
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Constant) and type(node.value) in (float, complex):
+                found.append(f"{path.name}:{node.lineno}")
+            elif isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Div):
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []
+
+
+# --- ints of more than 24 digits ----------------------------------------------
+
+LONG = 10**30
+CUT = f"{str(LONG)[:24]}..."
+
+LONG_INT_PROBES = {
+    "check_size power": (
+        lambda: check_size("x", LONG, "u", 10, LONG),
+        f"x needs {CUT}^{CUT} u, over the limit of 10",
+    ),
+    "check_size limit": (
+        lambda: check_size("x", 2, "u", LONG, 10**6),
+        f"x needs 2^1000000 u, over the limit of {CUT}",
+    ),
+    "markov_matrix m": (
+        lambda: markov_matrix(C2, E, LONG),
+        f"averaging over c2^{CUT} needs 2^{CUT} points, over the limit of 10000000",
+    ),
+    "action_map support": (
+        lambda: action_map(C2, nielsen_swap(1, LONG), 1),
+        f"automorphism moves x{CUT} but points have 1 coordinates",
+    ),
+    "action_map coordinates": (
+        lambda: action_map(C1, E, LONG),
+        f"action on c1^{CUT} needs {CUT} coordinates, over the limit of 10000",
+    ),
+    "markov_matrix support": (
+        lambda: markov_matrix(C2, nielsen_swap(1, LONG), 1, truncation=2),
+        f"truncation 2 is below the required bound {CUT}",
+    ),
+    "markov_matrix truncation": (
+        lambda: markov_matrix(C2, E, 1, truncation=-LONG),
+        f"truncation -{CUT[:23]}... is below the required bound 1",
+    ),
+    "product_formula_direct support": (
+        lambda: product_formula_direct(1, 0, nielsen_swap(1, LONG), E),
+        f"automorphism moves generators above 1 (support bound {CUT})",
+    ),
+}
+
+
+@pytest.mark.parametrize("probe", LONG_INT_PROBES)
+def test_an_int_over_24_digits_is_cut_in_every_refusal(probe):
+    build, message = LONG_INT_PROBES[probe]
+    with pytest.raises(ValueError) as exc:
+        build()
+    assert str(exc.value) == message
+    assert len(message) < 120
 
 
 # --- ints past the interpreter's digit limit ----------------------------------

@@ -148,11 +148,12 @@ def test_cyclic_builtins_are_cheap_and_bounded():
     assert builtin_group("c800").order == 800
     assert time.perf_counter() - start < 0.1
     side = int(DEFAULT_MAX_POINTS**0.5)  # 3162: 3162^2 cells fit the budget
-    for n, cells in ((side + 1, (side + 1) ** 2), (10**30, f"{10**30}^2")):
+    cut = f"{str(10**30)[:24]}..."  # an order over 24 digits is cut in the refusal
+    for n, shown, cells in ((side + 1, side + 1, (side + 1) ** 2), (10**30, cut, f"{cut}^2")):
         with pytest.raises(SizeLimitError) as exc:
             builtin_group(f"c{n}")
         assert str(exc.value) == (
-            f"builtin group c{n} needs {cells} table cells, "
+            f"builtin group c{shown} needs {cells} table cells, "
             f"over the limit of {DEFAULT_MAX_POINTS}"
         )
 
@@ -338,6 +339,20 @@ def test_group_json_accepts_only_real_ints(doc, field):
         group_from_dict(doc)
 
 
+@pytest.mark.parametrize(
+    "name, echo", [("A" * 3000, f"{'A' * 24!r}..."), ("a\nb", "'a\\nb'")], ids=["long", "newline"]
+)
+def test_group_json_refuses_a_name_no_one_line_refusal_could_print(name, echo):
+    with pytest.raises(ValueError) as exc:
+        group_from_dict({"mul": [[0, 1], [1, 0]], "name": name})
+    assert str(exc.value) == f"group name {echo} must be at most 24 printable characters"
+
+
+def test_group_json_keeps_a_short_name_and_ignores_one_that_is_no_string():
+    assert group_from_dict({"mul": [[0, 1], [1, 0]], "name": "n" * 24}).name == "n" * 24
+    assert group_from_dict({"mul": [[0, 1], [1, 0]], "name": 7}).name == "group2"
+
+
 class Index:
     """An Integral type that numpy does not know."""
 
@@ -384,6 +399,15 @@ def test_subgroup_validation():
             Subgroup(s3, members)
     assert Subgroup(s3, [np.int64(0), np.int32(3), 4]).members == (0, 3, 4)
     assert 3 in Subgroup(s3, [0, 3, 4])
+
+
+def test_a_subgroup_iterates_its_members_and_both_reprs_name_the_group():
+    s3 = builtin_group("s3")
+    whole = Subgroup.whole(s3)
+    assert list(whole) == list(range(6))
+    assert Subgroup(s3, whole).members == whole.members
+    assert repr(s3) == "FiniteGroup('s3', order=6)"
+    assert repr(Subgroup(s3, [0, 3, 4])) == "Subgroup('s3', (0, 3, 4))"
 
 
 def test_tuple_index_roundtrip_and_order():
