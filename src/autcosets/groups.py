@@ -88,11 +88,15 @@ class FiniteGroup:
     must be integers (``bool``, floats and strings are refused).  The table
     is stored once, as the read-only int32 arrays ``mul_np`` (``mul_np[a, b]``
     is the product a*b) and ``inv_np`` (``inv_np[a]`` is the inverse of a).
+    A name, checked first, is None or at most 24 printable characters.
     """
 
     __slots__ = ("name", "order", "identity", "mul_np", "inv_np", "_hash", "__weakref__")
 
     def __init__(self, mul: Sequence[Sequence[int]], identity: int = 0, name: str | None = None):
+        # refusals print the name as it stands, so it must fit on their one line
+        if not (name is None or isinstance(name, str) and len(name) <= 24 and name.isprintable()):
+            raise ValueError(f"group name {_clip(name)} must be at most 24 printable characters")
         mul = tuple(mul)
         n = len(mul)
         check_size(f"group of order {n}", n, "table cells", DEFAULT_MAX_POINTS, 2)
@@ -268,9 +272,8 @@ def builtin_group(name: str) -> FiniteGroup:
 
 def group_from_dict(data) -> FiniteGroup:
     """Build a verified group from {"order": n, "mul": [[...]], "unit": u,
-    "name": s}.  Refusals print the name as it stands, so a string name
-    must be at most 24 printable characters; a name that is no string is
-    ignored."""
+    "name": s}.  A name that is no string is ignored; ``FiniteGroup``
+    checks a string name."""
     if not isinstance(data, dict):
         raise ValueError("group JSON must be an object")
     if "mul" not in data:
@@ -281,6 +284,4 @@ def group_from_dict(data) -> FiniteGroup:
     if "order" in data and _integer(data["order"], "'order'") != len(mul):
         raise GroupAxiomError("'order' does not match the table size")
     name = data.get("name")
-    if isinstance(name, str) and (len(name) > 24 or not name.isprintable()):
-        raise ValueError(f"group name {_clip(name)} must be at most 24 printable characters")
     return FiniteGroup(mul, data.get("unit", 0), name=name if isinstance(name, str) else None)

@@ -165,7 +165,7 @@ class ActionMap:
 
 
 def action_map(K: FiniteGroup, g: Automorphism, n_coords: int, max_points=None) -> ActionMap:
-    """Point map of ``g`` on K^n_coords, verified to be a bijection.
+    """Point map of ``g`` on K^n_coords, a bijection because g has an inverse.
 
     Requires the support of g to fit inside the first n_coords generators.
     Composites reverse: the point map of compose(g, h) is the point map of
@@ -175,11 +175,12 @@ def action_map(K: FiniteGroup, g: Automorphism, n_coords: int, max_points=None) 
     table: g maps F_N onto F_N (N = n_coords), and images that never
     mention x_i generate only words without x_i, so the images of
     x_1..x_N together read every coordinate 1..N.  For a group of order 1
-    or N = 0 the grid has no axes and ravels to its one point.  A pair
-    that is not an automorphism, but whose images are all non-empty (the
-    precondition of ``_grid_eval``), may read fewer coordinates; its table
-    is then shorter than n^N and misses a point, so it is refused as no
-    bijection.
+    or N = 0 the grid has no axes and ravels to its one point.  The table
+    is not checked: ``_require_automorphism`` admits only verified or
+    closed pairs, g.inv has the same support, and since composites reverse
+    the point maps of g and g.inv compose to the point map of the identity
+    both ways, so each inverts the other.  The law
+    ``representation.point_maps_bijective`` checks it.
     """
     _require_automorphism(g, "action_map")
     n_coords = _integer(n_coords, "n_coords", 0)
@@ -188,15 +189,9 @@ def action_map(K: FiniteGroup, g: Automorphism, n_coords: int, max_points=None) 
             f"automorphism moves x{_clip(g.support_bound())} but points have "
             f"{_clip(n_coords)} coordinates"
         )
-    n = K.order
     _check_budget(max_points, "action on", K, n_coords)
     code = _grid_code(K, [_image_code(g.fwd, i) for i in range(1, n_coords + 1)])
     table = code.ravel()
-    # n^N codes in 0..n^N-1 form a bijection exactly when every point is hit
-    hit = np.zeros(n ** n_coords, dtype=bool)
-    hit[table] = True
-    if not hit.all():
-        raise ValueError("induced point map is not a bijection")
     table.setflags(write=False)
     return ActionMap(table)
 

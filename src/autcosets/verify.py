@@ -138,11 +138,9 @@ def _pair(rng: random.Random, max_len: int):
 
 
 def _bijective(K, g, n_coords: int) -> bool:
-    try:
-        action_map(K, g, n_coords)
-    except ValueError:
-        return False
-    return True
+    """Whether the point map of g on K^n_coords hits every point; a
+    refusal of ``action_map`` propagates."""
+    return set(action_map(K, g, n_coords).table.tolist()) == set(range(K.order ** n_coords))
 
 
 # the letters of x1..x6 and their inverses, drawn uniformly by the words suite

@@ -348,6 +348,17 @@ def test_group_json_refuses_a_name_no_one_line_refusal_could_print(name, echo):
     assert str(exc.value) == f"group name {echo} must be at most 24 printable characters"
 
 
+@pytest.mark.parametrize(
+    "name, echo",
+    [("a\nb" + "x" * 3000, f"{'a' + chr(10) + 'b' + 'x' * 21!r}..."), ("a\nb", "'a\\nb'"), (7, "7")],
+    ids=["long", "newline", "no-string"],
+)
+def test_a_library_group_refuses_a_name_no_one_line_refusal_could_print(name, echo):
+    with pytest.raises(ValueError) as exc:
+        FiniteGroup([[0, 1], [1, 0]], name=name)
+    assert str(exc.value) == f"group name {echo} must be at most 24 printable characters"
+
+
 def test_group_json_keeps_a_short_name_and_ignores_one_that_is_no_string():
     assert group_from_dict({"mul": [[0, 1], [1, 0]], "name": "n" * 24}).name == "n" * 24
     assert group_from_dict({"mul": [[0, 1], [1, 0]], "name": 7}).name == "group2"

@@ -51,7 +51,13 @@ from autcosets.repengine import (
     projection_matrix,
     weak_limit_check,
 )
-from autcosets.verify import _bijective, compressed_product_agrees, matrix_product_agrees, product_matrices
+from autcosets.verify import (
+    _bijective,
+    compressed_product_agrees,
+    matrix_product_agrees,
+    product_matrices,
+    run_suites,
+)
 from autcosets.words import _encode, parse_word
 from cylinder_oracle import (
     CylinderFunction,
@@ -245,13 +251,33 @@ def test_action_map_bijections():
 
 def test_a_point_map_that_misses_a_point_is_refused():
     # x1 -> x1 x1 is an endomorphism of the free group, not an automorphism:
-    # over c2 it sends both points to the unit, so the unit is hit twice
+    # over c2 it sends both points to the unit, so the unit is hit twice;
+    # action_map trusts the closed pair, and the law finds the miss
     square = _closed_automorphism(_endomorphism({1: _encode(((1, 1), (1, 1)))}), _endomorphism({}))
-    with pytest.raises(ValueError, match="^induced point map is not a bijection$"):
-        action_map(C2, square, 1)
     assert not _bijective(C2, square, 1)
     assert not _bijective(C2, square, 3)
     assert _bijective(C2, nielsen_swap(1, 2), 2)
+
+
+def test_the_bijection_law_lets_the_point_engine_refusals_through():
+    with pytest.raises(SupportViolation):
+        _bijective(C2, nielsen_swap(1, 2), 1)
+    with pytest.raises(SizeLimitError):
+        _bijective(C2, nielsen_swap(1, 2), 30)
+
+
+def test_a_point_map_that_hits_a_point_twice_fails_the_law(monkeypatch):
+    grid_code = autcosets.repengine._grid_code
+
+    def collapsed(K, words):
+        # only the law's maps on c2^4 send point 1's preimage onto point 0 too;
+        # the matrix laws, at m = 1, read the true grid
+        code = grid_code(K, words)
+        return np.where(code == 1, 0, code) if len(words) == 4 else code
+
+    monkeypatch.setattr(autcosets.repengine, "_grid_code", collapsed)
+    failed = [r.name for r in run_suites("representation") if not r.passed]
+    assert failed == ["representation.point_maps_bijective"]
 
 
 def test_action_map_rejects_undersized_cube():
@@ -305,6 +331,22 @@ def test_markov_for_stabilizer_elements_is_identity():
             assert markov_matrix(K, theta(m, 2), m) == RationalMatrix.identity(K.order**m)
             h = rand_aut(9, 6, m_fix=m, max_index=m + 2)
             assert markov_matrix(K, h, m) == RationalMatrix.identity(K.order**m)
+
+
+@given(
+    st.sampled_from(["c2", "c3", "s3", "q8"]),
+    st.integers(1, 2),
+    st.integers(0, 10_000),
+    st.integers(0, 6),
+    st.integers(0, 6),
+)
+def test_markov_matrix_is_a_function_of_the_double_coset(name, m, seed, length, h_length):
+    # p, q fix x_1..x_m, so their point maps fix the first m coordinates
+    K = builtin_group(name)
+    g = rand_aut(seed, length, max_index=m + 2)
+    p = random_automorphism(m, m + 3, h_length, seed + 1)
+    q = random_automorphism(m, m + 3, h_length, seed + 2)
+    assert markov_matrix(K, compose(p, compose(g, q)), m) == markov_matrix(K, g, m)
 
 
 def test_markov_truncation_invariance():
