@@ -45,7 +45,12 @@ def _read_payload(spec: str) -> str:
     stripped = spec.lstrip()
     if stripped.startswith("{") or stripped.startswith("["):
         return spec
-    with open(spec, "r", encoding="utf-8") as fh:
+    try:
+        fh = open(spec, "r", encoding="utf-8")
+    except OSError as err:
+        # the message OSError prints, but with the path cut by ``_clip``
+        raise OSError(err.errno, f"{err.strerror}: {_clip(spec)}") from None
+    with fh:
         return fh.read()
 
 
@@ -150,21 +155,12 @@ def _cmd_tuple_product(args) -> int:
     )
 
 
-def _resolve_max_points(args):
-    if args.max_points is not None:
-        return args.max_points
-    env = os.environ.get("COSET_MAX_POINTS")
-    if not env:
-        return None
-    return _parse_int(env, "COSET_MAX_POINTS", "COSET_MAX_POINTS must be an integer, got ")
-
-
 def _parse_int(text: str, name: str, refusal: str) -> int:
-    """``int(text)`` for an integer read from the command line, the
-    environment or a JSON document, the one reader of them.  Text that is
-    no integer is refused by ``refusal`` followed by the text cut by
-    ``_clip``; an integer with more digits than the interpreter converts,
-    by ``name`` and its digit count against the limit."""
+    """``int(text)`` for an integer read from the command line or a JSON
+    document, the one reader of them.  Text that is no integer is refused
+    by ``refusal`` followed by the text cut by ``_clip``; an integer with
+    more digits than the interpreter converts, by ``name`` and its digit
+    count against the limit."""
     try:
         return int(text)
     except ValueError:
@@ -188,16 +184,15 @@ def _int_option(text: str) -> int:
 def _cmd_rep_matrix(args) -> int:
     group = _load_group(args.group)
     g = _load_automorphism(args.g)
-    max_points = _resolve_max_points(args)
     # the subgroup is checked before the matrix, which may take long to build
     u = None if args.u is None else Subgroup(group, [
         _parse_int(x.strip(), "--u member", "--u must list integers, got ")
         for x in args.u.split(",")
         if x.strip()
     ])
-    matrix = markov_matrix(group, g, args.m, truncation=args.truncation, max_points=max_points)
+    matrix = markov_matrix(group, g, args.m, max_points=args.max_points)
     if u is not None:
-        matrix = compress_to_invariants(group, u, args.m, matrix, max_points=max_points)
+        matrix = compress_to_invariants(group, u, args.m, matrix, max_points=args.max_points)
     rows = matrix.to_strings()
     return _emit(args, lambda: rows, lambda: _matrix_text(rows))
 
@@ -252,12 +247,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=_int_option, required=True, help="number of retained coordinates")
     p.add_argument("--g", required=True)
     p.add_argument("--u", help="comma-separated subgroup elements; compress onto orbit averages")
-    p.add_argument(
-        "--truncation", type=_int_option, help="evaluate over K^truncation instead of the minimum"
-    )
-    p.add_argument(
-        "--max-points", type=_int_option, dest="max_points", help="enumeration budget override"
-    )
+    p.add_argument("--max-points", type=_int_option, help="most points or matrix cells to build")
     p.set_defaults(func=_cmd_rep_matrix)
 
     # the one --text, for every verb but verify; added last, so usage ends in [--text]

@@ -21,24 +21,16 @@ class GroupAxiomError(ValueError):
 
 def _integer_table(rows: tuple) -> np.ndarray | None:
     """``rows`` as one integer array, or None if they are ragged or hold an
-    integer beyond 64 bits.  The first entry in row-major order that is not
-    an integer (a bool, float, string, ...) is refused by name."""
+    integer beyond 64 bits.  Every entry passes ``_integer`` first, so the
+    first in row-major order that is not an integer (a bool, float,
+    string, ...) is refused by name."""
+    rows = [[_integer(x, "'mul' entry") for x in row] for row in rows]
     try:
         arr = np.array(rows)
     except ValueError:  # ragged rows
-        arr = None
-    if arr is None or arr.ndim != 2 or arr.dtype.kind not in "iu":
-        # integer types numpy does not know come back as ints
-        rows = [[_integer(x, "'mul' entry") for x in row] for row in rows]
-        try:
-            arr = np.array(rows)
-        except ValueError:
-            return None
-        return arr if arr.dtype.kind in "iu" else None
-    # numpy reads a bool among ints as 0 or 1, so only those cells can hold one
-    for r, c in np.argwhere((arr == 0) | (arr == 1)).tolist():
-        _integer(rows[r][c], "'mul' entry")
-    return arr
+        return None
+    # numpy stores an int beyond 64 bits as a float or an object
+    return arr if arr.dtype.kind in "iu" else None
 
 
 def _greedy_generators(mul: np.ndarray, identity: int, members) -> Iterator[int]:

@@ -6,9 +6,11 @@ byte-for-byte golden outputs via subprocess; the remaining coverage drives
 from __future__ import annotations
 
 import contextlib
+import errno
 import hashlib
 import io
 import json
+import os
 import random
 import subprocess
 import sys
@@ -233,10 +235,15 @@ def test_rep_matrix_abelian_compression_is_noop(capsys):
 
 
 def test_rep_matrix_truncation_flag(capsys):
-    assert main(
-        ["rep-matrix", "--group", "c2", "--m", "1", "--g", G_JSON, "--truncation", "4"]
-    ) == 0
-    assert capsys.readouterr().out == GOLDEN_MATRIX.decode()
+    # the grid is always the minimal one, so there is no option to widen it
+    with pytest.raises(SystemExit) as exc:
+        main(["rep-matrix", "--group", "c2", "--m", "1", "--g", G_JSON, "--truncation", "4"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines()[-1] == (
+        "autcosets: error: unrecognized arguments: --truncation 4"
+    )
 
 
 def test_rep_matrix_group_json(capsys, tmp_path):
@@ -308,7 +315,7 @@ def test_verify_has_no_point_budget(capsys, monkeypatch):
         main(["verify", "--max-points", "5"])
     assert exc.value.code == 2
     capsys.readouterr()
-    # its inputs are fixed and small, so the environment's budget does not apply
+    # its inputs are fixed and small, and a budget in the environment is not read
     monkeypatch.setenv("COSET_MAX_POINTS", "10")
     assert main(["verify", "--suite", "representation"]) == 0
     assert "FAIL" not in capsys.readouterr().out
@@ -329,6 +336,24 @@ def test_domain_errors_exit_1(capsys):
 
     assert main(["rep-matrix", "--group", "c2", "--m", "1", "--g", "/no/such/file.json"]) == 1
     assert capsys.readouterr().err.startswith("error:")
+
+
+@pytest.mark.parametrize(
+    "path, code, echo",
+    [
+        ("nope.json", errno.ENOENT, "'nope.json'"),
+        ("a" * 5000, errno.ENAMETOOLONG, f"{'a' * 24!r}..."),
+        ("a/" * 130, errno.ENOENT, f"{'a/' * 12!r}..."),
+    ],
+    ids=["short", "too-long", "long-missing"],
+)
+def test_an_unreadable_path_is_echoed_short(capsys, monkeypatch, tmp_path, path, code, echo):
+    monkeypatch.chdir(tmp_path)
+    assert main(["invert", "--g", path]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    # a short path keeps the bytes of OSError's own message
+    assert captured.err == f"error: [Errno {code}] {os.strerror(code)}: {echo}\n"
 
 
 def test_non_integer_letters_exit_1(capsys):
@@ -377,42 +402,30 @@ def test_an_index_over_the_digit_limit_is_named(capsys, int_digit_limit, verb):
 
 
 @pytest.mark.parametrize(
-    "env, u, message",
+    "max_points, u, message",
     [
-        ("abc", None, "COSET_MAX_POINTS must be an integer, got 'abc'"),
-        ("1.5", "0,1", "COSET_MAX_POINTS must be an integer, got '1.5'"),
         ("0", None, "max_points must be >= 1, got 0"),
         (None, "a", "--u must list integers, got 'a'"),
         (None, "0, 3,x4", "--u must list integers, got 'x4'"),
         (None, "0,-+5", "--u must list integers, got '-+5'"),
     ],
 )
-def test_bad_integer_inputs_are_named(capsys, monkeypatch, env, u, message):
-    if env is not None:
-        monkeypatch.setenv("COSET_MAX_POINTS", env)
-    else:
-        monkeypatch.delenv("COSET_MAX_POINTS", raising=False)
+def test_bad_integer_inputs_are_named(capsys, max_points, u, message):
     argv = ["rep-matrix", "--group", "s3", "--m", "1", "--g", G_JSON]
+    argv += ["--max-points", max_points] if max_points is not None else []
     assert main(argv + (["--u", u] if u is not None else [])) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: {message}\n"
 
 
-def test_a_long_integer_in_u_or_the_environment_is_named_by_its_digits(
-    capsys, monkeypatch, int_digit_limit
-):
+def test_a_long_integer_in_u_or_the_environment_is_named_by_its_digits(capsys, int_digit_limit):
     nines = "9" * 5000
-    argv = ["rep-matrix", "--group", "s3", "--m", "1", "--g", G_JSON]
-    for env, u, name in ((None, f"0,{nines}", "--u member"), (nines, None, "COSET_MAX_POINTS")):
-        if env is None:
-            monkeypatch.delenv("COSET_MAX_POINTS", raising=False)
-        else:
-            monkeypatch.setenv("COSET_MAX_POINTS", env)
-        assert main(argv + (["--u", u] if u is not None else [])) == 1
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == f"error: {name} has 5000 digits, over the limit of {int_digit_limit}\n"
+    argv = ["rep-matrix", "--group", "s3", "--m", "1", "--g", G_JSON, "--u", f"0,{nines}"]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: --u member has 5000 digits, over the limit of {int_digit_limit}\n"
 
 
 def test_rep_matrix_reads_u_before_it_builds_the_matrix(capsys, monkeypatch):
@@ -434,7 +447,6 @@ INTEGER_OPTIONS = [
     ["star-product", "--g", G_JSON, "--h", H_JSON, "--m"],
     ["tuple-product", "--gs", f"[{G_JSON}]", "--hs", f"[{H_JSON}]", "--m"],
     ["rep-matrix", "--group", "c2", "--g", G_JSON, "--m"],
-    ["rep-matrix", "--group", "c2", "--m", "1", "--g", G_JSON, "--truncation"],
     ["rep-matrix", "--group", "c2", "--m", "1", "--g", G_JSON, "--max-points"],
     ["verify", "--seed"],
 ]
@@ -500,9 +512,6 @@ NEAR_LIMIT_JSON = G_JSON.replace("[2,", f"[{NINES[:4300]},")
 LONG_SIZES = {
     "block size": ["coset-product", "--m", "1", "--g", NEAR_LIMIT_JSON, "--h", H_JSON],
     "point exponent": ["rep-matrix", "--group", "c2", "--m", "1", "--g", NEAR_LIMIT_JSON],
-    "truncation bound": [
-        "rep-matrix", "--group", "c2", "--m", "1", "--g", NEAR_LIMIT_JSON, "--truncation", "3",
-    ],
     "cyclic order": ["rep-matrix", "--group", "c" + NINES[:4000], "--m", "1", "--g", G_JSON],
     "--m": ["rep-matrix", "--group", "c2", "--m", NINES[:4000], "--g", G_JSON],
     "JSON group name": [
@@ -739,18 +748,16 @@ def test_usage_errors_exit_2():
 
 
 def test_point_budget_env_and_flag(capsys, monkeypatch):
+    argv = ["rep-matrix", "--group", "s3", "--m", "1", "--g", G_JSON]
+    # s3 at m=1 averages over s3^2, 36 points
+    assert main(argv + ["--max-points", "10"]) == 1
+    assert capsys.readouterr().err == "error: averaging over s3^2 needs 36 points, over the limit of 10\n"
+    assert main(argv + ["--max-points", "100"]) == 0
+    expected = capsys.readouterr()
+    # --max-points is the one way to set the budget: the environment is not read
     monkeypatch.setenv("COSET_MAX_POINTS", "10")
-    assert main(["rep-matrix", "--group", "s3", "--m", "1", "--g", G_JSON]) == 1
-    assert "error:" in capsys.readouterr().err
-
-    # the explicit flag overrides the environment
-    assert main(
-        ["rep-matrix", "--group", "s3", "--m", "1", "--g", G_JSON, "--max-points", "100"]
-    ) == 0
-    capsys.readouterr()
-
-    monkeypatch.delenv("COSET_MAX_POINTS")
-    assert main(["rep-matrix", "--group", "s3", "--m", "1", "--g", G_JSON]) == 0
+    assert main(argv) == 0
+    assert capsys.readouterr() == expected
 
 
 # --- exit-code contract under mutated input ------------------------------

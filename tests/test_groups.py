@@ -388,6 +388,23 @@ def test_table_entries_must_be_integers():
     assert FiniteGroup([[Index(0), Index(1)], [1, 0]]).mul_np.tolist() == [[0, 1], [1, 0]]
 
 
+@pytest.mark.parametrize(
+    "mul, echo",
+    [
+        ([[0, 1.5], [True, 0]], "1.5"),
+        # 2**70 is an integer, only past 64 bits, so the bool after it is named
+        ([[0, 2**70], [True, 0]], "True"),
+        (np.array([[True, False], [False, True]]), repr(np.True_)),
+        (np.array([[0.0, 1.0], [1.0, 0.0]]), repr(np.float64(0.0))),
+    ],
+    ids=["float", "bool-after-a-long-int", "numpy-bool", "numpy-float"],
+)
+def test_a_table_refusal_names_the_first_entry_that_is_no_integer(mul, echo):
+    with pytest.raises(ValueError) as exc:
+        FiniteGroup(mul)
+    assert str(exc.value) == f"'mul' entry must be an integer, got {echo}"
+
+
 def test_subgroup_validation():
     s3 = builtin_group("s3")
     Subgroup(s3, [0, 3, 4])  # the 3-cycles with the unit
