@@ -207,8 +207,28 @@ def _cmd_verify(args) -> int:
     return 0 if passed == len(results) else 1
 
 
+# the most characters of a usage error kept before the cut: the longest
+# verb's "autcosets coset-product: error: " prefix, this, "..." and the
+# newline stay under 220 characters, and an unknown verb of 24 characters (a
+# 175-character message that lists every verb) keeps its bytes
+_MAX_USAGE_ERROR = 180
+
+
+class _Parser(argparse.ArgumentParser):
+    """``ArgumentParser`` whose usage errors stay short however long the
+    arguments they echo: a message over ``_MAX_USAGE_ERROR``
+    characters is cut to its first ones, then ``...``.  The arguments
+    themselves are never cut.  ``add_subparsers`` builds the verb parsers
+    with this class."""
+
+    def error(self, message: str):
+        if len(message) > _MAX_USAGE_ERROR:
+            message = f"{message[:_MAX_USAGE_ERROR]}..."
+        super().error(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="autcosets",
         description="Block-stabilized products of free-group automorphisms "
         "and their exact matrix representations over finite groups.",

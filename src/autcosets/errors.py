@@ -2,7 +2,10 @@
 
 Every size a request asks for is compared with its limit by ``check_size``,
 and every refusal reads ``<layer> needs <size> <unit>, over the limit of
-<limit>``.  Only the point budget can be set per call (``max_points``)."""
+<limit>``.  Only the point budget can be set per call, and only by the
+two calls ``rep-matrix --max-points`` reaches: ``markov_matrix`` and
+``compress_to_invariants`` take ``max_points``; every other size is held to
+its limit here."""
 
 __all__ = ["DEFAULT_MAX_POINTS", "SizeLimitError", "SupportViolation"]
 
@@ -17,6 +20,10 @@ MAX_MATMUL_WORK = 10**9
 # coordinates one request may lay out: bounds groups of order 1, whose n^N
 # points never exceed the point budget
 MAX_COORDINATES = 10_000
+# coordinates one request may lay out over a group of order 2 or more, whose
+# grids put coordinate i on axis -i: numpy 1.x allows 32 axes (numpy 2, 64),
+# met only under a point budget raised to 2^33 or more
+MAX_AXES = 32
 # generators per block: theta(m, N) has 2N images and every product
 # representative moves all of them, so a product's size grows with N, not
 # with the size of its input

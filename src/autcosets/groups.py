@@ -141,7 +141,11 @@ class FiniteGroup:
 
 class Subgroup:
     """Subset of a FiniteGroup's elements verified closed under product and
-    inverse and containing the unit."""
+    inverse and containing the unit.
+
+    ``members`` is the sorted tuple of its elements, and every caller reads
+    it: a Subgroup is no container, so it neither iterates, has a length,
+    nor tests membership."""
 
     __slots__ = ("parent", "members")
 
@@ -172,15 +176,6 @@ class Subgroup:
     @classmethod
     def whole(cls, parent: FiniteGroup) -> "Subgroup":
         return cls(parent, range(parent.order))
-
-    def __iter__(self):
-        return iter(self.members)
-
-    def __len__(self):
-        return len(self.members)
-
-    def __contains__(self, x):
-        return x in self.members
 
     def __repr__(self):
         return f"Subgroup({self.parent.name!r}, {self.members})"

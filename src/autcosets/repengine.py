@@ -48,31 +48,38 @@ import numpy as np
 
 from .automorphisms import Automorphism, _image_code, _require_automorphism
 from .cosets import _block_swap
-from .errors import DEFAULT_MAX_POINTS, MAX_COORDINATES, SupportViolation, check_size
+from .errors import DEFAULT_MAX_POINTS, MAX_AXES, MAX_COORDINATES, SupportViolation, check_size
 from .groups import FiniteGroup, Subgroup, _greedy_generators
 from .ratmat import RationalMatrix
 from .words import Code, _clip, _integer
 
 
-def _check_budget(max_points, what: str, K: FiniteGroup, exp: int, cells: bool = False) -> None:
+def _check_budget(what: str, K: FiniteGroup, exp: int, cells: bool = False, max_points=None) -> None:
     """Refuse n^exp points of K^exp, or with ``cells`` an n^exp x n^exp
     matrix, over the point budget (DEFAULT_MAX_POINTS unless ``max_points``
-    is given), and then exp over MAX_COORDINATES, for the layer named
+    is given), and then exp over its coordinate limit, for the layer named
     ``<what> <K>^<exp>``.  A matrix's n^(2 exp) cells bound its n^exp
-    points too, so a charge for its cells needs no points charge."""
+    points too, so a charge for its cells needs no points charge.
+
+    The coordinate limit is MAX_AXES for a group of order 2 or more, whose
+    grids put coordinate i on axis -i, and MAX_COORDINATES for order 1,
+    whose grids have no axes.  Only ``markov_matrix`` and
+    ``compress_to_invariants`` pass a ``max_points``: under the default
+    budget, below 2^MAX_AXES, a group of order 2 or more never meets
+    MAX_AXES."""
     budget = DEFAULT_MAX_POINTS if max_points is None else _integer(max_points, "max_points", 1)
     layer = f"{what} {K.name}^{_clip(exp)}"
     unit, total = ("cells", 2 * exp) if cells else ("points", exp)
     check_size(layer, K.order, unit, budget, total)
-    # under a budget below 2^MAX_COORDINATES, only order 1 passes with exp over it
-    check_size(layer, exp, "coordinates", MAX_COORDINATES)
+    check_size(layer, exp, "coordinates", MAX_AXES if K.order > 1 else MAX_COORDINATES)
 
 
 @functools.lru_cache(maxsize=256)
 def _coordinate(n: int, i: int) -> np.ndarray:
     """Coordinate i of every point: arange(n) along axis -i, read-only and
     cached, so every word that reads x_i shares it.  A group of order 1 has
-    one point, laid out with no axes (numpy allows at most 64)."""
+    one point, laid out with no axes; any other group lays out at most
+    MAX_AXES coordinates, the axes numpy 1.x allows."""
     shape = (n,) + (1,) * (i - 1) if n > 1 else ()
     grid = np.arange(n, dtype=np.int32).reshape(shape)
     grid.setflags(write=False)
@@ -164,12 +171,13 @@ class ActionMap:
         self.table = table
 
 
-def action_map(K: FiniteGroup, g: Automorphism, n_coords: int, max_points=None) -> ActionMap:
+def action_map(K: FiniteGroup, g: Automorphism, n_coords: int) -> ActionMap:
     """Point map of ``g`` on K^n_coords, a bijection because g has an inverse.
 
-    Requires the support of g to fit inside the first n_coords generators.
-    Composites reverse: the point map of compose(g, h) is the point map of
-    g followed by the point map of h.
+    Requires the support of g to fit inside the first n_coords generators,
+    and its n^n_coords points within DEFAULT_MAX_POINTS.  Composites
+    reverse: the point map of compose(g, h) is the point map of g followed
+    by the point map of h.
 
     The code grid is the full grid on K^n_coords, so its flat form is the
     table: g maps F_N onto F_N (N = n_coords), and images that never
@@ -189,7 +197,7 @@ def action_map(K: FiniteGroup, g: Automorphism, n_coords: int, max_points=None) 
             f"automorphism moves x{_clip(g.support_bound())} but points have "
             f"{_clip(n_coords)} coordinates"
         )
-    _check_budget(max_points, "action on", K, n_coords)
+    _check_budget("action on", K, n_coords)
     code = _grid_code(K, [_image_code(g.fwd, i) for i in range(1, n_coords + 1)])
     table = code.ravel()
     table.setflags(write=False)
@@ -208,9 +216,11 @@ def markov_matrix(
     result is doubly stochastic, equals the identity for automorphisms
     fixing x_1..x_m, and does not change if ``truncation`` raises N further.
 
-    The budget counts all n^N points, but only the coordinates 1..m and
-    those the images of x_1..x_m read are enumerated: each other coordinate
-    multiplies every count by n, which cancels in the lowest-terms result.
+    The point budget (``max_points``, DEFAULT_MAX_POINTS unless given)
+    counts all n^N points and the n^(2m) output cells, but only the
+    coordinates 1..m and those the images of x_1..x_m read are enumerated:
+    each other coordinate multiplies every count by n, which cancels in the
+    lowest-terms result.
 
     ``g`` must be an ``Automorphism``: the image map of a mere endomorphism
     need not induce a bijection, and its matrix need not be stochastic.
@@ -224,8 +234,8 @@ def markov_matrix(
             f"truncation {_clip(n_coords)} is below the required bound {_clip(bound)}"
         )
     n = K.order
-    _check_budget(max_points, "averaging over", K, n_coords)
-    _check_budget(max_points, "markov_matrix on", K, m, cells=True)
+    _check_budget("averaging over", K, n_coords, max_points=max_points)
+    _check_budget("markov_matrix on", K, m, cells=True, max_points=max_points)
     dim = n ** m
     # the row of a point is the code of its first m coordinates
     images = [_image_code(g.fwd, i) for i in range(1, m + 1)]
@@ -236,15 +246,16 @@ def markov_matrix(
     return RationalMatrix._exact(counts, total, total)
 
 
-def projection_matrix(K: FiniteGroup, m: int, n_coords: int, max_points=None) -> RationalMatrix:
+def projection_matrix(K: FiniteGroup, m: int, n_coords: int) -> RationalMatrix:
     """Matrix on K^n_coords of the conditional expectation onto functions of
     the first m coordinates: entry [p][q] = n^-(N-m) when p and q agree in
-    coordinates 1..m, else 0.  Dense — quadratic in the point count."""
+    coordinates 1..m, else 0.  Dense — quadratic in the point count, whose
+    n^(2 n_coords) cells are charged against DEFAULT_MAX_POINTS."""
     m, n_coords = _integer(m, "m", 0), _integer(n_coords, "n_coords")
     if n_coords < m:
         raise ValueError("need 0 <= m <= n_coords")
     n = K.order
-    _check_budget(max_points, "projection_matrix on", K, n_coords, cells=True)
+    _check_budget("projection_matrix on", K, n_coords, cells=True)
     npts = n ** n_coords
     head = np.arange(npts, dtype=np.int64) % n ** m
     same_head = (head[:, None] == head[None, :]).astype(np.int64)
@@ -310,8 +321,10 @@ def _orbit_structure(group: weakref.ref, members: tuple[int, ...], m: int):
 def compress_to_invariants(K: FiniteGroup, u, m: int, matrix: RationalMatrix, max_points=None) -> RationalMatrix:
     """Compress a K^m operator matrix onto U-conjugation orbit averages.
 
-    Requires the matrix to commute with the conjugation permutation of every
-    element of U (ValueError naming the first member that fails otherwise).
+    ``u`` is a ``Subgroup`` of K (TypeError naming the type otherwise,
+    ValueError for a subgroup of another group).  Requires the matrix to
+    commute with the conjugation permutation of every element of U
+    (ValueError naming the first member that fails otherwise).
     The compressed matrix has one row/column per orbit, C[s][t] =
     (1/|orbit_s|) * sum of entries over orbit_s x orbit_t; the identity
     compresses to the identity and matrix products of commuting matrices are
@@ -335,16 +348,17 @@ def compress_to_invariants(K: FiniteGroup, u, m: int, matrix: RationalMatrix, ma
     orbit is a single point, the fixed vectors are the whole space, and the
     matrix itself is returned once the checks above have passed.
     """
-    if isinstance(u, Subgroup) and u.parent != K:
+    if not isinstance(u, Subgroup):
+        raise TypeError(f"compress_to_invariants needs a Subgroup, got {type(u).__name__}")
+    if u.parent != K:
         raise ValueError(f"subgroup of {u.parent.name} does not act on {K.name}")
-    members = u.members if isinstance(u, Subgroup) else Subgroup(K, u).members
     m = _integer(m, "m", 0)
-    _check_budget(max_points, "compress_to_invariants on", K, m, cells=True)
+    _check_budget("compress_to_invariants on", K, m, cells=True, max_points=max_points)
     dim = K.order ** m
     if not (matrix.rows == dim and matrix.cols == dim):
         raise ValueError(f"matrix must be {dim}x{dim} for m={m}, got {matrix.rows}x{matrix.cols}")
     num = matrix.num
-    gens, perms, reps, order, starts = _orbit_structure(weakref.ref(K), members, m)
+    gens, perms, reps, order, starts = _orbit_structure(weakref.ref(K), u.members, m)
     for elem, perm in zip(gens, perms):
         # both sides are dim x dim, so no shape check is needed
         if not (num[perm[:, None], perm] == num).all():
@@ -354,7 +368,7 @@ def compress_to_invariants(K: FiniteGroup, u, m: int, matrix: RationalMatrix, ma
     return matrix._sum_column_groups(reps, order, starts)
 
 
-def weak_limit_check(K: FiniteGroup, m: int, m_cyl: int, j: int, max_points=None) -> bool:
+def weak_limit_check(K: FiniteGroup, m: int, m_cyl: int, j: int) -> bool:
     """Whether the block swap theta(m, j) already acts on functions of the
     first m + m_cyl coordinates exactly like the projection onto the first m:
 
@@ -368,16 +382,16 @@ def weak_limit_check(K: FiniteGroup, m: int, m_cyl: int, j: int, max_points=None
 
     The left side only needs the images of x_1..x_(m + m_cyl), so it swaps
     just the first min(j, m_cyl) pairs of the two blocks, which agree with
-    theta(m, j) there and fit in m + j + m_cyl coordinates; the point budget
-    bounds n^(m + j + m_cyl), and both sides bound their n^(2(m + m_cyl))
-    output cells.  That charge covers the left side's own: the swap's
+    theta(m, j) there and fit in m + j + m_cyl coordinates.  Every charge
+    is against the default budget, DEFAULT_MAX_POINTS: it bounds the
+    n^(m + j + m_cyl) points, and both sides bound their n^(2(m + m_cyl))
+    output cells.  The points charge covers the left side's own: the swap's
     support is m + j + min(j, m_cyl) (or 0), so ``markov_matrix`` charges
     n^max(support, m + m_cyl) points, at most the n^(m + j + m_cyl)
     already charged, and its matrix does not depend on a truncation.
     """
     m, m_cyl, j = _integer(m, "m", 0), _integer(m_cyl, "m_cyl", 0), _integer(j, "j", 0)
     level = m + m_cyl
-    _check_budget(max_points, "weak limit over", K, m + j + m_cyl)
+    _check_budget("weak limit over", K, m + j + m_cyl)
     swap = _block_swap(m, min(j, m_cyl), j)
-    lhs = markov_matrix(K, swap, level, max_points=max_points)
-    return lhs == projection_matrix(K, m, level, max_points=max_points)
+    return markov_matrix(K, swap, level) == projection_matrix(K, m, level)

@@ -5,6 +5,7 @@ byte-for-byte golden outputs via subprocess; the remaining coverage drives
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import errno
 import hashlib
@@ -745,6 +746,73 @@ def test_usage_errors_exit_2():
     with pytest.raises(SystemExit) as exc:
         main([])
     assert exc.value.code == 2
+
+
+def _usage_error(capsys, argv) -> str:
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    return capsys.readouterr().err.splitlines()[-1]
+
+
+LONG_Z = "z" * 5000
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        [LONG_Z],
+        ["verify", "--suite", LONG_Z],
+        ["reduce", "x1", LONG_Z],
+        ["reduce", "x1", *"a" * 3000],
+        ["reduce", "x1", "'" + "\\" * 300],
+    ],
+    ids=["unknown verb", "invalid choice", "stray argument", "many stray arguments", "quote and backslashes"],
+)
+def test_a_usage_error_echoes_a_long_argument_cut(capsys, monkeypatch, argv):
+    # argparse's own line, its message cut to its first _MAX_USAGE_ERROR characters
+    start = time.perf_counter()
+    last = _usage_error(capsys, argv)
+    assert time.perf_counter() - start < 2
+    monkeypatch.setattr(cli._Parser, "error", argparse.ArgumentParser.error)
+    prog, message = _usage_error(capsys, argv).split(": error: ", 1)
+    assert len(message) > cli._MAX_USAGE_ERROR
+    assert last == f"{prog}: error: {message[:cli._MAX_USAGE_ERROR]}..."
+    assert len(last.encode()) < 220
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["nope"],
+        # the longest message a single short argument makes: the verb list
+        ["z" * 24],
+        ["verify", "--suite", "z" * 24],
+        ["reduce", "x1", "a", "z z"],
+        # quotes that open and close in different arguments
+        ["reduce", "x1", "'a", *"bcdefghijklm", "n'"],
+        ["coset-product", "--m", "1", "--g", G_JSON],
+        # already cut by the integer reader, escapes and all
+        ["coset-product", "--g", G_JSON, "--h", H_JSON, "--m", "a" * 23 + "\\" + "b" * 40],
+        ["verify", "--suite", "\n" * 24],
+    ],
+    ids=["unknown verb", "long unknown verb", "invalid choice", "stray arguments", "split quotes", "missing option", "int option", "escapes"],
+)
+def test_a_usage_error_with_short_tokens_keeps_argparse_bytes(capsys, monkeypatch, argv):
+    last = _usage_error(capsys, argv)
+    monkeypatch.setattr(cli._Parser, "error", argparse.ArgumentParser.error)
+    assert _usage_error(capsys, argv) == last
+
+
+@pytest.mark.parametrize("far, budget", [(33, 10**10), (65, 10**23)])
+def test_a_raised_budget_meets_the_axis_limit_in_the_one_shape(capsys, far, budget):
+    # coordinate i lies on axis -i; numpy 2 alone would refuse x65 in its own words
+    swap = json.dumps(automorphism_to_dict(nielsen_swap(1, far)))
+    argv = ["rep-matrix", "--group", "c2", "--m", "1", "--g", swap, "--max-points", str(budget)]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == (
+        f"error: averaging over c2^{far} needs {far} coordinates, over the limit of 32\n"
+    )
 
 
 def test_point_budget_env_and_flag(capsys, monkeypatch):

@@ -118,8 +118,8 @@ SITES = {
         "markov_matrix on c2^16 needs 4294967296 cells, over the limit of 10000000",
     ),
     "projection_matrix": (
-        lambda mp: projection_matrix(C2, 0, 3, max_points=63),
-        "projection_matrix on c2^3 needs 64 cells, over the limit of 63",
+        lambda mp: projection_matrix(C2, 0, 12),
+        "projection_matrix on c2^12 needs 16777216 cells, over the limit of 10000000",
     ),
     "compress_to_invariants": (
         lambda mp: compress_to_invariants(
@@ -132,8 +132,12 @@ SITES = {
         f"action on c2^40 needs {2**40} points, over the limit of 10000000",
     ),
     "weak_limit_check": (
-        lambda mp: weak_limit_check(C2, 1, 2, 1, max_points=8),
-        "weak limit over c2^4 needs 16 points, over the limit of 8",
+        lambda mp: weak_limit_check(C2, 1, 2, 21),
+        "weak limit over c2^24 needs 16777216 points, over the limit of 10000000",
+    ),
+    "axes": (
+        lambda mp: markov_matrix(C2, nielsen_swap(1, 33), 1, max_points=2**33),
+        "averaging over c2^33 needs 33 coordinates, over the limit of 32",
     ),
     "order-1 coordinates": (
         lambda mp: markov_matrix(C1, E, 10_001),

@@ -6,6 +6,7 @@ functions by explicit enumeration (``cylinder_oracle``)."""
 
 from __future__ import annotations
 
+import inspect
 import itertools
 import json
 import random
@@ -37,7 +38,7 @@ from autcosets.automorphisms import (
     random_automorphism,
 )
 from autcosets.cosets import coset_product, theta
-from autcosets.errors import MAX_COORDINATES, SizeLimitError, SupportViolation
+from autcosets.errors import MAX_AXES, MAX_COORDINATES, SizeLimitError, SupportViolation
 from autcosets.groups import Subgroup, builtin_group, group_from_dict
 from autcosets.ratmat import INT64_MAX, RationalMatrix, int_matmul
 from autcosets.repengine import (
@@ -457,6 +458,17 @@ def test_order_one_group_is_bounded_by_its_coordinates():
     assert weak_limit_check(C1, 0, 5000, 5000)
 
 
+def test_a_group_of_order_two_or_more_is_bounded_by_the_axes_numpy_allows():
+    # coordinate i lies on axis -i, and numpy 1.x allows 32 axes; only a
+    # budget raised to 2^33 or more reaches the limit
+    assert MAX_AXES == 32
+    with pytest.raises(SizeLimitError) as exc:
+        markov_matrix(C2, nielsen_swap(1, 33), 1, max_points=2**33)
+    assert str(exc.value) == "averaging over c2^33 needs 33 coordinates, over the limit of 32"
+    got = markov_matrix(C2, nielsen_swap(1, 32), 1, max_points=2**32)
+    assert got.to_strings() == [["1/2", "1/2"], ["1/2", "1/2"]]
+
+
 def test_size_guardrail():
     g = rand_aut(17, 6)
     with pytest.raises(SizeLimitError):
@@ -475,9 +487,10 @@ def test_output_cells_count_against_the_budget():
     # 2^16 points fit the default budget; the 2^32-cell matrix does not
     with pytest.raises(SizeLimitError, match=r"markov_matrix .*4294967296 cells.*10000000"):
         markov_matrix(C2, theta(0, 8), 16)
-    with pytest.raises(SizeLimitError, match="projection_matrix"):
-        projection_matrix(C2, 0, 3, max_points=63)
-    assert projection_matrix(C2, 0, 3, max_points=64).rows == 8
+    # the projection is charged against the default budget alone
+    with pytest.raises(SizeLimitError, match=r"^projection_matrix on c2\^12 needs 16777216 cells"):
+        projection_matrix(C2, 0, 12)
+    assert projection_matrix(C2, 0, 3).rows == 8
     whole = Subgroup.whole(C3)
     with pytest.raises(SizeLimitError, match="compress_to_invariants"):
         compress_to_invariants(C3, whole, 2, RationalMatrix.identity(9), max_points=80)
@@ -647,6 +660,25 @@ def test_orbits_and_compression_at_a_single_point():
     one = RationalMatrix([[-7]], 3)
     assert compress_to_invariants(S3, Subgroup.whole(S3), 0, one) == one
     assert compress_to_invariants(C1, Subgroup.whole(C1), 3, one) == one
+
+
+@pytest.mark.parametrize("u", [[0, 1, 2], None], ids=["list", "None"])
+def test_compression_takes_a_subgroup_only(u):
+    with pytest.raises(TypeError) as exc:
+        compress_to_invariants(C3, u, 1, RationalMatrix.identity(3))
+    assert str(exc.value) == f"compress_to_invariants needs a Subgroup, got {type(u).__name__}"
+
+
+def test_only_the_two_calls_of_rep_matrix_take_a_point_budget():
+    # rep-matrix --max-points reaches markov_matrix and compress_to_invariants;
+    # every other public call is held to DEFAULT_MAX_POINTS
+    functions = [getattr(autcosets, name) for name in autcosets.__all__]
+    taking = {
+        f.__name__
+        for f in functions
+        if inspect.isfunction(f) and "max_points" in inspect.signature(f).parameters
+    }
+    assert taking == {"markov_matrix", "compress_to_invariants"}
 
 
 def test_subgroup_of_another_group_is_refused():
@@ -987,14 +1019,15 @@ def test_weak_limit_swaps_only_the_pairs_it_reads():
 
 
 def test_weak_limit_bounds_its_output_cells():
-    # 2^3 points fit a budget of 32, but the two 8x8 matrices do not
+    # 2^12 points fit the default budget, but the two 2^12 x 2^12 matrices do not;
+    # at m_cyl = 10 the 2^11 x 2^11 matrices still fit, so this is the first refusal
     with pytest.raises(
-        SizeLimitError, match=r"markov_matrix on c2\^3 needs 64 cells, over the limit of 32"
+        SizeLimitError, match=r"^markov_matrix on c2\^12 needs 16777216 cells, over the limit of 10000000$"
     ):
-        weak_limit_check(C2, 1, 2, 0, max_points=32)
-    assert not weak_limit_check(C2, 1, 2, 0, max_points=64)
-    with pytest.raises(SizeLimitError, match=r"weak limit over c2\^4 needs 16 points"):
-        weak_limit_check(C2, 1, 2, 1, max_points=8)
+        weak_limit_check(C2, 1, 11, 0)
+    assert not weak_limit_check(C2, 1, 2, 0)
+    with pytest.raises(SizeLimitError, match=r"^weak limit over c2\^24 needs 16777216 points"):
+        weak_limit_check(C2, 1, 2, 21)
 
 
 def test_cylinder_functions_are_not_library_api():
@@ -1038,10 +1071,10 @@ INTEGER_ARGUMENTS = [
     (
         action_map,
         (C3, nielsen_swap(1, 2)),
-        {"n_coords": 4, "max_points": 10**6},
-        {"n_coords": 0, "max_points": 1},
+        {"n_coords": 4},
+        {"n_coords": 0},
     ),
-    (projection_matrix, (C2,), {"m": 1, "n_coords": 2, "max_points": 10**6}, {"m": 0, "max_points": 1}),
+    (projection_matrix, (C2,), {"m": 1, "n_coords": 2}, {"m": 0}),
     (
         compress_to_invariants,
         (S3, Subgroup.whole(S3)),
@@ -1051,8 +1084,8 @@ INTEGER_ARGUMENTS = [
     (
         weak_limit_check,
         (C2,),
-        {"m": 1, "m_cyl": 1, "j": 1, "max_points": 10**6},
-        {"m": 0, "m_cyl": 0, "j": 0, "max_points": 1},
+        {"m": 1, "m_cyl": 1, "j": 1},
+        {"m": 0, "m_cyl": 0, "j": 0},
     ),
 ]
 
