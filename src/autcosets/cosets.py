@@ -95,7 +95,7 @@ def theta(m: int, j: int) -> Automorphism:
 
     Raises SizeLimitError for j over MAX_BLOCK_SIZE."""
     m, j = _integer(m, "m", 0), _integer(j, "j", 0)
-    check_size("block swap theta", j, "generators per block", MAX_BLOCK_SIZE)
+    check_size(lambda: "block swap theta", j, "generators per block", MAX_BLOCK_SIZE)
     return _block_swap(m, j, j)
 
 
@@ -112,7 +112,7 @@ def block_size(m: int, *autos: Automorphism) -> int:
         if bound > top:
             top = bound
     n = top - m
-    check_size("block size of the coset product", n, "generators per block", MAX_BLOCK_SIZE)
+    check_size(lambda: "block size of the coset product", n, "generators per block", MAX_BLOCK_SIZE)
     return n
 
 
@@ -273,7 +273,7 @@ def stability_witness(
     For p = 0 both are the identity.  Raises SizeLimitError for n + p over
     MAX_BLOCK_SIZE."""
     m, n, p = _integer(m, "m", 0), _integer(n, "n", 0), _integer(p, "p", 0)
-    check_size("stability witness", n + p, "generators per block", MAX_BLOCK_SIZE)
+    check_size(lambda: "stability witness", n + p, "generators per block", MAX_BLOCK_SIZE)
     _require_support("stability_witness", m, n, g, h)
     s = _block_swap(m + n, p, n + p)
     rename: dict[int, int] = {}

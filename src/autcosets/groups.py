@@ -91,7 +91,7 @@ class FiniteGroup:
             raise ValueError(f"group name {_clip(name)} must be at most 24 printable characters")
         mul = tuple(mul)
         n = len(mul)
-        check_size(f"group of order {n}", n, "table cells", DEFAULT_MAX_POINTS, 2)
+        check_size(lambda: f"group of order {n}", n, "table cells", DEFAULT_MAX_POINTS, 2)
         arr = _integer_table(mul)
         identity = _integer(identity, "'unit'")
         if n == 0:
@@ -221,7 +221,7 @@ def _cyclic(n: int) -> FiniteGroup:
     axiom check the way closed automorphisms skip verification.  Its n^2
     cells count against the point budget."""
     n = _integer(n, "cyclic order", 1)
-    check_size(f"builtin group c{_clip(n)}", n, "table cells", DEFAULT_MAX_POINTS, 2)
+    check_size(lambda: f"builtin group c{_clip(n)}", n, "table cells", DEFAULT_MAX_POINTS, 2)
     ar = np.arange(n, dtype=np.int32)
     g = FiniteGroup.__new__(FiniteGroup)
     g._fill((ar[:, None] + ar) % np.int32(n), -ar % np.int32(n), 0, f"c{n}")

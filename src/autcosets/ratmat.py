@@ -164,8 +164,10 @@ class RationalMatrix:
             return NotImplemented
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch: {self.rows}x{self.cols} @ {other.rows}x{other.cols}")
-        layer = f"matmul {self.rows}x{self.cols} @ {other.rows}x{other.cols}"
-        check_size(layer, self.rows * self.cols * other.cols, "multiply-adds", MAX_MATMUL_WORK)
+        check_size(
+            lambda: f"matmul {self.rows}x{self.cols} @ {other.rows}x{other.cols}",
+            self.rows * self.cols * other.cols, "multiply-adds", MAX_MATMUL_WORK,
+        )
         num = int_matmul(self.num, other.num, self._bound, other._bound)
         return RationalMatrix._exact(num, self.den * other.den, self._bound * other._bound * self.cols)
 

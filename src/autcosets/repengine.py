@@ -24,7 +24,17 @@ checks no letter.  A point map reads every coordinate, so its grid is
 already full and is read flat as it stands.  ``weak_limit_check``
 compares two such matrices.  The point budget still counts the n^N points
 requested, and every output matrix counts its cells against the same
-budget.
+budget; a raised budget then meets ``MAX_ARRAY_ENTRIES``, so every array
+and every point code fits int64.
+
+A tuple of grids becomes one point code in ``_digit_sum``, the one helper
+behind ``action_map``, ``markov_matrix`` and ``_conjugation_perm``.  It
+adds the scaled digits in ascending ``ndim``, the highest coordinate each
+one reads, not in coordinate order: the partial sums grow from the low
+axes up.  In coordinate order the image of x_1 under a product
+representative already reads a high coordinate, so every later add runs
+over a high-dimensional shape with gaps, which numpy iterates in short
+inner loops.  The sum is exact, so the order changes no value.
 
 ``compress_to_invariants`` averages a matrix over the orbits of a subgroup
 U acting on K^m by conjugation.  What it needs of U (the point permutations
@@ -48,7 +58,9 @@ import numpy as np
 
 from .automorphisms import Automorphism, _image_code, _require_automorphism
 from .cosets import _block_swap
-from .errors import DEFAULT_MAX_POINTS, MAX_AXES, MAX_COORDINATES, SupportViolation, check_size
+from .errors import (
+    DEFAULT_MAX_POINTS, MAX_ARRAY_ENTRIES, MAX_AXES, MAX_COORDINATES, SupportViolation, check_size,
+)
 from .groups import FiniteGroup, Subgroup, _greedy_generators
 from .ratmat import RationalMatrix
 from .words import Code, _clip, _integer
@@ -57,21 +69,27 @@ from .words import Code, _clip, _integer
 def _check_budget(what: str, K: FiniteGroup, exp: int, cells: bool = False, max_points=None) -> None:
     """Refuse n^exp points of K^exp, or with ``cells`` an n^exp x n^exp
     matrix, over the point budget (DEFAULT_MAX_POINTS unless ``max_points``
-    is given), and then exp over its coordinate limit, for the layer named
-    ``<what> <K>^<exp>``.  A matrix's n^(2 exp) cells bound its n^exp
-    points too, so a charge for its cells needs no points charge.
+    is given), then exp over its coordinate limit, then the points or cells
+    over MAX_ARRAY_ENTRIES, for the layer named ``<what> <K>^<exp>``.  A
+    matrix's n^(2 exp) cells bound its n^exp points too, so a charge for
+    its cells needs no points charge.
 
     The coordinate limit is MAX_AXES for a group of order 2 or more, whose
     grids put coordinate i on axis -i, and MAX_COORDINATES for order 1,
     whose grids have no axes.  Only ``markov_matrix`` and
     ``compress_to_invariants`` pass a ``max_points``: under the default
     budget, below 2^MAX_AXES, a group of order 2 or more never meets
-    MAX_AXES."""
+    MAX_AXES, nor MAX_ARRAY_ENTRIES.  The array limit comes last, so a
+    raised budget keeps every earlier refusal."""
     budget = DEFAULT_MAX_POINTS if max_points is None else _integer(max_points, "max_points", 1)
-    layer = f"{what} {K.name}^{_clip(exp)}"
+
+    def layer():
+        return f"{what} {K.name}^{_clip(exp)}"
+
     unit, total = ("cells", 2 * exp) if cells else ("points", exp)
     check_size(layer, K.order, unit, budget, total)
     check_size(layer, exp, "coordinates", MAX_AXES if K.order > 1 else MAX_COORDINATES)
+    check_size(layer, K.order, unit, MAX_ARRAY_ENTRIES, total)
 
 
 @functools.lru_cache(maxsize=256)
@@ -135,19 +153,30 @@ def _digit_sum(n: int, digits) -> np.ndarray:
     """Base-n number of grids of digits in 0..n-1, least significant first:
     the index of the point whose coordinate i is the i-th digit.
 
-    The sum starts as an int64 copy of the first digit, and each later digit
-    is scaled in place in its own int64 copy before it is added, so the
-    digits, which may be cached read-only grids, are never written.  No
-    digits give the index 0 of the one point of K^0."""
-    code = None
-    for i, digit in enumerate(digits):
-        term = digit.astype(np.int64)
-        if code is None:
-            code = term
-        else:
-            term *= n ** i
-            code = code + term
-    return np.zeros((), dtype=np.int64) if code is None else code
+    Each digit is scaled into a new int64 term in one op (the first, whose
+    scale is 1, is only cast), so the digits, which may be cached read-only
+    grids, are never written.  The terms are added in ascending ``ndim`` (a
+    stable sort), starting from the first: coordinate i lies on axis -i, so
+    a term's ``ndim`` is the highest coordinate it reads, and each partial
+    sum spans no axis above the highest read so far.  In index order the
+    first term, the image of x_1 under a product representative, already
+    reaches a high axis, and every add runs over a shape of that many axes
+    with gaps.  Integer addition is exact and the sum is below
+    n^N <= MAX_ARRAY_ENTRIES < 2^63, so the order changes neither the
+    values nor the broadcast shape.  No digits give the index 0 of the one
+    point of K^0; 0-d digits (a group of order 1) give a numpy scalar,
+    which every caller only ravels."""
+    terms = [
+        np.multiply(digit, n**i, dtype=np.int64) if i else digit.astype(np.int64)
+        for i, digit in enumerate(digits)
+    ]
+    terms.sort(key=lambda term: term.ndim)
+    if not terms:
+        return np.zeros((), dtype=np.int64)
+    code = terms[0]
+    for term in terms[1:]:
+        code = code + term
+    return code
 
 
 def _grid_code(K: FiniteGroup, words) -> np.ndarray:

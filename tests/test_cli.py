@@ -815,6 +815,24 @@ def test_a_raised_budget_meets_the_axis_limit_in_the_one_shape(capsys, far, budg
     )
 
 
+@pytest.mark.parametrize(
+    "group, m, message",
+    [
+        ("q8", 21, "averaging over q8^21 needs 9223372036854775808 points"),
+        ("q8", 24, "averaging over q8^24 needs 4722366482869645213696 points"),
+        ("c5", 32, "averaging over c5^32 needs 23283064365386962890625 points"),
+        ("c2", 30, "markov_matrix on c2^30 needs 1152921504606846976 cells"),
+    ],
+)
+def test_a_raised_budget_meets_the_array_limit_in_the_one_shape(capsys, group, m, message):
+    # numpy itself would refuse these in its own words, or wrap a row offset
+    # past int64 without a word
+    swap = json.dumps(automorphism_to_dict(nielsen_swap(1, 2)))
+    argv = ["rep-matrix", "--group", group, "--m", str(m), "--g", swap, "--max-points", str(10**70)]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"error: {message}, over the limit of 1152921504606846975\n"
+
+
 def test_point_budget_env_and_flag(capsys, monkeypatch):
     argv = ["rep-matrix", "--group", "s3", "--m", "1", "--g", G_JSON]
     # s3 at m=1 averages over s3^2, 36 points

@@ -12,7 +12,7 @@ import time
 import pytest
 
 import autcosets
-from autcosets import ratmat
+from autcosets import ratmat, repengine
 from autcosets.automorphisms import (
     _image_lines,
     automorphism_from_dict,
@@ -51,30 +51,61 @@ G = random_automorphism(0, 4, 6, 17)
 
 
 def test_a_size_at_the_limit_passes_and_one_more_is_refused():
-    check_size("layer", 10, "points", 10)
-    check_size("layer", 3, "cells", 9, 2)
+    check_size(lambda: "layer", 10, "points", 10)
+    check_size(lambda: "layer", 3, "cells", 9, 2)
     with pytest.raises(SizeLimitError) as exc:
-        check_size("layer", 11, "points", 10)
+        check_size(lambda: "layer", 11, "points", 10)
     assert str(exc.value) == "layer needs 11 points, over the limit of 10"
     with pytest.raises(SizeLimitError) as exc:
-        check_size("layer", 4, "cells", 15, 2)
+        check_size(lambda: "layer", 4, "cells", 15, 2)
     assert str(exc.value) == "layer needs 16 cells, over the limit of 15"
 
 
 def test_a_power_far_over_the_limit_is_neither_built_nor_printed():
     start = time.perf_counter()
     with pytest.raises(SizeLimitError) as exc:
-        check_size("x", 2, "points", 10, 10**9)
+        check_size(lambda: "x", 2, "points", 10, 10**9)
     assert time.perf_counter() - start < 0.01
     assert str(exc.value) == "x needs 2^1000000000 points, over the limit of 10"
 
 
 def test_a_huge_size_without_a_power_is_cut_to_24_digits():
     with pytest.raises(SizeLimitError) as exc:
-        check_size("x", 10**30, "generators per block", 10)
+        check_size(lambda: "x", 10**30, "generators per block", 10)
     assert str(exc.value) == (
         f"x needs {str(10**30)[:24]}... generators per block, over the limit of 10"
     )
+
+
+def _unrendered():
+    raise AssertionError("a layer within its limit was rendered")
+
+
+def test_a_check_within_its_limit_never_renders_its_layer(monkeypatch):
+    check_size(_unrendered, 10, "points", 10)
+    check_size(_unrendered, 3, "cells", 9, 2)
+    with pytest.raises(AssertionError, match="was rendered"):
+        check_size(_unrendered, 11, "points", 10)
+    # every point-engine and matmul check hands check_size its layer unrendered
+    layers = []
+
+    def spy(layer, *args):
+        layers.append(layer)
+        check_size(_unrendered, *args)
+
+    monkeypatch.setattr(repengine, "check_size", spy)
+    monkeypatch.setattr(ratmat, "check_size", spy)
+    monkeypatch.setattr(repengine, "_clip", lambda value: _unrendered())
+    markov_matrix(C2, G, 1)
+    action_map(C2, G, 4)
+    RationalMatrix.identity(2) @ RationalMatrix.identity(2)
+    monkeypatch.undo()
+    assert [layer() for layer in layers] == [
+        "averaging over c2^4", "averaging over c2^4", "averaging over c2^4",
+        "markov_matrix on c2^1", "markov_matrix on c2^1", "markov_matrix on c2^1",
+        "action on c2^4", "action on c2^4", "action on c2^4",
+        "matmul 2x2 @ 2x2",
+    ]
 
 
 def _matmul_at_a_patched_limit(monkeypatch):
@@ -143,6 +174,11 @@ SITES = {
         lambda mp: markov_matrix(C1, E, 10_001),
         "averaging over c1^10001 needs 10001 coordinates, over the limit of 10000",
     ),
+    "array entries": (
+        lambda mp: markov_matrix(C2, nielsen_swap(1, 2), 30, max_points=10**70),
+        "markov_matrix on c2^30 needs 1152921504606846976 cells, "
+        "over the limit of 1152921504606846975",
+    ),
 }
 
 
@@ -189,11 +225,11 @@ CUT = f"{str(LONG)[:24]}..."
 
 LONG_INT_PROBES = {
     "check_size power": (
-        lambda: check_size("x", LONG, "u", 10, LONG),
+        lambda: check_size(lambda: "x", LONG, "u", 10, LONG),
         f"x needs {CUT}^{CUT} u, over the limit of 10",
     ),
     "check_size limit": (
-        lambda: check_size("x", 2, "u", LONG, 10**6),
+        lambda: check_size(lambda: "x", 2, "u", LONG, 10**6),
         f"x needs 2^1000000 u, over the limit of {CUT}",
     ),
     "markov_matrix m": (
@@ -280,15 +316,15 @@ HUGE_INT_PROBES = {
         "over the limit of 10000000",
     ),
     "check_size": (
-        lambda: check_size("x", BIG, "u", 10),
+        lambda: check_size(lambda: "x", BIG, "u", 10),
         "x needs <5001-digit int> u, over the limit of 10",
     ),
     "check_size exp 2": (
-        lambda: check_size("x", BIG, "u", 10, 2),
+        lambda: check_size(lambda: "x", BIG, "u", 10, 2),
         "x needs <5001-digit int>^2 u, over the limit of 10",
     ),
     "check_size huge limit": (
-        lambda: check_size("x", 2, "u", BIG, 10**6),
+        lambda: check_size(lambda: "x", 2, "u", BIG, 10**6),
         "x needs 2^1000000 u, over the limit of <5001-digit int>",
     ),
     "action_map support": (

@@ -16,7 +16,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import autcosets
@@ -35,14 +35,18 @@ from autcosets.automorphisms import (
     nielsen_invert,
     nielsen_right_mult,
     nielsen_swap,
+    permutation_automorphism,
     random_automorphism,
 )
 from autcosets.cosets import coset_product, theta
-from autcosets.errors import MAX_AXES, MAX_COORDINATES, SizeLimitError, SupportViolation
+from autcosets.errors import (
+    MAX_ARRAY_ENTRIES, MAX_AXES, MAX_COORDINATES, SizeLimitError, SupportViolation,
+)
 from autcosets.groups import Subgroup, builtin_group, group_from_dict
 from autcosets.ratmat import INT64_MAX, RationalMatrix, int_matmul
 from autcosets.repengine import (
     _coordinate,
+    _digit_sum,
     _grid_eval,
     _orbit_structure,
     _row_offsets,
@@ -81,6 +85,8 @@ from eval_oracle import (
 C2 = builtin_group("c2")
 C3 = builtin_group("c3")
 S3 = builtin_group("s3")
+Q8 = builtin_group("q8")
+D8 = builtin_group("d8")
 
 
 def rand_aut(seed, length, m_fix=0, max_index=4):
@@ -387,7 +393,8 @@ def skipping_aut():
 
 
 @pytest.mark.parametrize(
-    "K, m, extra", [(C3, 0, 2), (C2, 1, 3), (C3, 1, 1), (S3, 1, 1), (C2, 2, 3), (S3, 2, 1)]
+    "K, m, extra",
+    [(C3, 0, 2), (C2, 1, 3), (C3, 1, 1), (S3, 1, 1), (C2, 2, 3), (S3, 2, 1), (Q8, 2, 1), (D8, 2, 1)],
 )
 def test_markov_matches_brute_force_above_the_support(K, m, extra):
     g = skipping_aut()
@@ -407,6 +414,56 @@ def test_action_map_matches_eval_word_point_by_point(K, n_coords):
             point = ti.decode(idx)
             image = tuple(eval_word(K, g.image(i), point) for i in range(1, n_coords + 1))
             assert table[idx] == ti.encode(image)
+
+
+# the most coordinates drawn per group for a point map: at most 512 points
+MAP_GROUPS = {"c2": 8, "c3": 5, "s3": 3, "q8": 3, "d8": 3}
+
+
+@st.composite
+def map_cases(draw):
+    name = draw(st.sampled_from(sorted(MAP_GROUPS)))
+    n_coords = draw(st.integers(2, MAP_GROUPS[name]))
+    return name, n_coords, draw(st.integers(0, 10_000)), draw(st.integers(1, 12))
+
+
+@given(map_cases())
+@example(("q8", 3, 2, 6))
+@example(("d8", 3, 1, 6))
+@example(("c2", 8, 2, 12))
+def test_point_maps_with_images_out_of_coordinate_order_match_eval_word(case):
+    # g(x_i) = r(x_(N+1-i)): x_1's image often reads the highest coordinate,
+    # so the digit sum adds its terms in an order other than the index order
+    name, n_coords, seed, length = case
+    K = builtin_group(name)
+    reverse = permutation_automorphism({i: n_coords + 1 - i for i in range(1, n_coords + 1)})
+    g = compose(rand_aut(seed, length, max_index=n_coords), reverse)
+    reads = [max(gen for gen, _ in g.image(i)) for i in range(1, n_coords + 1)]
+    assume(reads != sorted(reads))
+    table = action_map(K, g, n_coords).table
+    assert table.dtype == np.int64 and not table.flags.writeable and table.flags.c_contiguous
+    ti = TupleIndex(K.order, n_coords)
+    assert len(table) == ti.n_points
+    for idx in range(ti.n_points):
+        point = ti.decode(idx)
+        image = tuple(eval_word(K, g.image(i), point) for i in range(1, n_coords + 1))
+        assert table[idx] == ti.encode(image)
+
+
+def test_point_codes_leave_the_cached_coordinate_grids_unchanged():
+    before = {(n, i): _coordinate(n, i).copy() for n in (1, 2, 8) for i in range(1, 5)}
+    g = compose(rand_aut(7, 10, max_index=4), nielsen_swap(1, 4))
+    for K in (builtin_group("c1"), C2, Q8):
+        action_map(K, g, 4)
+        markov_matrix(K, g, 2)
+        compress_to_invariants(K, Subgroup.whole(K), 1, RationalMatrix.identity(K.order))
+        # a cached grid passed as a digit comes back as a new int64 array
+        grid = _coordinate(K.order, 3)
+        code = _digit_sum(K.order, [grid])
+        assert code is not grid and code.dtype == np.int64 and code.tolist() == grid.tolist()
+    for (n, i), grid in before.items():
+        assert not _coordinate(n, i).flags.writeable
+        assert np.array_equal(_coordinate(n, i), grid)
 
 
 @given(
@@ -467,6 +524,28 @@ def test_a_group_of_order_two_or_more_is_bounded_by_the_axes_numpy_allows():
     assert str(exc.value) == "averaging over c2^33 needs 33 coordinates, over the limit of 32"
     got = markov_matrix(C2, nielsen_swap(1, 32), 1, max_points=2**32)
     assert got.to_strings() == [["1/2", "1/2"], ["1/2", "1/2"]]
+
+
+def test_a_raised_budget_meets_the_array_limit_after_the_axes():
+    # the most int64 entries one numpy array holds: numpy refuses 2^60
+    assert MAX_ARRAY_ENTRIES == 2**60 - 1
+    swap = nielsen_swap(1, 2)
+    refusals = [
+        (Q8, 21, f"averaging over q8^21 needs {8**21} points"),
+        (Q8, 24, f"averaging over q8^24 needs {8**24} points"),
+        (C2, 30, f"markov_matrix on c2^30 needs {2**60} cells"),
+    ]
+    for K, m, message in refusals:
+        with pytest.raises(SizeLimitError) as exc:
+            markov_matrix(K, swap, m, max_points=10**70)
+        assert str(exc.value) == f"{message}, over the limit of {2**60 - 1}"
+        with pytest.raises(SizeLimitError) as exc:
+            compress_to_invariants(K, Subgroup.whole(K), m, RationalMatrix.identity(1), max_points=10**70)
+        assert str(exc.value).startswith(f"compress_to_invariants on {K.name}^{m} needs ")
+        assert str(exc.value).endswith(f" cells, over the limit of {2**60 - 1}")
+    # the axis limit still comes first
+    with pytest.raises(SizeLimitError, match=r"^averaging over q8\^33 needs 33 coordinates"):
+        markov_matrix(Q8, swap, 33, max_points=10**70)
 
 
 def test_size_guardrail():
