@@ -35,7 +35,8 @@ loaded through the public constructor has no table and runs the kernel, as
 every verification does.  Letter words appear
 only at the boundary: the public constructor, which JSON load also goes
 through, reduces letters and encodes them once, and ``images``,
-``image``, ``repr`` and ``automorphism_to_dict`` decode on demand.
+``image``, ``repr`` and ``automorphism_to_dict`` decode on demand;
+the CLI's JSON writer, ``_automorphism_json``, reads the codes as they are.
 
 Verification computes one composite, f . g, and stops at its first wrong
 image: free groups of finite rank are Hopfian, so f . g = id forces
@@ -76,6 +77,8 @@ from .words import (
     _int_text,
     _integer,
     _substitute_codes,
+    _TABLE_INDEX_BOUND,
+    _TABLE_SIZE,
     _too_many_digits,
     format_word,
     reduce,
@@ -578,20 +581,65 @@ def _endo_to_dict(e: Endomorphism) -> dict:
     }
 
 
-def automorphism_to_dict(a: Automorphism) -> dict:
-    """JSON-ready form: {"images": {...}, "inverse_images": {...}} with
-    letter lists [index, sign] and string generator keys.  Raises
-    TypeError unless ``a`` is an Automorphism, and ValueError, naming its
-    digit count, for an index with more digits than the interpreter
-    converts to text.  The forward map's support bound is the highest
-    index of both halves (see the module docstring)."""
+def _require_writable(a) -> None:
+    """Refuse an ``a`` with no JSON form, for ``automorphism_to_dict`` and
+    ``_automorphism_json`` alike: TypeError unless it is an Automorphism,
+    and ValueError, naming its digit count, when its highest index has more
+    digits than the interpreter converts to text.  The forward map's
+    support bound is the highest index of both halves (see the module
+    docstring)."""
     _require_automorphism(a, "automorphism_to_dict")
     top = a.support_bound()
     try:
         str(top)
     except ValueError:
         raise ValueError(f"generator index {_clip(top)} has more digits than the limit") from None
+
+
+def automorphism_to_dict(a: Automorphism) -> dict:
+    """JSON-ready form: {"images": {...}, "inverse_images": {...}} with
+    letter lists [index, sign] and string generator keys, both ascending.
+    Raises TypeError unless ``a`` is an Automorphism, and ValueError,
+    naming its digit count, for an index with more digits than the
+    interpreter converts to text.  The CLI writes the same document's
+    compact JSON text straight from the code words (``_automorphism_json``);
+    this is the form the tests hold that text to."""
+    _require_writable(a)
     return {"images": _endo_to_dict(a.fwd), "inverse_images": _endo_to_dict(a.inv)}
+
+
+class _CodeJson(dict):
+    """The JSON text ``[index,sign]`` of a code, made on first lookup.  It
+    keeps at most ``words._TABLE_SIZE`` codes, each of at most
+    ``words._TABLE_DIGITS`` digits, as the word text tables do."""
+
+    __slots__ = ()
+
+    def __missing__(self, c: int) -> str:
+        text = f"[{c},1]" if c > 0 else f"[{-c},-1]"
+        if -_TABLE_INDEX_BOUND < c < _TABLE_INDEX_BOUND and len(self) < _TABLE_SIZE:
+            self[c] = text
+        return text
+
+
+_CODE_JSON = _CodeJson()
+
+
+def _endo_json(e: Endomorphism) -> str:
+    texts = _CODE_JSON.__getitem__
+    return "{" + ",".join([
+        f'"{k}":[{",".join(map(texts, code))}]' for k, code in sorted(e._codes.items())
+    ]) + "}"
+
+
+def _automorphism_json(a: Automorphism) -> str:
+    """``json.dumps(automorphism_to_dict(a), separators=(",", ":"))``,
+    byte for byte, written straight from the code words: no letter lists
+    are built, and each code's ``[index,sign]`` text comes from a bounded
+    table.  Refuses what ``automorphism_to_dict`` refuses, with the same
+    messages."""
+    _require_writable(a)
+    return f'{{"images":{_endo_json(a.fwd)},"inverse_images":{_endo_json(a.inv)}}}'
 
 
 def _endo_from_dict(data, field: str) -> Endomorphism:

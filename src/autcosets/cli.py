@@ -26,9 +26,9 @@ import os
 import sys
 
 from .automorphisms import (
+    _automorphism_json,
     _image_lines,
     automorphism_from_dict,
-    automorphism_to_dict,
     compose,
     invert,
 )
@@ -105,11 +105,18 @@ def _load_group(spec: str):
 
 
 def _emit(args, doc, text) -> int:
-    """Print a verb's result: ``doc()`` as compact JSON, or ``text()`` under
-    ``--text``.  Only the one asked for is called, so ``--text`` never reads
-    a composite's deferred inverse and JSON mode formats no text."""
-    print(json.dumps(doc(), separators=(",", ":")) if not args.text else text())
+    """Print a verb's result: the compact JSON text ``doc()``, or ``text()``
+    under ``--text``.  Only the one asked for is called, so ``--text`` never
+    reads a composite's deferred inverse and JSON mode formats no text.
+    Each verb writes its own JSON: an automorphism through
+    ``_automorphism_json``, byte-identical to ``_compact`` of
+    ``automorphism_to_dict``, and anything else through ``_compact``."""
+    print(text() if args.text else doc())
     return 0
+
+
+def _compact(doc) -> str:
+    return json.dumps(doc, separators=(",", ":"))
 
 
 def _auto_text(a) -> str:
@@ -121,15 +128,21 @@ def _matrix_text(rows: list[list[str]]) -> str:
     return "\n".join(" ".join(cell.rjust(w) for cell, w in zip(row, widths)) for row in rows)
 
 
+def _product_json(prod, field: str, value: str) -> str:
+    """``_compact`` of ``{"m": prod.m, "N": prod.block, field: ...}``, given
+    the JSON text ``value`` of the last entry."""
+    return f'{{"m":{prod.m},"N":{prod.block},"{field}":{value}}}'
+
+
 def _cmd_reduce(args) -> int:
     word = format_word(parse_word(args.word))
-    return _emit(args, lambda: word, lambda: word)
+    return _emit(args, lambda: _compact(word), lambda: word)
 
 
 def _cmd_automorphism(args) -> int:
     g = _load_automorphism(args.g)
     a = compose(g, _load_automorphism(args.h)) if args.verb == "compose" else invert(g)
-    return _emit(args, lambda: automorphism_to_dict(a), lambda: _auto_text(a))
+    return _emit(args, lambda: _automorphism_json(a), lambda: _auto_text(a))
 
 
 def _cmd_pair_product(args) -> int:
@@ -138,7 +151,7 @@ def _cmd_pair_product(args) -> int:
     prod = product(args.m, _load_automorphism(args.g), _load_automorphism(args.h))
     return _emit(
         args,
-        lambda: {"m": prod.m, "N": prod.block, "rep": automorphism_to_dict(prod.rep)},
+        lambda: _product_json(prod, "rep", _automorphism_json(prod.rep)),
         lambda: f"m={prod.m} N={prod.block}\n{_auto_text(prod.rep)}",
     )
 
@@ -147,7 +160,7 @@ def _cmd_tuple_product(args) -> int:
     prod = tuple_product(args.m, _load_automorphism_list(args.gs), _load_automorphism_list(args.hs))
     return _emit(
         args,
-        lambda: {"m": prod.m, "N": prod.block, "reps": [automorphism_to_dict(r) for r in prod.reps]},
+        lambda: _product_json(prod, "reps", f"[{','.join(map(_automorphism_json, prod.reps))}]"),
         lambda: "\n".join(
             [f"m={prod.m} N={prod.block}"]
             + [f"component {i}:\n{_auto_text(r)}" for i, r in enumerate(prod.reps, start=1)]
@@ -194,7 +207,7 @@ def _cmd_rep_matrix(args) -> int:
     if u is not None:
         matrix = compress_to_invariants(group, u, args.m, matrix, max_points=args.max_points)
     rows = matrix.to_strings()
-    return _emit(args, lambda: rows, lambda: _matrix_text(rows))
+    return _emit(args, lambda: _compact(rows), lambda: _matrix_text(rows))
 
 
 def _cmd_verify(args) -> int:

@@ -213,15 +213,23 @@ def _substitute_codes(images: dict[int, Code], w: Code) -> Code:
 
 _TOKEN = re.compile(r"x([0-9]+)(\^-1)?\Z")
 
+# The text tables below each keep at most _TABLE_SIZE entries, and only
+# indices of at most _TABLE_DIGITS digits: their memory stays bounded, and
+# every kept text converts under any digit limit the interpreter accepts
+# (its floor is 640), so none depends on sys.set_int_max_str_digits.
+_TABLE_SIZE = 4096
+_TABLE_DIGITS = 9
+_TABLE_INDEX_BOUND = 10**_TABLE_DIGITS
 
-def parse_word(text: str) -> Word:
-    """Parse a whitespace-separated word like ``"x1 x2^-1"`` and reduce it.
 
-    Tokens are ``x<i>`` or ``x<i>^-1`` with i >= 1; anything else raises
-    WordSyntaxError.
-    """
-    letters: list[Letter] = []
-    for token in text.split():
+class _TokenLetters(dict):
+    """``parse_word``'s table: a token's (letter, inverse letter), read by
+    the regex on first lookup.  A malformed token raises WordSyntaxError
+    here, so every refusal keeps its message and its order."""
+
+    __slots__ = ()
+
+    def __missing__(self, token: str) -> tuple[Letter, Letter]:
         match = _TOKEN.match(token)
         if match is None:
             raise WordSyntaxError(f"bad word token {_clip(token)}")
@@ -234,8 +242,34 @@ def parse_word(text: str) -> Word:
             ) from None
         if index < 1:
             raise WordSyntaxError(f"generator index must be >= 1 in {_clip(token)}")
-        letters.append((index, -1 if match.group(2) else 1))
-    return reduce(letters)
+        sign = -1 if match.group(2) else 1
+        pair = ((index, sign), (index, -sign))
+        if len(digits) <= _TABLE_DIGITS and len(self) < _TABLE_SIZE:
+            self[token] = pair
+        return pair
+
+
+_TOKEN_LETTERS = _TokenLetters()
+
+
+def parse_word(text: str) -> Word:
+    """Parse a whitespace-separated word like ``"x1 x2^-1"`` and reduce it.
+
+    Tokens are ``x<i>`` or ``x<i>^-1`` with i >= 1; anything else raises
+    WordSyntaxError, at the first such token.  Each token's letter and its
+    inverse are looked up in a bounded table, filled by the regex on a
+    token's first use, and the letters are reduced on one stack as they
+    are read, as ``reduce`` does.
+    """
+    letters = _TOKEN_LETTERS
+    stack: list[Letter] = []
+    for token in text.split():
+        letter, inverse = letters[token]
+        if stack and stack[-1] == inverse:
+            stack.pop()
+        else:
+            stack.append(letter)
+    return tuple(stack)
 
 
 def _clip(value) -> str:
@@ -279,12 +313,39 @@ def _too_many_digits(digits: str) -> str:
     return f"{len(digits)} digits, over the limit of {sys.get_int_max_str_digits()}"
 
 
+def _letter_text(gen, sign) -> str:
+    return f"x{_int_text(gen)}" + ("" if sign == 1 else "^-1")
+
+
+class _LetterTexts(dict):
+    """``format_word``'s table: the text of a letter of two ints, made on
+    first lookup."""
+
+    __slots__ = ()
+
+    def __missing__(self, letter: tuple[int, int]) -> str:
+        text = _letter_text(*letter)
+        if -_TABLE_INDEX_BOUND < letter[0] < _TABLE_INDEX_BOUND and len(self) < _TABLE_SIZE:
+            self[letter] = text
+        return text
+
+
+_LETTER_TEXTS = _LetterTexts()
+
+
 def format_word(w: Word) -> str:
     """Render a word in the text form parse_word accepts, for indices
     within the interpreter's digit limit.
 
     The empty word renders as the empty string.  Every index is written by
     ``_int_text``, so one past the digit limit reads ``x<5001-digit int>``,
-    which parse_word refuses.
+    which parse_word refuses.  A letter of two ints takes its text from a
+    bounded table; any other letter, such as ``(True, 1)``, ``(1.0, 1)``
+    or one of numpy ints, is formatted afresh, since it equals an int
+    letter whose text differs or may differ.
     """
-    return " ".join(f"x{_int_text(gen)}" + ("" if sign == 1 else "^-1") for gen, sign in w)
+    texts = _LETTER_TEXTS
+    return " ".join([
+        texts[gen, sign] if type(gen) is int and type(sign) is int else _letter_text(gen, sign)
+        for gen, sign in w
+    ])

@@ -13,8 +13,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import autcosets
-from autcosets import cli
+from autcosets import automorphisms, cli, words
 from autcosets.automorphisms import (
+    _automorphism_json,
     Automorphism,
     Endomorphism,
     InverseVerificationError,
@@ -431,6 +432,78 @@ def test_json_refuses_two_keys_for_one_generator(images):
     ):
         with pytest.raises(ValueError, match="a second time"):
             automorphism_from_dict(doc)
+
+
+# --- the JSON writer: json.dumps of automorphism_to_dict is its oracle -----------
+
+BIG_INDEX = 10**4299  # 4,300 digits, the most the default digit limit converts
+
+
+def compact(doc) -> str:
+    return json.dumps(doc, separators=(",", ":"))
+
+
+# a composite's inverse is still deferred when the writer reads it first
+writable_st = st.one_of(
+    aut_st,
+    st.builds(compose, aut_st, aut_st),
+    perm_st.map(permutation_automorphism),
+    st.just(identity_automorphism()),
+    st.builds(compose, aut_st, st.just(nielsen_right_mult(1, BIG_INDEX))),
+)
+
+
+@given(writable_st)
+def test_json_writer_matches_json_dumps_of_the_dict(a):
+    text = _automorphism_json(a)
+    assert text == compact(automorphism_to_dict(a))
+    assert _automorphism_json(a) == text
+
+
+def test_json_writer_frozen():
+    assert _automorphism_json(identity_automorphism()) == '{"images":{},"inverse_images":{}}'
+    g = Automorphism({1: [(1, 1), (2, 1)]}, {1: [(1, 1), (2, -1)]})
+    assert _automorphism_json(g) == (
+        '{"images":{"1":[[1,1],[2,1]]},"inverse_images":{"1":[[1,1],[2,-1]]}}'
+    )
+    c = compose(g, nielsen_swap(2, 10**12))
+    assert type(c._inv) is tuple  # deferred until the writer reads it
+    assert _automorphism_json(c) == (
+        '{"images":{"1":[[1,1],[2,1]],"2":[[1000000000000,1]],"1000000000000":[[2,1]]},'
+        '"inverse_images":{"1":[[1,1],[1000000000000,-1]],"2":[[1000000000000,1]],'
+        '"1000000000000":[[2,1]]}}'
+    )
+
+
+def test_json_writer_refuses_what_the_dict_refuses(int_digit_limit):
+    big = 10**int_digit_limit  # one digit over the limit
+    edge = nielsen_right_mult(1, 10 ** (int_digit_limit - 1))
+    assert _automorphism_json(edge) == compact(automorphism_to_dict(edge))
+    for bad, error in [
+        (nielsen_swap(1, big), ValueError),
+        (nielsen_right_mult(1, big), ValueError),
+        (compose(nielsen_invert(2), nielsen_swap(2, big)), ValueError),
+        (None, TypeError),
+        (nielsen_invert(1).fwd, TypeError),
+    ]:
+        with pytest.raises(error) as want:
+            automorphism_to_dict(bad)
+        with pytest.raises(error) as got:
+            _automorphism_json(bad)
+        assert str(got.value) == str(want.value)
+
+
+def test_the_code_text_table_stays_within_its_bound(monkeypatch):
+    table = automorphisms._CodeJson()
+    monkeypatch.setattr(automorphisms, "_CODE_JSON", table)
+    # a code of more than 9 digits is written but never kept
+    b = nielsen_swap(1, 10**9)
+    assert _automorphism_json(b) == compact(automorphism_to_dict(b))
+    assert set(table) == {1}
+    a = permutation_automorphism({i: i % 5000 + 1 for i in range(1, 5001)})
+    for _ in range(2):
+        assert _automorphism_json(a) == compact(automorphism_to_dict(a))
+    assert len(table) == words._TABLE_SIZE
 
 
 def test_equality_and_hash():

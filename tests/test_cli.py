@@ -23,9 +23,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from autcosets import automorphisms, cli, verify
-from autcosets.automorphisms import automorphism_to_dict, identity_automorphism, nielsen_swap
+from autcosets.automorphisms import (
+    automorphism_to_dict,
+    compose,
+    identity_automorphism,
+    invert,
+    nielsen_swap,
+    random_automorphism,
+)
 from autcosets.cli import main
-from autcosets.cosets import theta
+from autcosets.cosets import coset_product, star_product, theta, tuple_product
 from autcosets.verify import CheckResult, run_suites
 
 G_JSON = '{"images": {"1": [[1,1],[2,1]]}, "inverse_images": {"1": [[1,1],[2,-1]]}}'
@@ -172,6 +179,38 @@ def test_tuple_product_single_matches_coset(capsys):
     single = json.loads(capsys.readouterr().out)
     assert tup["N"] == single["N"]
     assert tup["reps"] == [single["rep"]]
+
+
+def _compact(doc) -> str:
+    return json.dumps(doc, separators=(",", ":"))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_json_output_is_json_dumps_of_the_librarys_document(capsys, seed):
+    # the CLI writes its JSON from code words; the library's dict is the oracle
+    g = random_automorphism(0, 5, 30, seed)
+    h = random_automorphism(0, 5, 30, seed + 100)
+    g_json, h_json = _compact(automorphism_to_dict(g)), _compact(automorphism_to_dict(h))
+    m = 1 + seed % 2
+
+    def pair(prod):
+        return {"m": prod.m, "N": prod.block, "rep": automorphism_to_dict(prod.rep)}
+
+    tup = tuple_product(m, (g, h), (h, g))
+    cases = [
+        (["compose", "--g", g_json, "--h", h_json], automorphism_to_dict(compose(g, h))),
+        (["invert", "--g", g_json], automorphism_to_dict(invert(g))),
+        (["coset-product", "--m", str(m), "--g", g_json, "--h", h_json],
+         pair(coset_product(m, g, h))),
+        (["star-product", "--m", str(m), "--g", g_json, "--h", h_json],
+         pair(star_product(m, g, h))),
+        (["tuple-product", "--m", str(m), "--gs", f"[{g_json},{h_json}]",
+          "--hs", f"[{h_json},{g_json}]"],
+         {"m": tup.m, "N": tup.block, "reps": [automorphism_to_dict(r) for r in tup.reps]}),
+    ]
+    for argv, doc in cases:
+        assert main(argv) == 0
+        assert capsys.readouterr().out == _compact(doc) + "\n"
 
 
 def test_compose_text_leaves_the_inverse_deferred(capsys, monkeypatch):

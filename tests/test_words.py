@@ -3,11 +3,14 @@ whole sequence after every cancellation."""
 
 from __future__ import annotations
 
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from autcosets import words as words_module
 from autcosets.words import (
     EMPTY,
     WordSyntaxError,
@@ -188,6 +191,112 @@ def test_format_parse_roundtrip(seq):
 def test_format_frozen():
     assert format_word(()) == ""
     assert format_word(((1, 1), (2, -1), (10, 1))) == "x1 x2^-1 x10"
+
+
+# --- the text tables ----------------------------------------------------------
+
+
+@pytest.fixture()
+def fresh_tables(monkeypatch):
+    """Empty token and letter tables for one test, so it sees them fill."""
+    monkeypatch.setattr(words_module, "_TOKEN_LETTERS", words_module._TokenLetters())
+    monkeypatch.setattr(words_module, "_LETTER_TEXTS", words_module._LetterTexts())
+
+
+@pytest.mark.parametrize(
+    "first, second",
+    [((1, "x1"), (True, "xTrue")), ((True, "xTrue"), (1, "x1")),
+     ((1, "x1"), (1.0, "x1.0")), ((1.0, "x1.0"), (1, "x1"))],
+)
+def test_a_letter_equal_to_a_kept_one_keeps_its_own_text(fresh_tables, first, second):
+    # (True, 1) == (1, 1) == (1.0, 1), yet each renders as it always has
+    for gen, text in (first, second, first):
+        assert format_word(((gen, 1),)) == text
+        assert format_word(((gen, -1), (2, 1))) == f"{text}^-1 x2"
+
+
+def test_numpy_letters_keep_their_text(fresh_tables):
+    assert format_word(((3, 1), (2, -1))) == "x3 x2^-1"
+    assert format_word(((np.int64(3), 1), (np.int32(2), np.int64(-1)))) == "x3 x2^-1"
+    assert format_word(((3, True),)) == "x3"
+
+
+def test_a_long_index_is_named_the_same_before_and_after_the_tables_warm(
+    fresh_tables, int_digit_limit
+):
+    long_token = "x" + "9" * (int_digit_limit + 1)
+    want = (
+        f"generator index in {long_token[:24]!r}... has {int_digit_limit + 1} digits, "
+        f"over the limit of {int_digit_limit}"
+    )
+    big = 10**int_digit_limit
+    for _ in range(2):
+        with pytest.raises(WordSyntaxError) as exc:
+            parse_word("x1 x2^-1 " + long_token)
+        assert str(exc.value) == want
+        assert format_word(((1, 1), (big, -1))) == f"x1 x<{int_digit_limit + 1}-digit int>^-1"
+        # warm both tables with short tokens and letters, then ask again
+        assert parse_word("x1 x2^-1 x123456789 x123456789^-1") == ((1, 1), (2, -1))
+        assert format_word(((1, 1), (2, -1), (123456789, 1))) == "x1 x2^-1 x123456789"
+
+
+def test_a_kept_text_never_outlives_a_lower_digit_limit(fresh_tables, int_digit_limit):
+    # a 700-digit index converts under the default limit, but not under the
+    # interpreter's floor of 640: the tables keep no text that long
+    digits = "1" * 700
+    index = int(digits)
+    assert parse_word(f"x{digits}") == ((index, 1),)
+    assert format_word(((index, 1),)) == f"x{digits}"
+    sys.set_int_max_str_digits(640)  # the fixture restores the limit
+    with pytest.raises(WordSyntaxError, match="has 700 digits, over the limit of 640"):
+        parse_word(f"x{digits}")
+    assert format_word(((index, 1),)) == "x<700-digit int>"
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("x0", "generator index must be >= 1 in 'x0'"),
+        ("x0^-1", "generator index must be >= 1 in 'x0^-1'"),
+        ("x", "bad word token 'x'"),
+        ("y1", "bad word token 'y1'"),
+        ("x1^1", "bad word token 'x1^1'"),
+        ("x1^-2", "bad word token 'x1^-2'"),
+        ("x-1", "bad word token 'x-1'"),
+        ("x1^", "bad word token 'x1^'"),
+        ("1", "bad word token '1'"),
+        ("x1x2", "bad word token 'x1x2'"),
+        ("X1", "bad word token 'X1'"),
+    ],
+)
+def test_a_bad_token_keeps_its_message_after_valid_ones(fresh_tables, text, message):
+    for prefix in ("", "x1 x1 ", "x1 x1^-1 ", "x1 x1 "):
+        with pytest.raises(WordSyntaxError) as exc:
+            parse_word(prefix + text)
+        assert str(exc.value) == message
+    # the first bad token is the one refused, wherever the valid ones are
+    with pytest.raises(WordSyntaxError) as exc:
+        parse_word(f"x1 {text} x1 y2")
+    assert str(exc.value) == message
+
+
+def test_the_tables_stay_within_their_bound(fresh_tables):
+    count = 5000
+    assert count > words_module._TABLE_SIZE
+    text = " ".join(f"x{i}" for i in range(1, count + 1))
+    word = tuple((i, 1) for i in range(1, count + 1))
+    for _ in range(2):
+        assert parse_word(text) == word
+        assert format_word(word) == text
+    assert len(words_module._TOKEN_LETTERS) == words_module._TABLE_SIZE
+    assert len(words_module._LETTER_TEXTS) == words_module._TABLE_SIZE
+
+
+@given(st.lists(st.tuples(st.integers(1, 10**12), st.sampled_from((1, -1))), max_size=12))
+def test_parse_reduces_on_one_stack_as_reduce_does(seq):
+    # tokens of indices past the tables' 9 digits take the regex path alone
+    text = " ".join(f"x{gen}" + ("" if sign == 1 else "^-1") for gen, sign in seq)
+    assert parse_word(text) == reduce(seq)
 
 
 def test_substitute_frozen():
