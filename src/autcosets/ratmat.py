@@ -36,6 +36,9 @@ from .errors import MAX_MATMUL_WORK, check_size
 from .words import _integer
 
 INT64_MAX = 2**63 - 1
+# to_strings formats every value in -bound..bound up front once the matrix
+# has this many cells for each of them
+_CELLS_PER_TEXT = 16
 
 
 def _absmax(a: np.ndarray) -> int:
@@ -193,21 +196,40 @@ class RationalMatrix:
     def _sum_column_groups(self, rows: np.ndarray, order: np.ndarray, starts: np.ndarray):
         """The matrix over the same denominator whose entry [s][t] sums row
         ``rows[s]`` over the columns ``order[starts[t]:starts[t + 1]]`` (the
-        last group runs to the end of ``order``), by ``np.add.reduceat``.
+        last group runs to the end of ``order``): the rows and then the
+        columns are gathered with ``take``, and each group summed by
+        ``np.add.reduceat``.
 
         A sum has at most ``cols`` terms, so ``_summable`` proves it and the
         result's bound is this matrix's bound times ``cols``."""
         bound, cols = self._bound, self.cols
-        block = _summable(self.num[rows[:, None], order], bound, cols)
+        block = _summable(self.num.take(rows, 0).take(order, 1), bound, cols)
         return RationalMatrix._exact(np.add.reduceat(block, starts, axis=1), self.den, bound * cols)
 
     def to_strings(self) -> list[list[str]]:
         """Entries in lowest terms as 'p/q' (or 'p') strings, row by row.
 
-        Every entry shares the denominator, so each distinct numerator is
-        formatted once and looked up for the cells that repeat it."""
+        Every entry shares the denominator, so each numerator is formatted
+        once, and a matrix takes one of two renderings.  With at least
+        ``_CELLS_PER_TEXT`` cells for each value in -bound..bound (the
+        carried ``_bound``), every such value is formatted up front into one
+        object array, and the numerators shifted by the bound gather their
+        texts from it with one ``take``.  Otherwise each cell looks its
+        numerator up in a table that formats a value on first lookup.  On
+        the matrices of the ``matrices`` and ``points`` benchmarks the
+        gather took over at 12 to 18 cells a value (Python 3.11, numpy 2.4,
+        microseconds a matrix): 36x36 at bound 6 rendered in 14.5 against
+        28.8 for the lookups, while 6x6 at bound 1, 9x9 at bound 9 and
+        11x11 at bound 36 kept the lookups (2.3, 3.3 and 4.3, where the
+        gather took 2.3, 6.2 and 12.5).  An object array always carries a
+        bound past int64, since ``_set`` narrows it otherwise, so it keeps
+        the lookups and the shift never overflows."""
         table = _FractionStrings(self.den)
-        return [list(map(table.__getitem__, row)) for row in self.num.tolist()]
+        bound, num = self._bound, self.num
+        if _CELLS_PER_TEXT * (2 * bound + 1) <= num.size:
+            texts = np.array(list(map(table.__getitem__, range(-bound, bound + 1))), dtype=object)
+            return texts.take(num + bound).tolist()
+        return [list(map(table.__getitem__, row)) for row in num.tolist()]
 
     def __repr__(self):
         body = "; ".join(" ".join(row) for row in self.to_strings())

@@ -367,12 +367,15 @@ def compress_to_invariants(K: FiniteGroup, u, m: int, matrix: RationalMatrix, ma
     it generate no failing member, and it is the next generator.  A
     generator whose permutation fixes every point, such as a central one,
     never fails, so it is not checked, and the first failing one is still
-    named.
+    named.  Each check permutes the rows and then the columns with
+    ``take`` and compares the result with the matrix.
 
     Commuting means M[u.a][u.b] = M[a][b], so every row of orbit_s has the same
     sum over orbit_t: C[s][t] is that sum in the row of orbit_s's smallest
     point, summed over the columns grouped by orbit by
-    ``RationalMatrix._sum_column_groups``, which keeps the sums exact.
+    ``RationalMatrix._sum_column_groups``, which gathers the representative
+    rows and then the grouped columns with ``take`` and keeps the sums
+    exact.
     When U is central in K (trivial, say, or K abelian), or m = 0, every
     orbit is a single point, the fixed vectors are the whole space, and the
     matrix itself is returned once the checks above have passed.
@@ -390,7 +393,7 @@ def compress_to_invariants(K: FiniteGroup, u, m: int, matrix: RationalMatrix, ma
     gens, perms, reps, order, starts = _orbit_structure(weakref.ref(K), u.members, m)
     for elem, perm in zip(gens, perms):
         # both sides are dim x dim, so no shape check is needed
-        if not (num[perm[:, None], perm] == num).all():
+        if not (num.take(perm, 0).take(perm, 1) == num).all():
             raise ValueError(f"matrix does not commute with conjugation by element {elem}")
     if len(reps) == dim:
         return matrix

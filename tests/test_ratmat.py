@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from autcosets import cli, ratmat
+from autcosets import builtin_group, cli, coset_product, markov_matrix, random_automorphism, ratmat
 from autcosets.errors import MAX_MATMUL_WORK, SizeLimitError
 from autcosets.ratmat import RationalMatrix
 from eval_oracle import entries, fraction_matrix
@@ -216,29 +216,52 @@ def assert_strings_match_fractions(num, den):
 @given(
     st.integers(1, 6),
     st.integers(1, 6),
+    st.integers(1, 40),
+    st.integers(1, 40),
     st.integers(1, 2**40),
     st.integers(0, 2**32),
 )
-def test_to_strings_matches_fraction_oracle(rows, cols, den, seed):
+def test_to_strings_matches_fraction_oracle(rows, cols, big_rows, big_cols, den, seed):
     """Negative, zero and repeated numerators, each cell formatted as
-    str(Fraction(p, den)) would."""
+    str(Fraction(p, den)) would, in both renderings: small numerators on
+    up to 40x40 cells reach the one gather from all values' texts."""
     rng = np.random.default_rng(seed)
     num = rng.integers(-(2**62), 2**62, size=(rows, cols))
     num[rng.random((rows, cols)) < 0.3] = 0
     num[rng.random((rows, cols)) < 0.3] = den
     assert_strings_match_fractions(num, den)
     assert_strings_match_fractions(rng.integers(-3, 4, size=(rows, cols)), den)
+    assert_strings_match_fractions(rng.integers(-3, 4, size=(big_rows, big_cols)), den)
+
+
+def test_to_strings_of_markov_matrices_matches_fraction_oracle():
+    """The three 36x36 matrices of an s3, m = 2 coset product, each with
+    enough cells per value to take the gather."""
+    K = builtin_group("s3")
+    g = random_automorphism(0, 4, 6, 2)
+    h = random_automorphism(0, 4, 6, 102)
+    for a in (g, h, coset_product(2, g, h).rep):
+        mat = markov_matrix(K, a, 2)
+        assert mat.rows == mat.cols == 36
+        assert ratmat._CELLS_PER_TEXT * (2 * mat._bound + 1) <= mat.num.size
+        assert mat.to_strings() == [[str(x) for x in row] for row in mat.data]
 
 
 def test_to_strings_of_one_cell_and_beyond_int64():
+    made = []
     for p, den in [(0, 7), (-6, 4), (5, 1), (-(2**63), 3)]:
-        assert_strings_match_fractions(np.array([[p]], dtype=object), den)
+        made.append(assert_strings_match_fractions(np.array([[p]], dtype=object), den))
     den = 2**65 + 1
     num = np.array(
         [[1, -(2**70), 0, 3 * den], [2**64 + 3, -1, -(2**70), 2**63]], dtype=object
     )
     mat = assert_strings_match_fractions(num, den)
+    made.append(mat)
     assert mat.den > 2**63 and mat.num.dtype == object
+    # an object array carries a bound past int64, so it never meets the
+    # gather, whose shift by the bound must stay within int64
+    assert all(m._bound > 2**63 - 1 for m in made if m.num.dtype == object)
+    assert any(m.num.dtype == object for m in made[:4])
 
 
 # --- integer numerators over one denominator ------------------------------
