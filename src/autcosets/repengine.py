@@ -22,10 +22,11 @@ fraction.  ``action_map`` and ``markov_matrix`` refuse a support above N
 at entry, the one check that every letter has its coordinate, so the grid
 checks no letter.  A point map reads every coordinate, so its grid is
 already full and is read flat as it stands.  ``weak_limit_check``
-compares two such matrices.  The point budget still counts the n^N points
-requested, and every output matrix counts its cells against the same
-budget; a raised budget then meets ``MAX_ARRAY_ENTRIES``, so every array
-and every point code fits int64.
+compares one such matrix with the projection's block structure.  The
+point budget still counts the n^N points requested, and every output
+matrix counts its cells against the same budget; a raised budget then
+meets ``MAX_ARRAY_ENTRIES``, so every array and every point code fits
+int64.
 
 A tuple of grids becomes one point code in ``_digit_sum``, the one helper
 behind ``action_map``, ``markov_matrix`` and ``_conjugation_perm``.  It
@@ -47,8 +48,7 @@ checked on the generators, and columns are summed by orbit.
 from __future__ import annotations
 
 __all__ = [
-    "ActionMap", "action_map", "compress_to_invariants", "markov_matrix", "projection_matrix",
-    "weak_limit_check",
+    "ActionMap", "action_map", "compress_to_invariants", "markov_matrix", "weak_limit_check",
 ]
 
 import functools
@@ -275,22 +275,6 @@ def markov_matrix(
     return RationalMatrix._exact(counts, total, total)
 
 
-def projection_matrix(K: FiniteGroup, m: int, n_coords: int) -> RationalMatrix:
-    """Matrix on K^n_coords of the conditional expectation onto functions of
-    the first m coordinates: entry [p][q] = n^-(N-m) when p and q agree in
-    coordinates 1..m, else 0.  Dense — quadratic in the point count, whose
-    n^(2 n_coords) cells are charged against DEFAULT_MAX_POINTS."""
-    m, n_coords = _integer(m, "m", 0), _integer(n_coords, "n_coords")
-    if n_coords < m:
-        raise ValueError("need 0 <= m <= n_coords")
-    n = K.order
-    _check_budget("projection_matrix on", K, n_coords, cells=True)
-    npts = n ** n_coords
-    head = np.arange(npts, dtype=np.int64) % n ** m
-    same_head = (head[:, None] == head[None, :]).astype(np.int64)
-    return RationalMatrix._exact(same_head, n ** (n_coords - m), 1)
-
-
 def _conjugation_perm(K: FiniteGroup, u: int, m: int) -> np.ndarray:
     """Point permutation of K^m sending each coordinate k to u k u^-1,
     flat in point-index order: digit i reads coordinate i, so the digit
@@ -402,28 +386,38 @@ def compress_to_invariants(K: FiniteGroup, u, m: int, matrix: RationalMatrix, ma
 
 def weak_limit_check(K: FiniteGroup, m: int, m_cyl: int, j: int) -> bool:
     """Whether the block swap theta(m, j) already acts on functions of the
-    first m + m_cyl coordinates exactly like the projection onto the first m:
+    first m + m_cyl coordinates exactly like the projection P onto the
+    first m.  Write a point's index as head + n^m tail, the head reading
+    coordinates 1..m and the tail the m_cyl above them.  P's entry
+    [head + n^m tail][head' + n^m tail'] is n^-m_cyl when head = head', and
+    0 otherwise, so its numerators over n^m_cyl are one n^m x n^m identity
+    block per pair of tails:
 
-        markov_matrix(theta(m, j), m + m_cyl) == projection_matrix(m, m + m_cyl)
+        markov_matrix(theta(m, j), m + m_cyl)[head + n^m tail][head' + n^m tail']
+            == [head == head'] / n^m_cyl
 
     An entry of each side is n^(m + m_cyl) times the inner product of two
     delta functions of level m + m_cyl, one of them moved by the swap on the
     left, both projected on the right.  For a nontrivial group this holds
     exactly when j >= m_cyl: the finite-level shadow of the block swaps
-    converging weakly to the projection.
+    converging weakly to the projection.  A matrix is held in lowest terms,
+    and P's numerators include a 1, so the check reads the denominator and
+    the numerators' blocks, and builds no second matrix.
 
     The left side only needs the images of x_1..x_(m + m_cyl), so it swaps
     just the first min(j, m_cyl) pairs of the two blocks, which agree with
     theta(m, j) there and fit in m + j + m_cyl coordinates.  Every charge
     is against the default budget, DEFAULT_MAX_POINTS: it bounds the
-    n^(m + j + m_cyl) points, and both sides bound their n^(2(m + m_cyl))
-    output cells.  The points charge covers the left side's own: the swap's
-    support is m + j + min(j, m_cyl) (or 0), so ``markov_matrix`` charges
-    n^max(support, m + m_cyl) points, at most the n^(m + j + m_cyl)
-    already charged, and its matrix does not depend on a truncation.
+    n^(m + j + m_cyl) points, and ``markov_matrix`` bounds its
+    n^(2(m + m_cyl)) output cells.  The points charge covers
+    ``markov_matrix``'s own: the swap's support is m + j + min(j, m_cyl)
+    (or 0), so it charges n^max(support, m + m_cyl) points, at most the
+    n^(m + j + m_cyl) already charged, and its matrix does not depend on a
+    truncation.
     """
     m, m_cyl, j = _integer(m, "m", 0), _integer(m_cyl, "m_cyl", 0), _integer(j, "j", 0)
-    level = m + m_cyl
     _check_budget("weak limit over", K, m + j + m_cyl)
-    swap = _block_swap(m, min(j, m_cyl), j)
-    return markov_matrix(K, swap, level) == projection_matrix(K, m, level)
+    moved = markov_matrix(K, _block_swap(m, min(j, m_cyl), j), m + m_cyl)
+    head, tail = K.order ** m, K.order ** m_cyl
+    eye = np.eye(head, dtype=np.int64)[None, :, None, :]
+    return moved.den == tail and bool((moved.num.reshape(tail, head, tail, head) == eye).all())

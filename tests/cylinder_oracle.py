@@ -1,11 +1,16 @@
-"""Cylinder functions with Fraction values, evaluated by explicit
-enumeration: the independent oracle for ``repengine.weak_limit_check``.
+"""The two oracles for ``repengine.weak_limit_check``: cylinder functions
+with Fraction values, evaluated by explicit enumeration, and the dense
+projection matrix that the check's block structure stands for.
 
 A cylinder function depends only on the first ``level`` coordinates of an
 infinite K-sequence.  The swap-to-projection check is recomputed here from
 its definition: delta functions are translated by the block swap, projected
 by averaging, and compared through inner products over K^(m + j + m_cyl).
 Every loop runs in pure Python, so keep the levels small.
+
+``projection_matrix`` builds the projection onto the first m coordinates
+as a whole n^n_coords x n^n_coords matrix, through the public constructor,
+so a test can compare a ``markov_matrix`` with it cell by cell.
 """
 
 from __future__ import annotations
@@ -14,8 +19,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
 
+import numpy as np
+
 from autcosets.errors import SupportViolation
 from autcosets.groups import FiniteGroup
+from autcosets.ratmat import RationalMatrix
 from eval_oracle import TupleIndex
 
 
@@ -122,6 +130,18 @@ def translate_by_permutation(
             fidx = fidx * n + digit
         values.append(f.values[fidx])
     return CylinderFunction(n_coords, tuple(values))
+
+
+def projection_matrix(K: FiniteGroup, m: int, n_coords: int) -> RationalMatrix:
+    """Matrix on K^n_coords of the conditional expectation onto functions of
+    the first m coordinates: entry [p][q] = n^-(n_coords - m) when p and q
+    agree in coordinates 1..m, else 0.  Dense: n^(2 n_coords) cells."""
+    if not 0 <= m <= n_coords:
+        raise ValueError("need 0 <= m <= n_coords")
+    n = K.order
+    head = np.arange(n ** n_coords, dtype=np.int64) % n ** m
+    same_head = (head[:, None] == head[None, :]).astype(np.int64)
+    return RationalMatrix(same_head, n ** (n_coords - m))
 
 
 def cylinder_weak_limit(K: FiniteGroup, m: int, m_cyl: int, j: int) -> bool:

@@ -48,7 +48,7 @@ from autcosets.cosets import (
 )
 from autcosets.errors import SizeLimitError, SupportViolation
 from autcosets.groups import builtin_group
-from autcosets.repengine import markov_matrix, projection_matrix, weak_limit_check
+from autcosets.repengine import markov_matrix, weak_limit_check
 from autcosets.verify import (
     block_size_stable,
     direct_formula_agrees,
@@ -57,6 +57,7 @@ from autcosets.verify import (
 )
 from autcosets.words import _encode
 from coset_oracle import triple_product_disjoint
+from cylinder_oracle import projection_matrix
 
 
 def rand_aut(seed, length, m_fix=0, max_index=4):

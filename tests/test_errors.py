@@ -36,7 +36,6 @@ from autcosets.repengine import (
     action_map,
     compress_to_invariants,
     markov_matrix,
-    projection_matrix,
     weak_limit_check,
 )
 from autcosets.words import _clip, _int_text, format_word
@@ -147,10 +146,6 @@ SITES = {
     "markov_matrix cells": (
         lambda mp: markov_matrix(C2, theta(0, 8), 16),
         "markov_matrix on c2^16 needs 4294967296 cells, over the limit of 10000000",
-    ),
-    "projection_matrix": (
-        lambda mp: projection_matrix(C2, 0, 12),
-        "projection_matrix on c2^12 needs 16777216 cells, over the limit of 10000000",
     ),
     "compress_to_invariants": (
         lambda mp: compress_to_invariants(
@@ -303,11 +298,6 @@ HUGE_INT_PROBES = {
     "action_map": (
         lambda: action_map(C2, E, BIG),
         "action on c2^<5001-digit int> needs 2^<5001-digit int> points, "
-        "over the limit of 10000000",
-    ),
-    "projection_matrix": (
-        lambda: projection_matrix(C2, 0, BIG),
-        "projection_matrix on c2^<5001-digit int> needs 2^<5001-digit int> cells, "
         "over the limit of 10000000",
     ),
     "weak_limit_check": (

@@ -53,7 +53,6 @@ from autcosets.repengine import (
     action_map,
     compress_to_invariants,
     markov_matrix,
-    projection_matrix,
     weak_limit_check,
 )
 from autcosets.verify import (
@@ -70,6 +69,7 @@ from cylinder_oracle import (
     cylinder_weak_limit,
     delta_cylinder,
     project_cylinder,
+    projection_matrix,
     translate_by_permutation,
 )
 from coset_oracle import triple_product_disjoint
@@ -219,7 +219,7 @@ def test_library_built_matrices_skip_the_constructor(monkeypatch):
     g = rand_aut(12, 6, max_index=3)
     t = markov_matrix(S3, g, 1)
     c = compress_to_invariants(S3, Subgroup.whole(S3), 1, t)
-    results = [t, c, t @ t, projection_matrix(C3, 1, 2), RationalMatrix.identity(4)]
+    results = [t, c, t @ t, RationalMatrix.identity(4)]
     assert built == []
     for mat in results:
         # each is already what the checking constructor makes of its parts
@@ -382,6 +382,26 @@ def test_markov_doubly_stochastic():
     for seed in range(6):
         g = rand_aut(seed, 8)
         assert markov_matrix(C3, g, 1).is_doubly_stochastic()
+
+
+def test_markov_matrix_of_the_inverse_is_the_transpose():
+    # M(g)[a][b] counts the points x with x|m = a and (T_g x)|m = b; with
+    # y = T_g x, the same count is M(g^-1)[b][a]
+    asymmetric = []
+
+    @given(st.sampled_from([C2, C3, S3, Q8, D8]), st.sampled_from([1, 2]), st.integers(0, 10_000))
+    @settings(max_examples=120)
+    def involution(K, m, seed):
+        g = rand_aut(seed, 6, max_index=m + 2)
+        M = markov_matrix(K, g, m)
+        transpose = RationalMatrix(M.num.T, M.den)
+        assert markov_matrix(K, g.inverse(), m) == transpose
+        if transpose != M:
+            asymmetric.append((K.name, m, seed))
+
+    involution()
+    # a symmetric matrix is its own transpose, so only these test the law
+    assert asymmetric
 
 
 # --- grid kernel: only the coordinates an image reads are enumerated -----
@@ -566,10 +586,6 @@ def test_output_cells_count_against_the_budget():
     # 2^16 points fit the default budget; the 2^32-cell matrix does not
     with pytest.raises(SizeLimitError, match=r"markov_matrix .*4294967296 cells.*10000000"):
         markov_matrix(C2, theta(0, 8), 16)
-    # the projection is charged against the default budget alone
-    with pytest.raises(SizeLimitError, match=r"^projection_matrix on c2\^12 needs 16777216 cells"):
-        projection_matrix(C2, 0, 12)
-    assert projection_matrix(C2, 0, 3).rows == 8
     whole = Subgroup.whole(C3)
     with pytest.raises(SizeLimitError, match="compress_to_invariants"):
         compress_to_invariants(C3, whole, 2, RationalMatrix.identity(9), max_points=80)
@@ -1088,13 +1104,60 @@ def test_weak_limit_matches_cylinder_oracle():
         assert answers == {True, False}
 
 
-def test_weak_limit_swaps_only_the_pairs_it_reads():
+def weak_limit_dense_grid():
+    """(group, m, m_cyl, j) for m, m_cyl in 0..2 and j in 0..3 over c1, c2,
+    c3 and s3, keeping the cases whose swap reads at most 1e6 points:
+    n^(m + j + m_cyl) <= 1e6."""
+    cases = []
+    for name in ("c1", "c2", "c3", "s3"):
+        n = builtin_group(name).order
+        for m, m_cyl, j in itertools.product(range(3), range(3), range(4)):
+            if n ** (m + j + m_cyl) <= 1e6:
+                cases.append((name, m, m_cyl, j))
+    return cases
+
+
+WEAK_LIMIT_DENSE_GRID = weak_limit_dense_grid()
+
+
+def test_weak_limit_dense_grid_holds_both_answers():
+    assert len(WEAK_LIMIT_DENSE_GRID) == 144
+    answers = {}
+    for name, *params in WEAK_LIMIT_DENSE_GRID:
+        answer = weak_limit_check(builtin_group(name), *params)
+        # a Python bool, not a numpy.bool_, which json.dumps refuses
+        assert type(answer) is bool
+        answers.setdefault(name, set()).add(answer)
+    assert answers == {"c1": {True}, "c2": {True, False}, "c3": {True, False}, "s3": {True, False}}
     # theta(1, 12) moves x25, but level 2 reads one swapped pair: 2^14 points
     assert weak_limit_check(C2, 1, 1, 12)
-    for K, m, m_cyl, j in [(C2, 1, 1, 3), (C3, 1, 2, 3), (C3, 0, 1, 2), (S3, 1, 1, 2), (C2, 1, 2, 1)]:
-        level = m + m_cyl
-        whole = markov_matrix(K, theta(m, j), level, truncation=max(m + j + m_cyl, m + 2 * j))
-        assert weak_limit_check(K, m, m_cyl, j) == (whole == projection_matrix(K, m, level))
+
+
+@given(st.sampled_from(WEAK_LIMIT_DENSE_GRID))
+def test_weak_limit_swaps_only_the_pairs_it_reads(case):
+    # the whole theta(m, j) on every coordinate it moves, against the dense projection
+    name, m, m_cyl, j = case
+    K = builtin_group(name)
+    level = m + m_cyl
+    whole = markov_matrix(K, theta(m, j), level, truncation=max(m + j + m_cyl, m + 2 * j))
+    assert weak_limit_check(K, m, m_cyl, j) == (whole == projection_matrix(K, m, level))
+
+
+def test_weak_limit_reads_every_block_as_well_as_the_denominator(monkeypatch):
+    # on a block swap the denominator n^m_cyl already decides the answer, so
+    # other matrices over that denominator are fed in: the projection itself,
+    # and the projection with each block's heads moved by one, in every pair
+    # of tails or in those past the first tail of the columns
+    P = projection_matrix(C3, 1, 3)
+    blocks = P.num.reshape(9, 3, 9, 3)
+    rolled = np.roll(blocks, 1, axis=3)
+    past_first = np.concatenate([blocks[:, :, :1], rolled[:, :, 1:]], axis=2)
+    for num in (blocks, rolled, past_first):
+        fed = RationalMatrix(num.reshape(27, 27), P.den)
+        monkeypatch.setattr(autcosets.repengine, "markov_matrix", lambda K, g, m: fed)
+        answer = weak_limit_check(C3, 1, 2, 2)
+        assert type(answer) is bool
+        assert answer == (fed == P) == (num is blocks)
 
 
 def test_weak_limit_bounds_its_output_cells():
@@ -1153,7 +1216,6 @@ INTEGER_ARGUMENTS = [
         {"n_coords": 4},
         {"n_coords": 0},
     ),
-    (projection_matrix, (C2,), {"m": 1, "n_coords": 2}, {"m": 0}),
     (
         compress_to_invariants,
         (S3, Subgroup.whole(S3)),
@@ -1284,7 +1346,7 @@ def test_every_library_matrix_carries_a_bound_and_products_match_the_scan(name, 
     K = builtin_group(name)
     dim = K.order**m
     tg, th = (markov_matrix(K, rand_aut(seed + i, 6, max_index=3), m) for i in range(2))
-    built = [tg, th, RationalMatrix.identity(dim), projection_matrix(K, max(m - 1, 0), m)]
+    built = [tg, th, RationalMatrix.identity(dim)]
     prod = assert_product_matches_scan(tg, th)
     chained = prod
     for factor in (tg, prod, th, prod):
